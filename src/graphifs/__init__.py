@@ -59,7 +59,6 @@ from .gaps import (
     Condition2Report,
     GapCosets,
     condition2_check,
-    enumerate_coset_lengths,
     gap_length_cosets,
     level_k_gaps,
     max_gap,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ResourceCapError
+from .errors import GraphStructureError, ResourceCapError
 from .families import DoubleLoopParams
 from .model import (
     DEFAULT_PATH_CAP,
@@ -75,14 +75,6 @@ class IntervalSet:
             out.append((prev, ONE))
         return tuple(out)
 
-    def gap_containing(self, x) -> Optional[tuple[Fraction, Fraction]]:
-        """The complementary gap strictly containing x, if any."""
-        x = as_rational(x)
-        for lo, hi in self.gaps():
-            if lo < x < hi:
-                return (lo, hi)
-        return None
-
     def apply(self, sim: Similarity) -> "IntervalSet":
         return IntervalSet(tuple(sim.map_interval(lo, hi)
                                  for lo, hi in self.intervals))
@@ -91,9 +83,6 @@ class IntervalSet:
         """Image under R(x) = 1 - x."""
         return IntervalSet(tuple((ONE - hi, ONE - lo)
                                  for lo, hi in self.intervals))
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self.intervals + other.intervals)
 
 
 _FULL = ((ZERO, ONE),)
@@ -105,10 +94,10 @@ def level_k_set(ifs: GraphIFS, u: str, k: int,
     F_u^{k} = union of S_e(F_{t(e)}^{k-1}) over out-edges of u."""
     if k < 0:
         raise ValueError("level k must be >= 0")
-    if k and path_count(ifs, u, k) > cap:
+    if k and (count := path_count(ifs, u, k)) > cap:
         raise ResourceCapError(
             f"level-{k} set at {u!r} has more than {cap} intervals",
-            bound=path_count(ifs, u, k))
+            bound=count)
     current: dict[str, IntervalSet] = {v: IntervalSet(_FULL) for v in ifs.vertices}
     for _ in range(k):
         current = {
@@ -229,7 +218,10 @@ def replay_refutation(ifs: GraphIFS, u: str, v: str,
     """Re-verify a SubsetRefutation from its recorded evidence alone."""
     try:
         sim = path_similarity(ifs, ref.witness_path)
-    except Exception:
+    except (ValueError, GraphStructureError):
+        return False
+    if (v not in ifs.vertices or ref.depths[0] != len(ref.witness_path)
+            or ref.depths[1] < 1):
         return False
     if ifs.edge(ref.witness_path.edges[0]).src != u:
         return False

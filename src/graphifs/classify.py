@@ -37,7 +37,7 @@ from .attractor import (
     refute_subset,
     replay_refutation,
 )
-from .errors import RewriteError
+from .errors import GraphStructureError, RewriteError
 from .families import DoubleLoopParams, double_loop_ifs, params_from_ifs
 from .gaps import Condition2Report, condition2_check
 from .measure import MeasureResult, component_measures
@@ -47,6 +47,8 @@ from .model import (
     Path,
     Similarity,
     graph_digest,
+    is_simple_cycle,
+    is_simple_path,
     path_vertices,
     simple_cycles,
     simple_path,
@@ -270,6 +272,40 @@ def _condition3(ifs: GraphIFS, u: str, vprime, depth: int, reflected: bool):
     return refs, None
 
 
+def _decide(ifs: GraphIFS, u: str, depth: int, reflected: bool, theorem: str,
+            condition2, minimal_edges_asserted: Optional[bool] = None
+            ) -> Certificate:
+    """The skeleton both deciders share: condition (1) or, failing it, the
+    explicit rewrite; then the theorem's own condition (2), a callable
+    taking the cycle witness and returning (evidence fields, unmet-reason
+    or None); then condition (3)."""
+    digest = graph_digest(ifs)
+    witness = find_detached_cycle(ifs, u)
+    if witness is None:
+        try:
+            maps = rewrite_to_standard(ifs, u)
+        except RewriteError as exc:
+            return Certificate(
+                digest, u, Verdict.UNKNOWN, theorem, reflected=reflected,
+                minimal_edges_asserted=minimal_edges_asserted,
+                unknown_reason=f"condition (1) unmet and rewrite failed: {exc}")
+        return Certificate(digest, u, Verdict.STANDARD, "p2nv1", maps=maps,
+                           minimal_edges_asserted=minimal_edges_asserted,
+                           notes=("every simple cycle returns to the queried "
+                                  "vertex; explicit standard IFS attached",))
+    evidence, unmet = condition2(witness)
+    refs: list[tuple[str, SubsetRefutation]] = []
+    if unmet is None:
+        refs, missing = _condition3(ifs, u, witness.vprime, depth, reflected)
+        if missing is not None:
+            unmet = f"condition (3): {missing}"
+    return Certificate(
+        digest, u, Verdict.NOT_STANDARD if unmet is None else Verdict.UNKNOWN,
+        theorem, cycle_witness=witness, refutations=tuple(refs),
+        reflected=reflected, minimal_edges_asserted=minimal_edges_asserted,
+        unknown_reason=unmet, **evidence)
+
+
 def classify_gap_condition(ifs: GraphIFS, u: str, depth: int = 8,
                            reflected: bool = False) -> Certificate:
     """Decide standardness of F_u via the gap criterion.
@@ -279,34 +315,36 @@ def classify_gap_condition(ifs: GraphIFS, u: str, depth: int = 8,
     (2) max G_u must not exceed any involved vertex's smallest level-1 gap;
     (3) containment of F_u in every other involved component (and in its
     reflection, when requested) must be exactly refuted."""
-    digest = graph_digest(ifs)
-    witness = find_detached_cycle(ifs, u)
-    if witness is None:
-        try:
-            maps = rewrite_to_standard(ifs, u)
-        except RewriteError as exc:
-            return Certificate(
-                digest, u, Verdict.UNKNOWN, "p2q", reflected=reflected,
-                unknown_reason=f"condition (1) unmet and rewrite failed: {exc}")
-        return Certificate(digest, u, Verdict.STANDARD, "p2nv1", maps=maps,
-                           notes=("every simple cycle returns to the queried "
-                                  "vertex; explicit standard IFS attached",))
-    cond2 = condition2_check(ifs, u, witness.vprime)
-    if not cond2.ok:
-        return Certificate(
-            digest, u, Verdict.UNKNOWN, "p2q", cycle_witness=witness,
-            condition2=cond2, reflected=reflected,
-            unknown_reason=("condition (2): max gap at "
-                            f"{u!r} exceeds a level-1 gap in the involved set"))
-    refs, missing = _condition3(ifs, u, witness.vprime, depth, reflected)
-    if missing is not None:
-        return Certificate(
-            digest, u, Verdict.UNKNOWN, "p2q", cycle_witness=witness,
-            condition2=cond2, refutations=tuple(refs), reflected=reflected,
-            unknown_reason=f"condition (3): {missing}")
-    return Certificate(digest, u, Verdict.NOT_STANDARD, "p2q",
-                       cycle_witness=witness, condition2=cond2,
-                       refutations=tuple(refs), reflected=reflected)
+
+    def condition2(witness):
+        report = condition2_check(ifs, u, witness.vprime)
+        unmet = None if report.ok else (
+            f"condition (2): max gap at {u!r} exceeds a level-1 gap in the "
+            "involved set")
+        return {"condition2": report}, unmet
+
+    return _decide(ifs, u, depth, reflected, "p2q", condition2)
+
+
+def _unit_measure(ifs: GraphIFS, vprime
+                  ) -> tuple[Optional[MeasureResult], Optional[str]]:
+    """The measure criterion's condition (2): unit Hausdorff measure at
+    every vertex of vprime.  Returns the measure (None off the double-loop
+    family) and the unmet requirement, or None when it holds."""
+    params = params_from_ifs(ifs)
+    if params is None:
+        return None, ("Hausdorff measure only computable for the "
+                      "two-vertex double-loop family")
+    result = component_measures(params)
+    if result.h_u is None:
+        return result, "measure-formula conditions fail"
+    h_by_vertex = dict(zip(ifs.vertices, (result.h_u, result.h_v)))
+    off_unit = [v for v in vprime
+                if abs(h_by_vertex[v] - 1) > MEASURE_UNIT_TOL]
+    if off_unit:
+        return result, ("unit measure required at every involved vertex; "
+                        f"violated at {off_unit}")
+    return result, None
 
 
 def classify_measure_condition(ifs: GraphIFS, u: str, depth: int = 8,
@@ -314,75 +352,34 @@ def classify_measure_condition(ifs: GraphIFS, u: str, depth: int = 8,
                                reflected: bool = False) -> Certificate:
     """Decide standardness of F_u via the unit-measure criterion (double-
     loop family only; minimal edge count is an asserted hypothesis)."""
-    digest = graph_digest(ifs)
     if not minimal_edges_asserted:
         return Certificate(
-            digest, u, Verdict.UNKNOWN, "p2t", reflected=reflected,
+            graph_digest(ifs), u, Verdict.UNKNOWN, "p2t", reflected=reflected,
             minimal_edges_asserted=False,
             unknown_reason="minimal edge count not asserted by the caller")
-    witness = find_detached_cycle(ifs, u)
-    if witness is None:
-        try:
-            maps = rewrite_to_standard(ifs, u)
-        except RewriteError as exc:
-            return Certificate(
-                digest, u, Verdict.UNKNOWN, "p2t", reflected=reflected,
-                minimal_edges_asserted=True,
-                unknown_reason=f"condition (1) unmet and rewrite failed: {exc}")
-        return Certificate(digest, u, Verdict.STANDARD, "p2nv1", maps=maps,
-                           minimal_edges_asserted=True,
-                           notes=("every simple cycle returns to the queried "
-                                  "vertex; explicit standard IFS attached",))
-    params = params_from_ifs(ifs)
-    if params is None:
-        return Certificate(
-            digest, u, Verdict.UNKNOWN, "p2t", cycle_witness=witness,
-            reflected=reflected, minimal_edges_asserted=True,
-            unknown_reason=("Hausdorff measure only computable for the "
-                            "two-vertex double-loop family"))
-    result = component_measures(params)
-    if result.h_u is None:
-        return Certificate(
-            digest, u, Verdict.UNKNOWN, "p2t", cycle_witness=witness,
-            measure=result, reflected=reflected, minimal_edges_asserted=True,
-            unknown_reason="measure-formula conditions fail")
-    h_by_vertex = dict(zip(ifs.vertices, (result.h_u, result.h_v)))
-    off_unit = [v for v in witness.vprime
-                if abs(h_by_vertex[v] - 1) > MEASURE_UNIT_TOL]
-    if off_unit:
-        return Certificate(
-            digest, u, Verdict.UNKNOWN, "p2t", cycle_witness=witness,
-            measure=result, reflected=reflected, minimal_edges_asserted=True,
-            unknown_reason=("unit measure required at every involved vertex; "
-                            f"violated at {off_unit}"))
-    refs, missing = _condition3(ifs, u, witness.vprime, depth, reflected)
-    if missing is not None:
-        return Certificate(
-            digest, u, Verdict.UNKNOWN, "p2t", cycle_witness=witness,
-            measure=result, refutations=tuple(refs), reflected=reflected,
-            minimal_edges_asserted=True,
-            unknown_reason=f"condition (3): {missing}")
-    return Certificate(digest, u, Verdict.NOT_STANDARD, "p2t",
-                       cycle_witness=witness, measure=result,
-                       refutations=tuple(refs), reflected=reflected,
-                       minimal_edges_asserted=True)
+
+    def condition2(witness):
+        measure, unmet = _unit_measure(ifs, witness.vprime)
+        return {"measure": measure}, unmet
+
+    return _decide(ifs, u, depth, reflected, "p2t", condition2,
+                   minimal_edges_asserted=True)
 
 
 # ---------------------------------------------------------------------------
 # replay
 
 def _replay_witness(ifs: GraphIFS, u: str, w: DetachedCycleWitness) -> bool:
-    verts_c = path_vertices(ifs, w.cycle)
-    if verts_c[0] != verts_c[-1] or len(set(verts_c)) != len(w.cycle.edges):
+    try:
+        if not (is_simple_cycle(ifs, w.cycle) and is_simple_path(ifs, w.path)):
+            return False
+        verts_c = path_vertices(ifs, w.cycle)
+        verts_p = path_vertices(ifs, w.path)
+    except (ValueError, GraphStructureError):
         return False
-    if u in verts_c:
-        return False
-    verts_p = path_vertices(ifs, w.path)
-    if verts_p[0] != u or verts_p[-1] != w.w or w.w not in verts_c:
-        return False
-    if len(set(verts_p)) != len(w.path.edges) + 1:
-        return False
-    return set(w.vprime) == set(verts_c) | set(verts_p)
+    return (u not in verts_c and verts_p[0] == u and verts_p[-1] == w.w
+            and w.w in verts_c
+            and set(w.vprime) == set(verts_c) | set(verts_p))
 
 
 def replay_certificate(ifs: GraphIFS, cert: Certificate) -> bool:
@@ -416,14 +413,7 @@ def replay_certificate(ifs: GraphIFS, cert: Certificate) -> bool:
                 or not fresh.ok):
             return False
     elif cert.theorem == "p2t":
-        params = params_from_ifs(ifs)
-        if params is None or cert.measure is None:
-            return False
-        fresh = component_measures(params)
-        if fresh.h_u is None:
-            return False
-        h_by_vertex = dict(zip(ifs.vertices, (fresh.h_u, fresh.h_v)))
-        if any(abs(h_by_vertex[v] - 1) > MEASURE_UNIT_TOL for v in w.vprime):
+        if cert.measure is None or _unit_measure(ifs, w.vprime)[1] is not None:
             return False
     else:
         return False

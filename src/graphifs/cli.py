@@ -97,6 +97,7 @@ def _cmd_dim(args) -> int:
 def _cmd_gaps(args) -> int:
     ifs = _load(args.spec)
     _require_vertex(ifs, args.vertex)
+    largest = max_gap(ifs, args.vertex)
     for k in range(1, args.depth + 1):
         entries = level_k_gaps(ifs, args.vertex, k)
         rendered = ", ".join(
@@ -104,7 +105,7 @@ def _cmd_gaps(args) -> int:
             f"len {format_rational(length)}"
             for (lo, hi), length in entries)
         print(f"level {k}: {rendered}")
-    print(f"max gap = {format_rational(max_gap(ifs, args.vertex))}")
+    print(f"max gap = {format_rational(largest)}")
     return EXIT_OK
 
 

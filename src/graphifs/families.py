@@ -49,50 +49,40 @@ class DoubleLoopParams:
         return DoubleLoopParams(self.c, self.g_v, self.d, self.a, self.g_u, self.b)
 
 
+def _loop_family_ifs(params: DoubleLoopParams, u: str, v: str,
+                     targets: tuple[str, str, str, str]) -> GraphIFS:
+    """The four double-loop maps, e1 and e2 leaving u and e3 and e4 leaving
+    v, with edge ei entering targets[i-1]."""
+    p = params
+    t1, t2, t3, t4 = targets
+    return GraphIFS(
+        (u, v),
+        (
+            Edge("e1", u, t1, Similarity(p.a, ZERO)),
+            Edge("e2", u, t2, Similarity(p.b, p.a + p.g_u)),
+            Edge("e3", v, t3, Similarity(p.c, ZERO)),
+            Edge("e4", v, t4, Similarity(p.d, p.c + p.g_v)),
+        ),
+    )
+
+
 def double_loop_ifs(params: DoubleLoopParams, u: str = "u", v: str = "v") -> GraphIFS:
     """Loop at each vertex plus one cross edge each way.
 
     e1: loop at u, ratio a, fixes 0.    e2: u -> v, ratio b, fixes 1.
     e3: loop at v, ratio c, fixes 0.    e4: v -> u, ratio d, fixes 1.
     """
-    p = params
-    return GraphIFS(
-        (u, v),
-        (
-            Edge("e1", u, u, Similarity(p.a, ZERO)),
-            Edge("e2", u, v, Similarity(p.b, p.a + p.g_u)),
-            Edge("e3", v, v, Similarity(p.c, ZERO)),
-            Edge("e4", v, u, Similarity(p.d, p.c + p.g_v)),
-        ),
-    )
+    return _loop_family_ifs(params, u, v, (u, v, v, u))
 
 
 def single_loop_ifs(params: DoubleLoopParams, u: str = "u", v: str = "v") -> GraphIFS:
     """Variant with both u-edges redirected to v: the only loop is at v."""
-    p = params
-    return GraphIFS(
-        (u, v),
-        (
-            Edge("e1", u, v, Similarity(p.a, ZERO)),
-            Edge("e2", u, v, Similarity(p.b, p.a + p.g_u)),
-            Edge("e3", v, v, Similarity(p.c, ZERO)),
-            Edge("e4", v, u, Similarity(p.d, p.c + p.g_v)),
-        ),
-    )
+    return _loop_family_ifs(params, u, v, (v, v, v, u))
 
 
 def no_loop_ifs(params: DoubleLoopParams, u: str = "u", v: str = "v") -> GraphIFS:
     """Variant with no loops at all: every edge crosses between u and v."""
-    p = params
-    return GraphIFS(
-        (u, v),
-        (
-            Edge("e1", u, v, Similarity(p.a, ZERO)),
-            Edge("e2", u, v, Similarity(p.b, p.a + p.g_u)),
-            Edge("e3", v, u, Similarity(p.c, ZERO)),
-            Edge("e4", v, u, Similarity(p.d, p.c + p.g_v)),
-        ),
-    )
+    return _loop_family_ifs(params, u, v, (v, v, u, u))
 
 
 def nested_pair_ifs(a, g_u, g_v, u: str = "u", v: str = "v") -> GraphIFS:

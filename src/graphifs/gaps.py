@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .attractor import level_k_set
-from .errors import ResourceCapError
+from .attractor import cssc_check, level_k_set
+from .errors import ResourceCapError, UnsupportedFeatureError
 from .families import DoubleLoopParams
 from .model import (
     DEFAULT_PATH_CAP,
@@ -52,8 +52,15 @@ def max_gap(ifs: GraphIFS, u: str) -> Fraction:
         M_u = max(max G_u^1, max over out-edges e of r_e * M_{t(e)}),
     iterated from M_u = max G_u^1.  Improvements routed through L or more
     edges are impossible once r_max^L drops below the smallest level-1 gap,
-    which bounds the number of iterations.
+    which bounds the number of iterations.  Requires disjoint closed
+    level-1 hulls at every vertex (see cssc_check).
     """
+    violations = cssc_check(ifs).violations
+    if violations:
+        v, e1, e2 = violations[0]
+        raise UnsupportedFeatureError(
+            f"max_gap requires disjoint level-1 hulls: edges {e1!r} and "
+            f"{e2!r} at vertex {v!r} touch or overlap")
     level1 = _level1_gap_lengths(ifs)
     m = {v: max(level1[v]) for v in ifs.vertices}
     r_max = max(e.map.ratio for e in ifs.edges)
@@ -255,11 +262,6 @@ def gap_length_cosets(params: DoubleLoopParams) -> tuple[GapCosets, GapCosets]:
         (p.d * p.g_u, mixed),
     ))
     return g_u, g_v
-
-
-def enumerate_coset_lengths(cosets: GapCosets, threshold) -> list[Fraction]:
-    """Sorted finite slice of a coset union: all members >= threshold."""
-    return cosets.enumerate(threshold)
 
 
 def max_gap_closed_form(params: DoubleLoopParams) -> tuple[Fraction, Fraction]:

@@ -22,8 +22,6 @@ from .errors import (
     UnsupportedFeatureError,
 )
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -167,9 +165,6 @@ class GraphIFS:
         except KeyError:
             raise GraphStructureError(f"unknown vertex {vertex!r}") from None
 
-    def vertex_rank(self, vertex: str) -> int:
-        return self.vertices.index(vertex)
-
     def has_reflecting_edges(self) -> bool:
         return any(e.map.reflect for e in self.edges)
 
@@ -217,14 +212,6 @@ def path_vertices(ifs: GraphIFS, path: Path) -> tuple[str, ...]:
     return tuple(verts)
 
 
-def path_initial(ifs: GraphIFS, path: Path) -> str:
-    return ifs.edge(path.edges[0]).src
-
-
-def path_terminal(ifs: GraphIFS, path: Path) -> str:
-    return path_vertices(ifs, path)[-1]
-
-
 def path_similarity(ifs: GraphIFS, path: Path) -> Similarity:
     """Composed map S_e1 ∘ S_e2 ∘ ... ∘ S_ek along a consecutive path."""
     path_vertices(ifs, path)  # consecutiveness check
@@ -232,13 +219,6 @@ def path_similarity(ifs: GraphIFS, path: Path) -> Similarity:
     for eid in path.edges[1:]:
         sim = sim.compose(ifs.edge(eid).map)
     return sim
-
-
-def path_ratio(ifs: GraphIFS, path: Path) -> Fraction:
-    r = ONE
-    for eid in path.edges:
-        r *= ifs.edge(eid).map.ratio
-    return r
 
 
 def is_simple_path(ifs: GraphIFS, path: Path) -> bool:
@@ -251,19 +231,18 @@ def is_simple_cycle(ifs: GraphIFS, path: Path) -> bool:
     return verts[0] == verts[-1] and len(set(verts)) == len(path.edges)
 
 
-def is_attached(ifs: GraphIFS, path: Path, vertex: str) -> bool:
-    return vertex in path_vertices(ifs, path)
-
-
 # ---------------------------------------------------------------------------
 # validation
 
-def _reachable(ifs: GraphIFS, start: str, edges: Iterable[Edge]) -> set[str]:
+def _reachable(ifs: GraphIFS, start: str, edges: Iterable[Edge],
+               exclude_start: bool = False) -> set[str]:
+    """Vertices reachable from start along `edges`; with exclude_start,
+    only those reached by a path of at least one edge."""
     out = {v: [] for v in ifs.vertices}
     for e in edges:
         out[e.src].append(e.dst)
-    seen = {start}
-    stack = [start]
+    stack = list(out[start]) if exclude_start else [start]
+    seen = set(stack)
     while stack:
         v = stack.pop()
         for w in out[v]:
@@ -402,29 +381,8 @@ def simple_path(ifs: GraphIFS, u: str, w: str) -> Optional[Path]:
 # endpoint fixing / unit-interval normalization
 
 def _on_cycle_vertices(ifs: GraphIFS, edges: list[Edge]) -> set[str]:
-    on_cycle = set()
-    for v in ifs.vertices:
-        reach = _reachable_via(ifs, v, edges, exclude_start=True)
-        if v in reach:
-            on_cycle.add(v)
-    return on_cycle
-
-
-def _reachable_via(ifs: GraphIFS, start: str, edges: list[Edge],
-                   exclude_start: bool = False) -> set[str]:
-    out = {v: [] for v in ifs.vertices}
-    for e in edges:
-        out[e.src].append(e.dst)
-    seen: set[str] = set() if exclude_start else {start}
-    stack = list(out[start]) if exclude_start else [start]
-    seen |= set(stack)
-    while stack:
-        v = stack.pop()
-        for w in out[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+    return {v for v in ifs.vertices
+            if v in _reachable(ifs, v, edges, exclude_start=True)}
 
 
 def endpoint_fixed_check(ifs: GraphIFS) -> dict[str, tuple[bool, bool]]:
@@ -446,7 +404,7 @@ def endpoint_fixed_check(ifs: GraphIFS) -> dict[str, tuple[bool, bool]]:
         flags = []
         for p in (ZERO, ONE):
             edges, on_cycle = subgraphs[p]
-            reach = _reachable_via(ifs, u, edges)
+            reach = _reachable(ifs, u, edges)
             flags.append(bool(reach & on_cycle))
         result[u] = (flags[0], flags[1])
     return result

@@ -21,7 +21,6 @@ sends the unit-interval copy at "to" into the copy at "from".
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Optional
 
 from mpmath import mp, mpf
@@ -144,13 +143,20 @@ def _refutation_to_doc(v: str, r: SubsetRefutation) -> dict:
     }
 
 
+def _pair(d: dict, key: str, parse) -> tuple:
+    items = d[key]
+    if not isinstance(items, list) or len(items) != 2:
+        raise ValueError(f"{key!r} must be a list of 2 entries, got {items!r}")
+    return parse(items[0]), parse(items[1])
+
+
 def _refutation_from_doc(d: dict) -> tuple[str, SubsetRefutation]:
     return d["target_vertex"], SubsetRefutation(
         parse_rational(d["witness_point"]),
         Path(tuple(d["witness_path"])),
         parse_rational(d["endpoint"]),
-        (parse_rational(d["gap"][0]), parse_rational(d["gap"][1])),
-        tuple(d["depths"]),
+        _pair(d, "gap", parse_rational),
+        _pair(d, "depths", int),
         bool(d.get("reflected", False)),
     )
 
@@ -266,5 +272,5 @@ def certificate_from_json(text: str) -> Certificate:
             unknown_reason=doc.get("unknown_reason"),
             notes=tuple(doc.get("notes", ())),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise SpecValidationError(f"malformed certificate: {exc}") from exc

@@ -1,0 +1,48 @@
+"""Every public top-level function of the package is used.
+
+A public (no leading underscore) top-level function must either be
+exported from `graphifs/__init__.py` or be referenced by some code of the
+package outside its own definition.  Anything else is dead code.
+"""
+
+import ast
+from pathlib import Path
+
+import graphifs
+
+PACKAGE_DIR = Path(graphifs.__file__).resolve().parent
+
+
+def _names(node) -> set[str]:
+    """Every name that `node` reads, imports or reaches as an attribute."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def test_every_public_function_is_exported_or_used():
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    exported = _names(modules.pop("__init__"))
+    # names referenced by each top-level statement, keyed by module
+    statements = {
+        name: [(stmt, _names(stmt)) for stmt in tree.body]
+        for name, tree in modules.items()}
+    unused = []
+    for module, tree in modules.items():
+        for func in tree.body:
+            if (not isinstance(func, ast.FunctionDef)
+                    or func.name.startswith("_") or func.name in exported):
+                continue
+            used = any(func.name in names
+                       for stmts in statements.values()
+                       for stmt, names in stmts if stmt is not func)
+            if not used:
+                unused.append(f"{module}.{func.name}")
+    assert unused == [], f"public functions nothing uses: {unused}"

@@ -64,6 +64,21 @@ class TestGaps:
         assert main(["gaps", str(dense), "--vertex", "u", "--depth", "3"]) == 4
         assert "resource cap" in capsys.readouterr().err
 
+    def test_touching_hulls_fail_before_output(self, tmp_path, capsys):
+        touching = tmp_path / "touching.json"
+        touching.write_text(json.dumps({
+            "vertices": ["u"],
+            "edges": [{"id": "e1", "from": "u", "to": "u",
+                       "ratio": "1/2", "offset": "0"},
+                      {"id": "e2", "from": "u", "to": "u",
+                       "ratio": "1/2", "offset": "1/2"}],
+        }))
+        assert main(["gaps", str(touching), "--vertex", "u"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "'e1' and 'e2'" in captured.err
+
 
 class TestMeasure:
     def test_golden(self, capsys):
@@ -131,6 +146,33 @@ class TestVerifyCertificate:
         cert_path = tmp_path / "cert.json"
         cert_path.write_text(capsys.readouterr().out)
         assert main(["verify-certificate", NESTED, str(cert_path)]) == 1
+
+    @pytest.mark.parametrize("part, key, value, err", [
+        # not consecutive
+        ("cycle_witness", "cycle", ["e3", "e1"], "FAILED to replay"),
+        # unknown edge ids
+        ("cycle_witness", "cycle", ["e9"], "FAILED to replay"),
+        ("cycle_witness", "path", ["e9"], "FAILED to replay"),
+        ("refutation", "witness_path", ["e9"], "FAILED to replay"),
+        # the witness path has 8 edges
+        ("refutation", "depths", [3, 1], "FAILED to replay"),
+        # target levels start at 1
+        ("refutation", "depths", [8, -1], "FAILED to replay"),
+        ("refutation", "depths", [8, 0], "FAILED to replay"),
+        ("refutation", "target_vertex", "zz", "FAILED to replay"),
+        ("refutation", "gap", ["1/2"], "error: malformed certificate"),
+    ])
+    def test_tampered_certificate_fails(self, tmp_path, capsys,
+                                        part, key, value, err):
+        assert main(["classify", GOLDEN, "--vertex", "u"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        target = (doc["refutations"][0] if part == "refutation"
+                  else doc[part])
+        target[key] = value
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(doc))
+        assert main(["verify-certificate", GOLDEN, str(cert_path)]) == 1
+        assert err in capsys.readouterr().err
 
 
 class TestRewrite:

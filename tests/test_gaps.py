@@ -7,10 +7,13 @@ import pytest
 
 from graphifs import (
     DoubleLoopParams,
+    Edge,
     GapCosets,
+    GraphIFS,
+    Similarity,
+    UnsupportedFeatureError,
     condition2_check,
     double_loop_ifs,
-    enumerate_coset_lengths,
     gap_length_cosets,
     level_k_gaps,
     max_gap,
@@ -65,6 +68,14 @@ class TestMaxGap:
                             for _gap, length in level_k_gaps(ifs, u, 10))
             assert extracted == max(max_gap(ifs, u) for u in ifs.vertices)
 
+    def test_touching_hulls_rejected(self):
+        # level-1 hulls [0, 1/2] and [1/2, 1] touch, so no level-1 gap exists
+        ifs = GraphIFS(("u",), (
+            Edge("e1", "u", "u", Similarity(F(1, 2), F(0))),
+            Edge("e2", "u", "u", Similarity(F(1, 2), F(1, 2)))))
+        with pytest.raises(UnsupportedFeatureError, match="'e1' and 'e2'"):
+            max_gap(ifs, "u")
+
 
 class TestGapCosets:
     def test_golden_cosets(self, golden_params):
@@ -90,18 +101,18 @@ class TestGapCosets:
 
     def test_enumerate_golden(self, golden_params):
         g_u, g_v = gap_length_cosets(golden_params)
-        assert enumerate_coset_lengths(g_u, F(1, 16)) == [
+        assert g_u.enumerate(F(1, 16)) == [
             F(1, 16), F(1, 8), F(1, 4)]
-        assert enumerate_coset_lengths(g_v, F(1, 8)) == [F(1, 8), F(1, 4)]
+        assert g_v.enumerate(F(1, 8)) == [F(1, 8), F(1, 4)]
 
     def test_enumerate_above_max_is_empty(self, golden_params):
         g_u, _ = gap_length_cosets(golden_params)
-        assert enumerate_coset_lengths(g_u, F(1, 2)) == []
+        assert g_u.enumerate(F(1, 2)) == []
 
     def test_threshold_must_be_positive(self, golden_params):
         g_u, _ = gap_length_cosets(golden_params)
         with pytest.raises(ValueError):
-            enumerate_coset_lengths(g_u, F(0))
+            g_u.enumerate(F(0))
 
     def test_membership(self, golden_params):
         g_u, _g_v = gap_length_cosets(golden_params)
@@ -125,7 +136,7 @@ class TestGapCosets:
                      for k in range(1, 7)
                      for _gap, length in level_k_gaps(golden_ifs, "u", k)}
         floor = min(extracted)
-        assert set(enumerate_coset_lengths(g_u, floor)) <= extracted
+        assert set(g_u.enumerate(floor)) <= extracted
 
     def test_bad_generator_rejected(self):
         with pytest.raises(ValueError):

@@ -118,6 +118,22 @@ class TestCertificates:
         with pytest.raises(SpecValidationError):
             certificate_from_json("{nope")
 
+    @pytest.mark.parametrize("key, value", [
+        ("gap", ["1/2"]),
+        ("gap", ["1/2", "3/4", "1"]),
+        ("depths", [8]),
+        ("depths", [8, 1, 1]),
+        ("depths", [8, "one"]),
+        ("endpoint", 1),
+    ])
+    def test_malformed_refutation_rejected(self, golden_ifs, key, value):
+        doc = json.loads(certificate_to_json(
+            classify_gap_condition(golden_ifs, "u")))
+        doc["refutations"][0][key] = value
+        with pytest.raises(SpecValidationError,
+                           match="malformed certificate"):
+            certificate_from_json(json.dumps(doc))
+
 
 class TestRendering:
     def test_rect_counts(self, golden_ifs):
