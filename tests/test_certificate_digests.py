@@ -48,61 +48,58 @@ def _system(name):
          "off-unit": OFF_UNIT}[params])
 
 
-P2Q = "p2q"
-P2T = "p2t"
-
 # (case id, theorem option, system, vertex, depth, reflected, asserted,
 #  expected (theorem, verdict, reason prefix), sha256 of the JSON)
 CASES = [
-    ("q-proof-golden-u", P2Q, "golden_ratio.json", "u", 8, False, None,
+    ("q-proof-golden-u", "p2q", "golden_ratio.json", "u", 8, False, None,
      ("p2q", Verdict.NOT_STANDARD, None),
      "5797907e198461ac3e98b5294c45c9909f9471738f46a98093bfd3888f7d7060"),
-    ("q-proof-golden-v-refl", P2Q, "golden_ratio.json", "v", 8, True, None,
+    ("q-proof-golden-v-refl", "p2q", "golden_ratio.json", "v", 8, True, None,
      ("p2q", Verdict.NOT_STANDARD, None),
      "a7b4d627504457cb2a91f8b4c5dc3554034f62247c21cbd146692dda18aefc22"),
-    ("q-cond2-spanning-u-refl", P2Q, "gap_spanning.json", "u", 8, True, None,
+    ("q-cond2-spanning-u-refl", "p2q", "gap_spanning.json", "u", 8, True, None,
      ("p2q", Verdict.UNKNOWN, "condition (2)"),
      "9268fc498b83e1c0cd7adb3da0e4414e105fe7ea2b3b9661d1861cebb5c77ce7"),
-    ("q-cond2-nested-u", P2Q, "nested_components.json", "u", 8, False, None,
+    ("q-cond2-nested-u", "p2q", "nested_components.json", "u", 8, False, None,
      ("p2q", Verdict.UNKNOWN, "condition (2)"),
      "7bf970a9a5e39b2ee1a49729d4857313cb6a003fac973ee17b6d2e82f6ee9c78"),
-    ("q-cond3-golden-u-d2-refl", P2Q, "double:golden", "u", 2, True, None,
+    ("q-cond3-golden-u-d2-refl", "p2q", "double:golden", "u", 2, True, None,
      ("p2q", Verdict.UNKNOWN, "condition (3)"),
      "c52b47011e9e74c462a4dc62826485af2b3a10a9728c35d4150102296595a95f"),
-    ("q-cond3-golden-v-d1", P2Q, "double:golden", "v", 1, False, None,
+    ("q-cond3-golden-v-d1", "p2q", "double:golden", "v", 1, False, None,
      ("p2q", Verdict.UNKNOWN, "condition (3)"),
      "ffcece4ae7370638eaff9bdcc1e04a81b4111d7254b80a56af59d22828badf33"),
-    ("q-rewrite-noloop-u-refl", P2Q, "noloop:golden", "u", 8, True, None,
+    ("q-rewrite-noloop-u-refl", "p2q", "noloop:golden", "u", 8, True, None,
      ("p2nv1", Verdict.STANDARD, None),
      "be5fa4c06dc8fa382cce1f09c09db7c566acbbcec19a130675ed6c3a7d2cded6"),
-    ("q-rewrite-oneloop-v", P2Q, "one_loop.json", "v", 8, False, None,
+    ("q-rewrite-oneloop-v", "p2q", "one_loop.json", "v", 8, False, None,
      ("p2nv1", Verdict.STANDARD, None),
      "61f6bef8c869560140a15bf6ea6285bce4f6de3dbaa97d4848ddad851451d674"),
-    ("t-unasserted-golden-u-refl", P2T, "double:golden", "u", 8, True, False,
+    ("t-unasserted-golden-u-refl", "p2t", "double:golden", "u", 8, True, False,
      ("p2t", Verdict.UNKNOWN, "minimal edge count"),
      "f6c5a0f02617d960df0089a57b5b86d192da8052b8eb9b626554d133c469630f"),
-    ("t-unasserted-noloop-u", P2T, "noloop:golden", "u", 8, False, False,
+    ("t-unasserted-noloop-u", "p2t", "noloop:golden", "u", 8, False, False,
      ("p2t", Verdict.UNKNOWN, "minimal edge count"),
      "44917d965fa2e2ce4b878d850edb0ac7fa8a1fe9af3eaf048b4d4f7e85a7fcfb"),
-    ("t-nonfamily-spanning-u-refl", P2T, "gap_spanning.json", "u", 8, True,
+    ("t-nonfamily-spanning-u-refl", "p2t", "gap_spanning.json", "u", 8, True,
      True, ("p2t", Verdict.UNKNOWN, "Hausdorff measure only"),
      "9b45e0f32c64eef5310f34c07325f125520ad07a9adabe7c6a9c008ee2fa2143"),
-    ("t-measure-fails-u", P2T, "double:measure-fails", "u", 8, False, True,
+    ("t-measure-fails-u", "p2t", "double:measure-fails", "u", 8, False, True,
      ("p2t", Verdict.UNKNOWN, "measure-formula conditions fail"),
      "34d21a17301f873d49bec2678eaadcc7e9f692a2cb3c3fb5e8ad10e613b3c676"),
-    ("t-off-unit-u-refl", P2T, "double:off-unit", "u", 8, True, True,
+    ("t-off-unit-u-refl", "p2t", "double:off-unit", "u", 8, True, True,
      ("p2t", Verdict.UNKNOWN, "unit measure required"),
      "1c226f37d04323211a81bebe580414738e4233b70015924b25b74f65496c4b94"),
-    ("t-cond3-golden-u-d2-refl", P2T, "double:golden", "u", 2, True, True,
+    ("t-cond3-golden-u-d2-refl", "p2t", "double:golden", "u", 2, True, True,
      ("p2t", Verdict.UNKNOWN, "condition (3)"),
      "784f9a69b46f1d6140ffa7141114a8af970bcd841c3f9dcefc00c4a3f33c19d1"),
-    ("t-proof-golden-u", P2T, "golden_ratio.json", "u", 8, False, True,
+    ("t-proof-golden-u", "p2t", "golden_ratio.json", "u", 8, False, True,
      ("p2t", Verdict.NOT_STANDARD, None),
      "f61faebb415646d2aa155ed6c987111e5ede70dd2d78053549e03a238fb22b26"),
-    ("t-proof-golden-v-refl", P2T, "golden_ratio.json", "v", 8, True, True,
+    ("t-proof-golden-v-refl", "p2t", "golden_ratio.json", "v", 8, True, True,
      ("p2t", Verdict.NOT_STANDARD, None),
      "623eda2dec652fc2f60ca6afe8fba87537306140e705fbf851d447191da340da"),
-    ("t-rewrite-noloop-u-refl", P2T, "noloop:golden", "u", 8, True, True,
+    ("t-rewrite-noloop-u-refl", "p2t", "noloop:golden", "u", 8, True, True,
      ("p2nv1", Verdict.STANDARD, None),
      "e9e7ba7bef082a52891f0958d549e6a4cb6e81172e6810996fed55b35e34eb0b"),
 ]
@@ -114,7 +111,7 @@ CASES = [
 def test_certificate_bytes_pinned(option, system, vertex, depth, reflected,
                                   asserted, branch, digest):
     ifs = _system(system)
-    if option == P2Q:
+    if option == "p2q":
         cert = classify_gap_condition(ifs, vertex, depth=depth,
                                       reflected=reflected)
     else:
