@@ -1,0 +1,62 @@
+"""Pinned CLI output bytes for the level-set consumers.
+
+Each case runs one `graphifs` subcommand in process and pins its exit code
+and the sha256 of everything it wrote to stdout, so any change to the
+level sets, gap lists, SVG coordinates, span hits or certificates that
+these commands print fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from graphifs.cli import main
+from conftest import SPEC_DIR
+
+
+def _spec(name):
+    return str(SPEC_DIR / f"{name}.json")
+
+
+# (case id, argv, exit code, sha256 of stdout)
+CASES = [
+    ("render-gap-spanning",
+     ["render", _spec("gap_spanning"), "--levels", "8"], 0,
+     "3630eef600b560d67e4fbe06fadac05f8edf975416d693451d2c5c1c69c9ceea"),
+    ("render-golden",
+     ["render", _spec("golden_ratio"), "--levels", "8"], 0,
+     "a56f99a0f000074bc26cc86fd752596e701e606612ada43a01e4716389a79d3c"),
+    ("render-nested",
+     ["render", _spec("nested_components"), "--levels", "8"], 0,
+     "c45a7851c298021dce4311b9e2e236bf400f98be0227ae9577928e349b4cd671"),
+    ("render-one-loop",
+     ["render", _spec("one_loop"), "--levels", "8"], 0,
+     "619e38857ec7ab6531bd0048a650232ed64c88e1217016e3ab7c34f6f520eab8"),
+    ("gaps-golden-u",
+     ["gaps", _spec("golden_ratio"), "--vertex", "u", "--depth", "10"], 0,
+     "240254186cdaff3c1da3aa3bb3b4660d60e753598c7327997e6baa5945b05537"),
+    ("gaps-one-loop-v",
+     ["gaps", _spec("one_loop"), "--vertex", "v", "--depth", "10"], 0,
+     "29945ad97e7a10c0a3a67bd50091145411219e701ddae4a6a2b5e9e06764259b"),
+    ("span-search-u-u",
+     ["span-search", _spec("gap_spanning"), "--from", "u", "--to", "u"], 0,
+     "9f7db05441a415ddf877345a98896fffaba515e460c1131704570bc92a4d79b8"),
+    ("span-search-u-v",
+     ["span-search", _spec("gap_spanning"), "--from", "u", "--to", "v"], 0,
+     "2b6b92ab0375afbe5e02553405200e3608b17f428ef0ac56e6aa49ff210fe099"),
+    ("span-search-v-u",
+     ["span-search", _spec("gap_spanning"), "--from", "v", "--to", "u"], 0,
+     "7310c091e973e77e917d9b45281b2f173459bcdc977dcef745ca80baec1f33ea"),
+    ("classify-golden-u",
+     ["classify", _spec("golden_ratio"), "--vertex", "u", "--depth", "10"], 0,
+     "f1a2692347dd59f19bb418d17412c600ff21c15fd664b7e9c75702a90712bb53"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest",
+                         [case[1:] for case in CASES],
+                         ids=[case[0] for case in CASES])
+def test_output_digest(argv, code, digest, capsys):
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
