@@ -10,8 +10,10 @@ F_v.  Such proofs are packaged as replayable SubsetRefutation records.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .errors import GraphStructureError, ResourceCapError
@@ -24,9 +26,9 @@ from .model import (
     Similarity,
     ZERO,
     as_rational,
+    _check_path_cap,
     path_count,
     path_similarity,
-    paths_from,
 )
 
 
@@ -51,6 +53,14 @@ class IntervalSet:
                 merged.append((lo, hi))
         object.__setattr__(self, "intervals", tuple(merged))
 
+    @classmethod
+    def _from_merged(cls, intervals) -> "IntervalSet":
+        """Wrap Fraction intervals that are already sorted, pairwise
+        separated and inside [0,1], skipping the cleaning pass."""
+        iset = object.__new__(cls)
+        object.__setattr__(iset, "intervals", intervals)
+        return iset
+
     def __len__(self):
         return len(self.intervals)
 
@@ -58,10 +68,16 @@ class IntervalSet:
     def total_length(self) -> Fraction:
         return sum((hi - lo for lo, hi in self.intervals), ZERO)
 
-    def contains(self, x) -> bool:
+    def interval_containing(self, x) -> Optional[tuple[Fraction, Fraction]]:
+        """The interval holding x, found by bisection, or None."""
         x = as_rational(x)
-        i = bisect.bisect_right([lo for lo, _ in self.intervals], x) - 1
-        return i >= 0 and self.intervals[i][0] <= x <= self.intervals[i][1]
+        i = bisect.bisect_right(self.intervals, x, key=itemgetter(0)) - 1
+        if i >= 0 and x <= self.intervals[i][1]:
+            return self.intervals[i]
+        return None
+
+    def contains(self, x) -> bool:
+        return self.interval_containing(x) is not None
 
     def gaps(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """The maximal open complementary intervals inside [0,1]."""
@@ -85,29 +101,97 @@ class IntervalSet:
                                  for lo, hi in self.intervals))
 
 
-_FULL = ((ZERO, ONE),)
+def _scaled_maps(ifs: GraphIFS) -> tuple[int, dict[str, tuple[int, int]]]:
+    """D, the lcm of every ratio and offset denominator, and for each edge
+    the integers (D * coefficient, D * offset)."""
+    scale = math.lcm(*(x.denominator for e in ifs.edges
+                       for x in (e.map.ratio, e.map.offset)))
+    return scale, {e.id: (int(e.map.coefficient * scale),
+                          int(e.map.offset * scale)) for e in ifs.edges}
+
+
+class LevelLadder:
+    """The level sets F_v^0, F_v^1, ... of every vertex of one system.
+
+    Level k of a vertex is stored as a flat list [lo, hi, lo, hi, ...] of
+    integers over D^k, where D is the lcm of every ratio and offset
+    denominator, so an edge map sends an endpoint p over D^(k-1) to
+    (D * coefficient) * p + (D * offset) * D^(k-1) over D^k.  Each level
+    is built once from the level before it, for all vertices, when first
+    asked for.  Children are laid out in the order of their level-1
+    hulls; at a vertex whose hulls touch or overlap they are sorted and
+    merged as well.
+    """
+
+    def __init__(self, ifs: GraphIFS):
+        self.ifs = ifs
+        self.scale, maps = _scaled_maps(ifs)
+        self._children: dict[str, list[tuple[str, int, int, bool]]] = {}
+        self._disjoint: dict[str, bool] = {}
+        self._escape: Optional[tuple[Fraction, Fraction]] = None
+        for v in ifs.vertices:
+            out = sorted(ifs.out_edges(v), key=lambda e: e.map.hull())
+            hulls = [e.map.hull() for e in out]
+            self._children[v] = [(e.dst, *maps[e.id], e.map.reflect)
+                                 for e in out]
+            self._disjoint[v] = all(prev[1] < cur[0]
+                                    for prev, cur in zip(hulls, hulls[1:]))
+            if self._escape is None:
+                self._escape = next((h for h in hulls
+                                     if h[0] < ZERO or h[1] > ONE), None)
+        self._levels: list[dict[str, list[int]]] = [
+            {v: [0, 1] for v in ifs.vertices}]
+
+    def _extend(self) -> None:
+        k = len(self._levels)
+        if k == 1 and self._escape is not None:
+            lo, hi = self._escape
+            raise ValueError(f"interval [{lo}, {hi}] escapes [0,1]")
+        prev = self._levels[-1]
+        shift = self.scale ** (k - 1)
+        level = {}
+        for v, children in self._children.items():
+            flat: list[int] = []
+            for dst, c, o, reflect in children:
+                o *= shift
+                child = prev[dst]
+                flat += [c * p + o for p in (reversed(child) if reflect else child)]
+            level[v] = flat if self._disjoint[v] else _merged(flat)
+        self._levels.append(level)
+
+    def level_set(self, v: str, k: int,
+                  cap: int = DEFAULT_PATH_CAP) -> IntervalSet:
+        """F_v^k as an IntervalSet of Fractions."""
+        if k < 0:
+            raise ValueError("level k must be >= 0")
+        if k and (count := path_count(self.ifs, v, k)) > cap:
+            raise ResourceCapError(
+                f"level-{k} set at {v!r} has more than {cap} intervals",
+                bound=count)
+        while len(self._levels) <= k:
+            self._extend()
+        den = self.scale ** k
+        points = [Fraction(p, den) for p in self._levels[k][v]]
+        return IntervalSet._from_merged(tuple(zip(points[::2], points[1::2])))
+
+
+def _merged(flat: list[int]) -> list[int]:
+    """Sort the intervals of a flat endpoint list and merge those that
+    touch or overlap."""
+    out: list[int] = []
+    for lo, hi in sorted(zip(flat[::2], flat[1::2])):
+        if out and lo <= out[-1]:
+            out[-1] = max(out[-1], hi)
+        else:
+            out += [lo, hi]
+    return out
 
 
 def level_k_set(ifs: GraphIFS, u: str, k: int,
                 cap: int = DEFAULT_PATH_CAP) -> IntervalSet:
-    """The level-k approximation F_u^k, computed by the per-level recursion
-    F_u^{k} = union of S_e(F_{t(e)}^{k-1}) over out-edges of u."""
-    if k < 0:
-        raise ValueError("level k must be >= 0")
-    if k and (count := path_count(ifs, u, k)) > cap:
-        raise ResourceCapError(
-            f"level-{k} set at {u!r} has more than {cap} intervals",
-            bound=count)
-    current: dict[str, IntervalSet] = {v: IntervalSet(_FULL) for v in ifs.vertices}
-    for _ in range(k):
-        current = {
-            v: IntervalSet(tuple(
-                pair
-                for e in ifs.out_edges(v)
-                for pair in current[e.dst].apply(e.map).intervals))
-            for v in ifs.vertices
-        }
-    return current[u]
+    """The level-k approximation F_u^k = union of S_e(F_{t(e)}^{k-1}) over
+    out-edges of u, read from a fresh LevelLadder."""
+    return LevelLadder(ifs).level_set(u, k, cap)
 
 
 @dataclass(frozen=True)
@@ -152,22 +236,45 @@ def endpoint_witnesses(ifs: GraphIFS, u: str, depth: int,
                        ) -> list[tuple[Fraction, Path, Fraction]]:
     """All (point, path, endpoint) witnesses S_be(endpoint) = point for
     paths of length 1..depth from u, sorted by (point, path length, edge
-    ids, endpoint) and deduplicated by point."""
+    ids, endpoint) and deduplicated by point.
+
+    An iterative depth-first walk composes each path map one edge at a
+    time as integers (A, B) meaning x -> (A x + B) / D^length.  It visits
+    same-length paths in edge-id order, so the first path of a given
+    length to reach a point is the one the sort key prefers."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    raw: list[tuple[Fraction, int, tuple[str, ...], Fraction, Path]] = []
     for j in range(1, depth + 1):
-        for p in paths_from(ifs, u, j, cap=cap):
-            sim = path_similarity(ifs, p)
-            for endpoint in (ZERO, ONE):
-                raw.append((sim(endpoint), j, p.edges, endpoint, p))
-    raw.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
+        _check_path_cap(ifs, u, j, cap)
+    scale, maps = _scaled_maps(ifs)
+    lift = [scale ** (depth - j) for j in range(depth + 1)]
+    # point * D^depth -> (path length, path as nested (edge id, parent)
+    # links, endpoint)
+    best: dict[int, tuple[int, tuple, Fraction]] = {}
+    stack: list[tuple[str, int, int, int, Optional[tuple]]] = [
+        (u, 0, 1, 0, None)]
+    while stack:
+        at, j, a, b, link = stack.pop()
+        if j:
+            for endpoint, point in ((ZERO, b * lift[j]),
+                                    (ONE, (a + b) * lift[j])):
+                if point not in best or j < best[point][0]:
+                    best[point] = (j, link, endpoint)
+        if j < depth:
+            for e in reversed(ifs.out_edges(at)):
+                c, o = maps[e.id]
+                stack.append((e.dst, j + 1, a * c, a * o + b * scale,
+                              (e.id, link)))
+    top = scale ** depth
     out: list[tuple[Fraction, Path, Fraction]] = []
-    seen: set[Fraction] = set()
-    for point, _j, _edges, endpoint, p in raw:
-        if point not in seen:
-            seen.add(point)
-            out.append((point, p, endpoint))
+    for point in sorted(best):
+        _j, link, endpoint = best[point]
+        edges: list[str] = []
+        while link is not None:
+            edge_id, link = link
+            edges.append(edge_id)
+        out.append((Fraction(point, top), Path(tuple(reversed(edges))),
+                    endpoint))
     return out
 
 
@@ -199,8 +306,9 @@ def refute_subset(ifs: GraphIFS, u: str, v: str, depth: int = 8,
     if u == v:
         raise ValueError("refute_subset requires distinct vertices")
     witnesses = endpoint_witnesses(ifs, u, depth, cap)
+    ladder = LevelLadder(ifs)
     for m in range(1, depth + 1):
-        target = level_k_set(ifs, v, m, cap)
+        target = ladder.level_set(v, m, cap)
         if reflected:
             target = target.reflect()
         gaps = target.gaps()

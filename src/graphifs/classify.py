@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .attractor import (
+    LevelLadder,
     SubsetRefutation,
     components_equal,
     endpoint_witnesses,
-    level_k_set,
     refute_subset,
     replay_refutation,
 )
@@ -244,8 +244,9 @@ def cross_refutation_empty(ifs: GraphIFS, u: str, maps,
     for src_ifs, src_v, dst_ifs, dst_v in ((ifs, u, std, w), (std, w, ifs, u)):
         points = [p for p, _path, _end in
                   endpoint_witnesses(src_ifs, src_v, depth)]
+        ladder = LevelLadder(dst_ifs)
         for m in range(1, depth + 1):
-            target = level_k_set(dst_ifs, dst_v, m)
+            target = ladder.level_set(dst_v, m)
             if not all(target.contains(p) for p in points):
                 return False
     return True

@@ -18,6 +18,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from . import __version__
+from .attractor import LevelLadder
 from .classify import (
     Verdict,
     classify_distinct_components,
@@ -98,8 +99,9 @@ def _cmd_gaps(args) -> int:
     ifs = _load(args.spec)
     _require_vertex(ifs, args.vertex)
     largest = max_gap(ifs, args.vertex)
+    ladder = LevelLadder(ifs)
     for k in range(1, args.depth + 1):
-        entries = level_k_gaps(ifs, args.vertex, k)
+        entries = level_k_gaps(ladder, args.vertex, k)
         rendered = ", ".join(
             f"({format_rational(lo)}, {format_rational(hi)}) "
             f"len {format_rational(length)}"

@@ -14,9 +14,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
-from .attractor import cssc_check, level_k_set
+from .attractor import LevelLadder, cssc_check
 from .errors import ResourceCapError, UnsupportedFeatureError
 from .families import DoubleLoopParams
 from .model import (
@@ -30,18 +30,22 @@ from .model import (
 GapList = list[tuple[tuple[Fraction, Fraction], Fraction]]
 
 
-def level_k_gaps(ifs: GraphIFS, u: str, k: int,
+def level_k_gaps(ifs: Union[GraphIFS, LevelLadder], u: str, k: int,
                  cap: int = DEFAULT_PATH_CAP) -> GapList:
     """Complementary open intervals of the level-k approximation at u,
-    sorted by position, each with its exact length."""
+    sorted by position, each with its exact length.  A caller reading
+    several levels of one system passes its LevelLadder as `ifs`, so
+    each level is built once."""
     if k < 1:
         raise ValueError("level k must be >= 1")
+    ladder = ifs if isinstance(ifs, LevelLadder) else LevelLadder(ifs)
     return [((lo, hi), hi - lo)
-            for lo, hi in level_k_set(ifs, u, k, cap).gaps()]
+            for lo, hi in ladder.level_set(u, k, cap).gaps()]
 
 
 def _level1_gap_lengths(ifs: GraphIFS) -> dict[str, list[Fraction]]:
-    return {u: [length for _gap, length in level_k_gaps(ifs, u, 1)]
+    ladder = LevelLadder(ifs)
+    return {u: [length for _gap, length in level_k_gaps(ladder, u, 1)]
             for u in ifs.vertices}
 
 

@@ -305,11 +305,8 @@ def path_count(ifs: GraphIFS, u: str, k: int) -> int:
     return sum(row)
 
 
-def paths_from(ifs: GraphIFS, u: str, k: int,
-               cap: int = DEFAULT_PATH_CAP) -> list[Path]:
-    """All length-k paths starting at u, in lexicographic edge-id order."""
-    if k < 1:
-        raise ValueError("path length k must be >= 1")
+def _check_path_cap(ifs: GraphIFS, u: str, k: int, cap: int) -> None:
+    """Raise unless u is a vertex with at most `cap` paths of length k."""
     if u not in ifs.vertices:
         raise GraphStructureError(f"unknown vertex {u!r}")
     total = path_count(ifs, u, k)
@@ -317,19 +314,20 @@ def paths_from(ifs: GraphIFS, u: str, k: int,
         raise ResourceCapError(
             f"{total} paths of length {k} from {u!r} exceed cap {cap}",
             bound=total)
-    result: list[Path] = []
 
-    def extend(prefix: list[str], at: str, remaining: int):
-        if remaining == 0:
-            result.append(Path(tuple(prefix)))
-            return
-        for e in ifs.out_edges(at):
-            prefix.append(e.id)
-            extend(prefix, e.dst, remaining - 1)
-            prefix.pop()
 
-    extend([], u, k)
-    return result
+def paths_from(ifs: GraphIFS, u: str, k: int,
+               cap: int = DEFAULT_PATH_CAP) -> list[Path]:
+    """All length-k paths starting at u, in lexicographic edge-id order."""
+    if k < 1:
+        raise ValueError("path length k must be >= 1")
+    _check_path_cap(ifs, u, k, cap)
+    # extending each prefix by its out-edges in id order keeps the order
+    frontier: list[tuple[tuple[str, ...], str]] = [((), u)]
+    for _ in range(k):
+        frontier = [(prefix + (e.id,), e.dst)
+                    for prefix, at in frontier for e in ifs.out_edges(at)]
+    return [Path(prefix) for prefix, _at in frontier]
 
 
 def simple_cycles(ifs: GraphIFS) -> list[Path]:
@@ -337,20 +335,15 @@ def simple_cycles(ifs: GraphIFS) -> list[Path]:
     sorted by (length, edge ids)."""
     rank = {v: i for i, v in enumerate(ifs.vertices)}
     cycles: list[Path] = []
-
-    def search(start: str, at: str, prefix: list[str], visited: set[str]):
-        for e in ifs.out_edges(at):
-            if e.dst == start:
-                cycles.append(Path(tuple(prefix + [e.id])))
-            elif e.dst not in visited and rank[e.dst] > rank[start]:
-                visited.add(e.dst)
-                prefix.append(e.id)
-                search(start, e.dst, prefix, visited)
-                prefix.pop()
-                visited.remove(e.dst)
-
     for start in ifs.vertices:
-        search(start, start, [], {start})
+        stack = [(start, (), frozenset((start,)))]
+        while stack:
+            at, prefix, visited = stack.pop()
+            for e in ifs.out_edges(at):
+                if e.dst == start:
+                    cycles.append(Path(prefix + (e.id,)))
+                elif e.dst not in visited and rank[e.dst] > rank[start]:
+                    stack.append((e.dst, prefix + (e.id,), visited | {e.dst}))
     cycles.sort(key=lambda p: (len(p.edges), p.edges))
     return cycles
 

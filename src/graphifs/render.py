@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
-from .attractor import level_k_set
+from .attractor import LevelLadder
 from .model import DEFAULT_PATH_CAP, GraphIFS
 
 _Q3 = Decimal("0.001")
@@ -52,6 +52,7 @@ def render_svg(ifs: GraphIFS, spec: RenderSpec = RenderSpec(),
         f'width="{total_w}" height="{total_h}" '
         f'viewBox="0 0 {total_w} {total_h}">',
     ]
+    ladder = LevelLadder(ifs)
     for vi, vertex in enumerate(ifs.vertices):
         block_y = spec.margin + vi * (block + spec.vertex_gap)
         for k in range(rows_per_vertex):
@@ -61,7 +62,7 @@ def render_svg(ifs: GraphIFS, spec: RenderSpec = RenderSpec(),
                 f'<text x="4" y="{y + spec.row_height - 3}" '
                 f'font-size="10" font-family="monospace">'
                 f'{vertex} k={k}</text>')
-            for lo, hi in level_k_set(ifs, vertex, k, cap).intervals:
+            for lo, hi in ladder.level_set(vertex, k, cap).intervals:
                 x1 = _coord(lo, spec.width)
                 x2 = _coord(hi, spec.width)
                 w = str((Decimal(x2) - Decimal(x1)).quantize(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .attractor import IntervalSet, level_k_set
+from .attractor import IntervalSet, LevelLadder
 from .model import (
     DEFAULT_PATH_CAP,
     Edge,
@@ -238,7 +238,8 @@ class SpanningHit:
 
 def _interval_inside(pair, iset: IntervalSet) -> bool:
     lo, hi = pair
-    return any(a <= lo and hi <= b for a, b in iset.intervals)
+    holder = iset.interval_containing(lo)
+    return holder is not None and hi <= holder[1]
 
 
 def span_search(ifs: GraphIFS, src: str, dst: str, max_j: int = 2,
@@ -254,15 +255,23 @@ def span_search(ifs: GraphIFS, src: str, dst: str, max_j: int = 2,
     d <= verify_depth.  Deterministic output, deduplicated by map."""
     if max_j < 1 or max_k < 1 or verify_depth < 0:
         raise ValueError("bounds must be positive (verify_depth >= 0)")
-    level1_gaps = level_k_set(ifs, dst, 1, cap).gaps()
+    ladder = LevelLadder(ifs)
+    sets: dict[tuple[str, int], IntervalSet] = {}
+
+    def level(v: str, k: int) -> IntervalSet:
+        if (v, k) not in sets:
+            sets[v, k] = ladder.level_set(v, k, cap)
+        return sets[v, k]
+
+    level1_gaps = level(dst, 1).gaps()
     hits: list[SpanningHit] = []
     seen: set[tuple[Fraction, Fraction]] = set()
     for j in range(1, max_j + 1):
-        src_set = level_k_set(ifs, src, j, cap)
+        src_set = level(src, j)
         first_lo, first_hi = src_set.intervals[0]
         src_len = first_hi - first_lo
         for k in range(1, max_k + 1):
-            dst_set = level_k_set(ifs, dst, k, cap)
+            dst_set = level(dst, k)
             dst_intervals = set(dst_set.intervals)
             for t_lo, t_hi in dst_set.intervals:
                 ratio = (t_hi - t_lo) / src_len
@@ -280,15 +289,12 @@ def span_search(ifs: GraphIFS, src: str, dst: str, max_j: int = 2,
                             if hull[0] < g[0] and g[1] < hull[1]), None)
                 if gap is None:
                     continue
-                ok = True
-                for d in range(1, verify_depth + 1):
-                    mapped = level_k_set(ifs, src, j + d, cap).apply(cand)
-                    target = level_k_set(ifs, dst, k + d, cap)
-                    if not all(_interval_inside(pair, target)
-                               for pair in mapped.intervals):
-                        ok = False
-                        break
-                if not ok:
+                # a non-reflecting map keeps the source intervals sorted
+                # and apart, so each image is checked on its own
+                if not all(_interval_inside(cand.map_interval(lo, hi),
+                                            level(dst, k + d))
+                           for d in range(1, verify_depth + 1)
+                           for lo, hi in level(src, j + d).intervals):
                     continue
                 seen.add((ratio, offset))
                 hits.append(SpanningHit(cand, src, dst, gap, (j, k),

@@ -8,6 +8,7 @@ from graphifs import (
     DoubleLoopParams,
     Edge,
     GraphIFS,
+    ResourceCapError,
     Similarity,
     components_equal,
     cssc_check,
@@ -77,6 +78,25 @@ class TestLevelSets:
                     for pair in level_k_set(golden_ifs, e.dst, k)
                     .apply(e.map).intervals))
                 assert direct == rebuilt
+
+    def test_escaping_hull_rejected(self):
+        ifs = GraphIFS(("u",), (
+            Edge("e1", "u", "u", Similarity(F(1, 2), F(0))),
+            Edge("e2", "u", "u", Similarity(F(1, 4), F(9, 10))),
+        ))
+        assert level_k_set(ifs, "u", 0).intervals == ((F(0), F(1)),)
+        for k in (1, 3):
+            with pytest.raises(ValueError,
+                               match=r"interval \[9/10, 23/20\] escapes"):
+                level_k_set(ifs, "u", k)
+
+    def test_cap_reports_path_count(self, golden_ifs):
+        with pytest.raises(ResourceCapError,
+                           match="level-5 set at 'u' has more than 31 "
+                                 "intervals") as info:
+            level_k_set(golden_ifs, "u", 5, cap=31)
+        assert info.value.bound == 32
+        assert len(level_k_set(golden_ifs, "u", 5, cap=32)) == 32
 
 
 class TestCSSC:

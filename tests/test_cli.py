@@ -1,10 +1,11 @@
 """End-to-end command-line interface and exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from graphifs import certificate_from_json, load_spec
+from graphifs import certificate_from_json, dimension, load_spec
 from graphifs.classify import Verdict
 from graphifs.cli import main
 from conftest import SPEC_DIR
@@ -40,6 +41,15 @@ class TestDim:
         out = capsys.readouterr().out
         assert "s = 0.694241913630" in out
         assert "bracket" in out and "iterations" in out
+
+    def test_zero_tol_is_usage_error(self, capsys, monkeypatch):
+        def unreachable(*_args):
+            raise AssertionError("bisection started with tol 0")
+        monkeypatch.setattr(dimension, "spectral_radius", unreachable)
+        assert main(["dim", GOLDEN, "--tol", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "tol must be positive" in err
 
 
 class TestGaps:
@@ -81,6 +91,20 @@ class TestGaps:
 
 
 class TestMeasure:
+    def test_negative_tol_is_usage_error(self, capsys, monkeypatch):
+        # the family parameters are Fractions: reading one means the
+        # tolerance check was skipped and the bisection is about to start
+        convert = dimension._to_mpf
+
+        def guarded(x):
+            assert not isinstance(x, Fraction), "tol checked too late"
+            return convert(x)
+        monkeypatch.setattr(dimension, "_to_mpf", guarded)
+        assert main(["measure", GOLDEN, "--tol", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "tol must be positive" in err
+
     def test_golden(self, capsys):
         assert main(["measure", GOLDEN]) == 0
         out = capsys.readouterr().out

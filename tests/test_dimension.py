@@ -16,6 +16,7 @@ from graphifs import (
     no_loop_ifs,
     spectral_radius,
 )
+from graphifs import dimension
 from graphifs.dimension import MoranMatrix
 from conftest import random_double_loop_params
 
@@ -123,6 +124,34 @@ class TestCharacteristicRoot:
             s1 = hausdorff_dimension(double_loop_ifs(params)).s
             s2 = double_loop_char_root(params)
             assert abs(s1 - s2) <= 2e-12
+
+
+def _unreachable(*_args):
+    raise AssertionError("reached past the tolerance check")
+
+
+class _UnreadParams:
+    """Stands in for DoubleLoopParams and fails on any field read."""
+
+    def __getattr__(self, name):
+        _unreachable()
+
+
+class TestTolerance:
+    """A non-positive tol can never end a bisection, so it is rejected
+    before any work; these tests fail at once, not by hanging, if the
+    check goes missing."""
+
+    @pytest.mark.parametrize("tol", [0, 0.0, -1e-12, -1])
+    def test_hausdorff_dimension_rejects(self, golden_ifs, monkeypatch, tol):
+        monkeypatch.setattr(dimension, "spectral_radius", _unreachable)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            hausdorff_dimension(golden_ifs, tol=tol)
+
+    @pytest.mark.parametrize("tol", [0, 0.0, -1e-12, -1])
+    def test_char_root_rejects(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            double_loop_char_root(_UnreadParams(), tol=tol)
 
 
 class TestBracketing:

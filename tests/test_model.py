@@ -1,5 +1,6 @@
 """Core data model and graph algorithms."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from graphifs import (
     no_loop_ifs,
     validate_graph,
 )
+from graphifs.attractor import endpoint_witnesses
 from graphifs.model import path_count, path_vertices
 
 F = Fraction
@@ -172,6 +174,22 @@ class TestCycles:
     def test_simple_path_same_vertex_rejected(self, golden_ifs):
         with pytest.raises(ValueError):
             simple_path(golden_ifs, "u", "u")
+
+
+def test_walks_leave_no_reference_cycles(golden_ifs):
+    """The path, cycle and witness walks free their results by reference
+    counting alone, without waiting for the cyclic collector."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        paths_from(golden_ifs, "u", 8)
+        simple_cycles(golden_ifs)
+        endpoint_witnesses(golden_ifs, "u", 8)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestEndpoints:

@@ -11,6 +11,7 @@ from graphifs import (
     Edge,
     Path,
     Similarity,
+    build_spanning_system,
     classify_gap_condition,
     cssc_check,
     double_loop_ifs,
@@ -26,9 +27,12 @@ from graphifs import (
     path_similarity,
     paths_from,
     replay_certificate,
+    span_search,
     spectral_radius,
     validate_graph,
 )
+from graphifs.attractor import IntervalSet, LevelLadder, endpoint_witnesses
+from graphifs.spanning import SpanningParams, SpanningHit
 
 F = Fraction
 
@@ -71,6 +75,149 @@ def small_graphs(draw):
                 dst = vertices[draw(st.integers(0, n - 1))]
             edges.append(Edge(f"e{eid}", u, dst, Similarity(ratio, offset)))
     return GraphIFS(vertices, tuple(edges))
+
+
+@st.composite
+def messy_graphs(draw):
+    """Systems on 1-3 vertices, not necessarily strongly connected, whose
+    edge maps may reflect and whose level-1 hulls may touch or overlap;
+    every hull stays inside [0,1].  Small denominators make coinciding
+    endpoints and touching children common."""
+    n = draw(st.integers(1, 3))
+    vertices = tuple(f"v{i}" for i in range(n))
+    edges = []
+    for u in vertices:
+        for _ in range(draw(st.integers(1, 3))):
+            q = draw(st.sampled_from((2, 3, 4, 6)))
+            ratio = F(draw(st.integers(1, q - 1)), q)
+            lo = F(draw(st.integers(0, 12)), 12) * (1 - ratio)
+            reflect = draw(st.booleans())
+            offset = lo + ratio if reflect else lo
+            edges.append(Edge(f"e{len(edges) + 1}", u,
+                              vertices[draw(st.integers(0, n - 1))],
+                              Similarity(ratio, offset, reflect)))
+    return GraphIFS(vertices, tuple(edges))
+
+
+@st.composite
+def spanning_family(draw):
+    """The eight-edge spanning system with the reference u row and a
+    random completion of the v row, so that u -> u hits exist."""
+    parts = [draw(st.integers(1, 12)) for _ in range(4)]
+    g5, g6, r_e7, r_e8 = (F(3, 4) * x / sum(parts) for x in parts)
+    tenth, twentieth = F(1, 10), F(1, 20)
+    params = SpanningParams(
+        g1=twentieth, g2=F(1, 2), g3=twentieth, g4=twentieth, g5=g5, g6=g6,
+        r_e1=tenth, r_e2=tenth, r_e3=tenth, r_e4=tenth,
+        r_e5=tenth, r_e6=tenth, r_e7=r_e7, r_e8=r_e8)
+    return build_spanning_system(params)[0]
+
+
+# -- references: the per-call Fraction code the level ladder replaced --
+
+def reference_levels(ifs, k):
+    """F_v^0..F_v^k of every vertex by the per-level Fraction recursion."""
+    current = {v: IntervalSet(((F(0), F(1)),)) for v in ifs.vertices}
+    levels = [current]
+    for _ in range(k):
+        current = {
+            v: IntervalSet(tuple(
+                pair
+                for e in ifs.out_edges(v)
+                for pair in current[e.dst].apply(e.map).intervals))
+            for v in ifs.vertices}
+        levels.append(current)
+    return levels
+
+
+def reference_witnesses(ifs, u, depth):
+    raw = []
+    for j in range(1, depth + 1):
+        for p in paths_from(ifs, u, j):
+            sim = path_similarity(ifs, p)
+            for endpoint in (F(0), F(1)):
+                raw.append((sim(endpoint), j, p.edges, endpoint, p))
+    raw.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
+    out, seen = [], set()
+    for point, _j, _edges, endpoint, p in raw:
+        if point not in seen:
+            seen.add(point)
+            out.append((point, p, endpoint))
+    return out
+
+
+def reference_span_search(ifs, src, dst, max_j, max_k, verify_depth):
+    """span_search with a level set rebuilt per read and a linear scan for
+    interval containment."""
+    def inside(pair, iset):
+        lo, hi = pair
+        return any(a <= lo and hi <= b for a, b in iset.intervals)
+
+    level1_gaps = level_k_set(ifs, dst, 1).gaps()
+    hits, seen = [], set()
+    for j in range(1, max_j + 1):
+        src_set = level_k_set(ifs, src, j)
+        first_lo, first_hi = src_set.intervals[0]
+        src_len = first_hi - first_lo
+        for k in range(1, max_k + 1):
+            dst_set = level_k_set(ifs, dst, k)
+            dst_intervals = set(dst_set.intervals)
+            for t_lo, t_hi in dst_set.intervals:
+                ratio = (t_hi - t_lo) / src_len
+                if not (0 < ratio < 1):
+                    continue
+                offset = t_lo - ratio * first_lo
+                if (ratio, offset) in seen:
+                    continue
+                cand = Similarity(ratio, offset)
+                if not all(cand.map_interval(lo, hi) in dst_intervals
+                           for lo, hi in src_set.intervals):
+                    continue
+                hull = cand.hull()
+                gap = next((g for g in level1_gaps
+                            if hull[0] < g[0] and g[1] < hull[1]), None)
+                if gap is None:
+                    continue
+                if not all(
+                        all(inside(pair, level_k_set(ifs, dst, k + d))
+                            for pair in level_k_set(ifs, src, j + d)
+                            .apply(cand).intervals)
+                        for d in range(1, verify_depth + 1)):
+                    continue
+                seen.add((ratio, offset))
+                hits.append(SpanningHit(cand, src, dst, gap, (j, k),
+                                        verify_depth))
+    hits.sort(key=lambda h: (h.s_map.offset, h.s_map.ratio))
+    return hits
+
+
+class TestLadderEquivalence:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(messy_graphs())
+    def test_level_sets_match_fraction_recursion(self, ifs):
+        expected = reference_levels(ifs, 6)
+        ladder = LevelLadder(ifs)
+        for k, level in enumerate(expected):
+            for v in ifs.vertices:
+                assert ladder.level_set(v, k) == level[v]
+        for v in ifs.vertices:
+            assert level_k_set(ifs, v, 6) == expected[6][v]
+
+    @COMMON
+    @given(messy_graphs(), st.integers(0, 4))
+    def test_witnesses_match_path_enumeration(self, ifs, depth):
+        for u in ifs.vertices:
+            assert (endpoint_witnesses(ifs, u, depth)
+                    == reference_witnesses(ifs, u, depth))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.one_of(messy_graphs(), spanning_family()), st.data())
+    def test_span_hits_match_linear_scan(self, ifs, data):
+        src = data.draw(st.sampled_from(ifs.vertices))
+        dst = data.draw(st.sampled_from(ifs.vertices))
+        bounds = (1, 2, 2)
+        assert (span_search(ifs, src, dst, *bounds)
+                == reference_span_search(ifs, src, dst, *bounds))
 
 
 class TestGeneratorSoundness:
