@@ -119,23 +119,20 @@ class LevelLadder:
     (D * coefficient) * p + (D * offset) * D^(k-1) over D^k.  Each level
     is built once from the level before it, for all vertices, when first
     asked for.  Children are laid out in the order of their level-1
-    hulls; at a vertex whose hulls touch or overlap they are sorted and
-    merged as well.
+    hulls, then sorted and merged so that touching or overlapping
+    children become one interval.
     """
 
     def __init__(self, ifs: GraphIFS):
         self.ifs = ifs
         self.scale, maps = _scaled_maps(ifs)
         self._children: dict[str, list[tuple[str, int, int, bool]]] = {}
-        self._disjoint: dict[str, bool] = {}
         self._escape: Optional[tuple[Fraction, Fraction]] = None
         for v in ifs.vertices:
             out = sorted(ifs.out_edges(v), key=lambda e: e.map.hull())
             hulls = [e.map.hull() for e in out]
             self._children[v] = [(e.dst, *maps[e.id], e.map.reflect)
                                  for e in out]
-            self._disjoint[v] = all(prev[1] < cur[0]
-                                    for prev, cur in zip(hulls, hulls[1:]))
             if self._escape is None:
                 self._escape = next((h for h in hulls
                                      if h[0] < ZERO or h[1] > ONE), None)
@@ -156,7 +153,7 @@ class LevelLadder:
                 o *= shift
                 child = prev[dst]
                 flat += [c * p + o for p in (reversed(child) if reflect else child)]
-            level[v] = flat if self._disjoint[v] else _merged(flat)
+            level[v] = _merged(flat)
         self._levels.append(level)
 
     def level_set(self, v: str, k: int,

@@ -34,7 +34,7 @@ from .errors import (
     SpecValidationError,
 )
 from .families import params_from_ifs
-from .gaps import level_k_gaps, max_gap
+from .gaps import _ladder_gaps, max_gap
 from .dimension import hausdorff_dimension
 from .measure import component_measures
 from .model import format_rational, parse_rational
@@ -101,7 +101,7 @@ def _cmd_gaps(args) -> int:
     largest = max_gap(ifs, args.vertex)
     ladder = LevelLadder(ifs)
     for k in range(1, args.depth + 1):
-        entries = level_k_gaps(ladder, args.vertex, k)
+        entries = _ladder_gaps(ladder, args.vertex, k)
         rendered = ", ".join(
             f"({format_rational(lo)}, {format_rational(hi)}) "
             f"len {format_rational(length)}"

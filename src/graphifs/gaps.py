@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .attractor import LevelLadder, cssc_check
 from .errors import ResourceCapError, UnsupportedFeatureError
@@ -30,22 +30,26 @@ from .model import (
 GapList = list[tuple[tuple[Fraction, Fraction], Fraction]]
 
 
-def level_k_gaps(ifs: Union[GraphIFS, LevelLadder], u: str, k: int,
+def level_k_gaps(ifs: GraphIFS, u: str, k: int,
                  cap: int = DEFAULT_PATH_CAP) -> GapList:
     """Complementary open intervals of the level-k approximation at u,
-    sorted by position, each with its exact length.  A caller reading
-    several levels of one system passes its LevelLadder as `ifs`, so
-    each level is built once."""
+    sorted by position, each with its exact length."""
+    return _ladder_gaps(LevelLadder(ifs), u, k, cap)
+
+
+def _ladder_gaps(ladder: LevelLadder, u: str, k: int,
+                 cap: int = DEFAULT_PATH_CAP) -> GapList:
+    """level_k_gaps read from a ladder that a caller reading several
+    levels of one system builds once."""
     if k < 1:
         raise ValueError("level k must be >= 1")
-    ladder = ifs if isinstance(ifs, LevelLadder) else LevelLadder(ifs)
     return [((lo, hi), hi - lo)
             for lo, hi in ladder.level_set(u, k, cap).gaps()]
 
 
 def _level1_gap_lengths(ifs: GraphIFS) -> dict[str, list[Fraction]]:
     ladder = LevelLadder(ifs)
-    return {u: [length for _gap, length in level_k_gaps(ladder, u, 1)]
+    return {u: [length for _gap, length in _ladder_gaps(ladder, u, 1)]
             for u in ifs.vertices}
 
 
