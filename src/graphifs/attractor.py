@@ -41,17 +41,14 @@ class IntervalSet:
     def __post_init__(self):
         cleaned = sorted(
             (as_rational(lo), as_rational(hi)) for lo, hi in self.intervals)
-        merged: list[tuple[Fraction, Fraction]] = []
         for lo, hi in cleaned:
             if lo > hi:
                 raise ValueError(f"interval [{lo}, {hi}] is reversed")
             if lo < ZERO or hi > ONE:
                 raise ValueError(f"interval [{lo}, {hi}] escapes [0,1]")
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-            else:
-                merged.append((lo, hi))
-        object.__setattr__(self, "intervals", tuple(merged))
+        flat = _merged([p for pair in cleaned for p in pair])
+        object.__setattr__(self, "intervals",
+                           tuple(zip(flat[::2], flat[1::2])))
 
     @classmethod
     def _from_merged(cls, intervals) -> "IntervalSet":
@@ -120,30 +117,26 @@ class LevelLadder:
     is built once from the level before it, for all vertices, when first
     asked for.  Children are laid out in the order of their level-1
     hulls, then sorted and merged so that touching or overlapping
-    children become one interval.
+    children become one interval; a level-1 hull outside [0,1] raises
+    ValueError.  Each level read, held to `cap`, becomes an IntervalSet
+    once.
     """
 
-    def __init__(self, ifs: GraphIFS):
+    def __init__(self, ifs: GraphIFS, cap: int = DEFAULT_PATH_CAP):
         self.ifs = ifs
+        self.cap = cap
         self.scale, maps = _scaled_maps(ifs)
         self._children: dict[str, list[tuple[str, int, int, bool]]] = {}
-        self._escape: Optional[tuple[Fraction, Fraction]] = None
         for v in ifs.vertices:
             out = sorted(ifs.out_edges(v), key=lambda e: e.map.hull())
-            hulls = [e.map.hull() for e in out]
             self._children[v] = [(e.dst, *maps[e.id], e.map.reflect)
                                  for e in out]
-            if self._escape is None:
-                self._escape = next((h for h in hulls
-                                     if h[0] < ZERO or h[1] > ONE), None)
         self._levels: list[dict[str, list[int]]] = [
             {v: [0, 1] for v in ifs.vertices}]
+        self._sets: dict[tuple[str, int], IntervalSet] = {}
 
     def _extend(self) -> None:
         k = len(self._levels)
-        if k == 1 and self._escape is not None:
-            lo, hi = self._escape
-            raise ValueError(f"interval [{lo}, {hi}] escapes [0,1]")
         prev = self._levels[-1]
         shift = self.scale ** (k - 1)
         level = {}
@@ -153,29 +146,36 @@ class LevelLadder:
                 o *= shift
                 child = prev[dst]
                 flat += [c * p + o for p in (reversed(child) if reflect else child)]
+                if k == 1 and (flat[-2] < 0 or flat[-1] > self.scale):
+                    lo, hi = (Fraction(p, self.scale) for p in flat[-2:])
+                    raise ValueError(f"interval [{lo}, {hi}] escapes [0,1]")
             level[v] = _merged(flat)
         self._levels.append(level)
 
-    def level_set(self, v: str, k: int,
-                  cap: int = DEFAULT_PATH_CAP) -> IntervalSet:
+    def level_set(self, v: str, k: int) -> IntervalSet:
         """F_v^k as an IntervalSet of Fractions."""
         if k < 0:
             raise ValueError("level k must be >= 0")
-        if k and (count := path_count(self.ifs, v, k)) > cap:
-            raise ResourceCapError(
-                f"level-{k} set at {v!r} has more than {cap} intervals",
-                bound=count)
-        while len(self._levels) <= k:
-            self._extend()
-        den = self.scale ** k
-        points = [Fraction(p, den) for p in self._levels[k][v]]
-        return IntervalSet._from_merged(tuple(zip(points[::2], points[1::2])))
+        if v not in self._children:
+            raise GraphStructureError(f"unknown vertex {v!r}")
+        if (v, k) not in self._sets:
+            if k and (count := path_count(self.ifs, v, k)) > self.cap:
+                raise ResourceCapError(
+                    f"level-{k} set at {v!r} has more than {self.cap} "
+                    "intervals", bound=count)
+            while len(self._levels) <= k:
+                self._extend()
+            den = self.scale ** k
+            points = [Fraction(p, den) for p in self._levels[k][v]]
+            self._sets[v, k] = IntervalSet._from_merged(
+                tuple(zip(points[::2], points[1::2])))
+        return self._sets[v, k]
 
 
-def _merged(flat: list[int]) -> list[int]:
+def _merged(flat: list) -> list:
     """Sort the intervals of a flat endpoint list and merge those that
     touch or overlap."""
-    out: list[int] = []
+    out: list = []
     for lo, hi in sorted(zip(flat[::2], flat[1::2])):
         if out and lo <= out[-1]:
             out[-1] = max(out[-1], hi)
@@ -188,7 +188,7 @@ def level_k_set(ifs: GraphIFS, u: str, k: int,
                 cap: int = DEFAULT_PATH_CAP) -> IntervalSet:
     """The level-k approximation F_u^k = union of S_e(F_{t(e)}^{k-1}) over
     out-edges of u, read from a fresh LevelLadder."""
-    return LevelLadder(ifs).level_set(u, k, cap)
+    return LevelLadder(ifs, cap).level_set(u, k)
 
 
 @dataclass(frozen=True)
@@ -218,18 +218,14 @@ def cssc_check(ifs: GraphIFS) -> CSSCReport:
     return CSSCReport(tuple(violations))
 
 
-def endpoint_points(ifs: GraphIFS, u: str, depth: int,
-                    cap: int = DEFAULT_PATH_CAP) -> list[Fraction]:
+def endpoint_points(ifs: GraphIFS, u: str, depth: int) -> list[Fraction]:
     """Sorted exact members of F_u: {0, 1} together with all images of 0
     and 1 under path maps of length <= depth."""
-    points = {ZERO, ONE}
-    for point, _path, _endpoint in endpoint_witnesses(ifs, u, depth, cap):
-        points.add(point)
-    return sorted(points)
+    return sorted({ZERO, ONE}.union(
+        point for point, _path, _end in endpoint_witnesses(ifs, u, depth)))
 
 
-def endpoint_witnesses(ifs: GraphIFS, u: str, depth: int,
-                       cap: int = DEFAULT_PATH_CAP
+def endpoint_witnesses(ifs: GraphIFS, u: str, depth: int
                        ) -> list[tuple[Fraction, Path, Fraction]]:
     """All (point, path, endpoint) witnesses S_be(endpoint) = point for
     paths of length 1..depth from u, sorted by (point, path length, edge
@@ -242,7 +238,7 @@ def endpoint_witnesses(ifs: GraphIFS, u: str, depth: int,
     if depth < 0:
         raise ValueError("depth must be >= 0")
     for j in range(1, depth + 1):
-        _check_path_cap(ifs, u, j, cap)
+        _check_path_cap(ifs, u, j, DEFAULT_PATH_CAP)
     scale, maps = _scaled_maps(ifs)
     lift = [scale ** (depth - j) for j in range(depth + 1)]
     # point * D^depth -> (path length, path as nested (edge id, parent)
@@ -293,19 +289,15 @@ class SubsetRefutation:
     reflected: bool = False
 
 
-def refute_subset(ifs: GraphIFS, u: str, v: str, depth: int = 8,
-                  reflected: bool = False,
-                  cap: int = DEFAULT_PATH_CAP) -> Optional[SubsetRefutation]:
-    """Search for proof that F_u is not a subset of F_v (of R(F_v) when
-    `reflected`).  Deterministic: target levels m = 1..depth outermost,
-    witnesses in increasing point order within each level.  None means
-    no proof was found at this depth, not that containment holds."""
-    if u == v:
-        raise ValueError("refute_subset requires distinct vertices")
-    witnesses = endpoint_witnesses(ifs, u, depth, cap)
-    ladder = LevelLadder(ifs)
+def first_refutation(witnesses: list[tuple[Fraction, Path, Fraction]],
+                     ladder: LevelLadder, v: str, depth: int,
+                     reflected: bool = False) -> Optional[SubsetRefutation]:
+    """The first witness (from endpoint_witnesses) that lies strictly
+    inside a gap of F_v^m (of R(F_v^m) when `reflected`), searching
+    target levels m = 1..depth outermost and witnesses in point order
+    within each level; None when there is none."""
     for m in range(1, depth + 1):
-        target = ladder.level_set(v, m, cap)
+        target = ladder.level_set(v, m)
         if reflected:
             target = target.reflect()
         gaps = target.gaps()
@@ -316,6 +308,17 @@ def refute_subset(ifs: GraphIFS, u: str, v: str, depth: int = 8,
                 return SubsetRefutation(point, path, endpoint, gaps[i],
                                         (len(path), m), reflected)
     return None
+
+
+def refute_subset(ifs: GraphIFS, u: str, v: str, depth: int = 8,
+                  reflected: bool = False) -> Optional[SubsetRefutation]:
+    """Search for proof that F_u is not a subset of F_v (of R(F_v) when
+    `reflected`) with first_refutation.  None means no proof was found
+    at this depth, not that containment holds."""
+    if u == v:
+        raise ValueError("refute_subset requires distinct vertices")
+    return first_refutation(endpoint_witnesses(ifs, u, depth),
+                            LevelLadder(ifs), v, depth, reflected)
 
 
 def replay_refutation(ifs: GraphIFS, u: str, v: str,

@@ -34,7 +34,7 @@ from .attractor import (
     SubsetRefutation,
     components_equal,
     endpoint_witnesses,
-    refute_subset,
+    first_refutation,
     replay_refutation,
 )
 from .errors import GraphStructureError, RewriteError
@@ -44,8 +44,10 @@ from .measure import MeasureResult, component_measures
 from .model import (
     Edge,
     GraphIFS,
+    ONE,
     Path,
     Similarity,
+    ZERO,
     graph_digest,
     is_simple_cycle,
     is_simple_path,
@@ -237,18 +239,20 @@ def standard_ifs_from_maps(maps, vertex: str = "w") -> GraphIFS:
 def cross_refutation_empty(ifs: GraphIFS, u: str, maps,
                            depth: int = 6) -> bool:
     """Necessary condition for F_u to equal the attractor of the standard
-    IFS `maps`: no exact endpoint-image point of either system lies in a
-    complementary gap of the other's level-k approximation, k <= depth."""
+    IFS `maps`: no exact endpoint-image point of either system lies
+    outside the other's level-k approximation, k <= depth."""
     std = standard_ifs_from_maps(maps)
     (w,) = std.vertices
     for src_ifs, src_v, dst_ifs, dst_v in ((ifs, u, std, w), (std, w, ifs, u)):
-        points = [p for p, _path, _end in
-                  endpoint_witnesses(src_ifs, src_v, depth)]
+        witnesses = endpoint_witnesses(src_ifs, src_v, depth)
         ladder = LevelLadder(dst_ifs)
-        for m in range(1, depth + 1):
-            target = ladder.level_set(dst_v, m)
-            if not all(target.contains(p) for p in points):
-                return False
+        # points at or beyond 0 and 1 lie strictly inside no gap; levels
+        # 1..depth are built by then and nest, so test the deepest
+        if (first_refutation(witnesses, ladder, dst_v, depth) is not None
+                or not all(ladder.level_set(dst_v, depth).contains(p)
+                           for p, _path, _end in witnesses
+                           if not ZERO < p < ONE)):
+            return False
     return True
 
 
@@ -259,12 +263,14 @@ def _condition3(ifs: GraphIFS, u: str, vprime, depth: int, reflected: bool):
     """Collect containment refutations for every other involved vertex;
     returns (refutations, missing-description or None)."""
     refs: list[tuple[str, SubsetRefutation]] = []
+    witnesses = endpoint_witnesses(ifs, u, depth)
+    ladder = LevelLadder(ifs)
     for v in vprime:
         if v == u:
             continue
         variants = (False, True) if reflected else (False,)
         for refl in variants:
-            r = refute_subset(ifs, u, v, depth, reflected=refl)
+            r = first_refutation(witnesses, ladder, v, depth, refl)
             if r is None:
                 kind = "reflection of component" if refl else "component"
                 return refs, (f"containment of component {u!r} in {kind} "

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .attractor import LevelLadder, cssc_check
+from .attractor import LevelLadder, cssc_check, level_k_set
 from .errors import ResourceCapError, UnsupportedFeatureError
 from .families import DoubleLoopParams
 from .model import (
-    DEFAULT_PATH_CAP,
     GraphIFS,
     ONE,
     ZERO,
@@ -30,26 +29,17 @@ from .model import (
 GapList = list[tuple[tuple[Fraction, Fraction], Fraction]]
 
 
-def level_k_gaps(ifs: GraphIFS, u: str, k: int,
-                 cap: int = DEFAULT_PATH_CAP) -> GapList:
+def level_k_gaps(ifs: GraphIFS, u: str, k: int) -> GapList:
     """Complementary open intervals of the level-k approximation at u,
     sorted by position, each with its exact length."""
-    return _ladder_gaps(LevelLadder(ifs), u, k, cap)
-
-
-def _ladder_gaps(ladder: LevelLadder, u: str, k: int,
-                 cap: int = DEFAULT_PATH_CAP) -> GapList:
-    """level_k_gaps read from a ladder that a caller reading several
-    levels of one system builds once."""
     if k < 1:
         raise ValueError("level k must be >= 1")
-    return [((lo, hi), hi - lo)
-            for lo, hi in ladder.level_set(u, k, cap).gaps()]
+    return [((lo, hi), hi - lo) for lo, hi in level_k_set(ifs, u, k).gaps()]
 
 
 def _level1_gap_lengths(ifs: GraphIFS) -> dict[str, list[Fraction]]:
     ladder = LevelLadder(ifs)
-    return {u: [length for _gap, length in _ladder_gaps(ladder, u, 1)]
+    return {u: [hi - lo for lo, hi in ladder.level_set(u, 1).gaps()]
             for u in ifs.vertices}
 
 

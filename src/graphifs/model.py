@@ -45,7 +45,6 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Render a Fraction canonically: 'p/q', or 'p' when the denominator is 1."""
-    x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -114,9 +113,6 @@ class Path:
 
     def __len__(self):
         return len(self.edges)
-
-    def concat(self, other: "Path") -> "Path":
-        return Path(self.edges + other.edges)
 
 
 @dataclass(frozen=True)

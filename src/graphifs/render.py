@@ -13,7 +13,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
 from .attractor import LevelLadder
-from .model import DEFAULT_PATH_CAP, GraphIFS
+from .model import GraphIFS
 
 _Q3 = Decimal("0.001")
 
@@ -35,8 +35,7 @@ class RenderSpec:
     vertex_gap: int = 16
 
 
-def render_svg(ifs: GraphIFS, spec: RenderSpec = RenderSpec(),
-               cap: int = DEFAULT_PATH_CAP) -> str:
+def render_svg(ifs: GraphIFS, spec: RenderSpec = RenderSpec()) -> str:
     """Render level-0..K approximations of every component as SVG 1.1."""
     if spec.levels < 0:
         raise ValueError("levels must be >= 0")
@@ -62,7 +61,7 @@ def render_svg(ifs: GraphIFS, spec: RenderSpec = RenderSpec(),
                 f'<text x="4" y="{y + spec.row_height - 3}" '
                 f'font-size="10" font-family="monospace">'
                 f'{vertex} k={k}</text>')
-            for lo, hi in ladder.level_set(vertex, k, cap).intervals:
+            for lo, hi in ladder.level_set(vertex, k).intervals:
                 x1 = _coord(lo, spec.width)
                 x2 = _coord(hi, spec.width)
                 w = str((Decimal(x2) - Decimal(x1)).quantize(

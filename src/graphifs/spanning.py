@@ -22,7 +22,6 @@ from typing import Optional, Union
 
 from .attractor import IntervalSet, LevelLadder
 from .model import (
-    DEFAULT_PATH_CAP,
     Edge,
     GraphIFS,
     ONE,
@@ -243,8 +242,7 @@ def _interval_inside(pair, iset: IntervalSet) -> bool:
 
 
 def span_search(ifs: GraphIFS, src: str, dst: str, max_j: int = 2,
-                max_k: int = 3, verify_depth: int = 3,
-                cap: int = DEFAULT_PATH_CAP) -> list[SpanningHit]:
+                max_k: int = 3, verify_depth: int = 3) -> list[SpanningHit]:
     """Bounded search for gap-spanning similarities of the conjectured
     shape.  For each j <= max_j, k <= max_k, a candidate is the unique
     non-reflecting similarity sending the first level-j interval of the
@@ -256,22 +254,15 @@ def span_search(ifs: GraphIFS, src: str, dst: str, max_j: int = 2,
     if max_j < 1 or max_k < 1 or verify_depth < 0:
         raise ValueError("bounds must be positive (verify_depth >= 0)")
     ladder = LevelLadder(ifs)
-    sets: dict[tuple[str, int], IntervalSet] = {}
-
-    def level(v: str, k: int) -> IntervalSet:
-        if (v, k) not in sets:
-            sets[v, k] = ladder.level_set(v, k, cap)
-        return sets[v, k]
-
-    level1_gaps = level(dst, 1).gaps()
+    level1_gaps = ladder.level_set(dst, 1).gaps()
     hits: list[SpanningHit] = []
     seen: set[tuple[Fraction, Fraction]] = set()
     for j in range(1, max_j + 1):
-        src_set = level(src, j)
+        src_set = ladder.level_set(src, j)
         first_lo, first_hi = src_set.intervals[0]
         src_len = first_hi - first_lo
         for k in range(1, max_k + 1):
-            dst_set = level(dst, k)
+            dst_set = ladder.level_set(dst, k)
             dst_intervals = set(dst_set.intervals)
             for t_lo, t_hi in dst_set.intervals:
                 ratio = (t_hi - t_lo) / src_len
@@ -292,9 +283,10 @@ def span_search(ifs: GraphIFS, src: str, dst: str, max_j: int = 2,
                 # a non-reflecting map keeps the source intervals sorted
                 # and apart, so each image is checked on its own
                 if not all(_interval_inside(cand.map_interval(lo, hi),
-                                            level(dst, k + d))
+                                            ladder.level_set(dst, k + d))
                            for d in range(1, verify_depth + 1)
-                           for lo, hi in level(src, j + d).intervals):
+                           for lo, hi
+                           in ladder.level_set(src, j + d).intervals):
                     continue
                 seen.add((ratio, offset))
                 hits.append(SpanningHit(cand, src, dst, gap, (j, k),

@@ -8,6 +8,7 @@ from graphifs import (
     DoubleLoopParams,
     Edge,
     GraphIFS,
+    GraphStructureError,
     ResourceCapError,
     Similarity,
     components_equal,
@@ -18,7 +19,8 @@ from graphifs import (
     refute_subset,
     replay_refutation,
 )
-from graphifs.attractor import IntervalSet
+from graphifs import attractor
+from graphifs.attractor import IntervalSet, LevelLadder
 
 F = Fraction
 
@@ -97,6 +99,35 @@ class TestLevelSets:
             level_k_set(golden_ifs, "u", 5, cap=31)
         assert info.value.bound == 32
         assert len(level_k_set(golden_ifs, "u", 5, cap=32)) == 32
+
+    @pytest.mark.parametrize("call", [
+        lambda ifs: level_k_set(ifs, "z", 0),
+        lambda ifs: level_k_set(ifs, "z", 2),
+        lambda ifs: refute_subset(ifs, "u", "z"),
+    ], ids=["level0", "level2", "refute"])
+    def test_unknown_vertex_rejected(self, golden_ifs, call):
+        with pytest.raises(GraphStructureError,
+                           match="unknown vertex 'z'"):
+            call(golden_ifs)
+
+    def test_ladder_makes_each_level_set_once(self, golden_ifs,
+                                              monkeypatch):
+        counts = []
+        real = attractor.path_count
+        monkeypatch.setattr(attractor, "path_count",
+                            lambda *args: counts.append(args) or real(*args))
+        ladder = LevelLadder(golden_ifs)
+        first = ladder.level_set("u", 5)
+        assert ladder.level_set("u", 5) is first
+        assert counts == [(golden_ifs, "u", 5)]
+        assert first == level_k_set(golden_ifs, "u", 5)
+
+    def test_ladder_cap_holds_at_every_level(self, golden_ifs):
+        ladder = LevelLadder(golden_ifs, cap=16)
+        assert len(ladder.level_set("u", 4)) == 16
+        with pytest.raises(ResourceCapError) as info:
+            ladder.level_set("u", 5)
+        assert info.value.bound == 32
 
 
 class TestCSSC:

@@ -22,7 +22,8 @@ from graphifs import (
     rewrite_to_standard,
     single_loop_ifs,
 )
-from graphifs.classify import Certificate
+from graphifs import attractor, classify
+from graphifs.classify import Certificate, standard_ifs_from_maps
 
 F = Fraction
 
@@ -190,6 +191,40 @@ class TestRewrite:
         ifs = no_loop_ifs(golden_params)
         wrong = (Similarity(F(1, 3), F(0)), Similarity(F(1, 3), F(2, 3)))
         assert not cross_refutation_empty(ifs, "u", wrong, depth=5)
+
+    def test_cross_refutation_sees_points_at_the_ends(self):
+        # 0 lies in the Cantor set but outside [2/9, 1/3] + [2/3, 1], the
+        # level-1 set of the second system, and strictly inside none of
+        # its gaps; every other depth-1 point of either system lies in
+        # the other's level-1 set
+        cantor = standard_ifs_from_maps(
+            (Similarity(F(1, 3), F(0)), Similarity(F(1, 3), F(2, 3))))
+        maps = (Similarity(F(1, 9), F(2, 9)), Similarity(F(1, 3), F(2, 3)))
+        assert not cross_refutation_empty(cantor, "w", maps, depth=1)
+
+    def test_condition3_enumerates_witnesses_once(self, golden_ifs,
+                                                  monkeypatch):
+        witnesses, ladders = [], []
+        real_witnesses = attractor.endpoint_witnesses
+
+        def counted_witnesses(*args):
+            witnesses.append(args)
+            return real_witnesses(*args)
+
+        class CountedLadder(attractor.LevelLadder):
+            def __init__(self, *args):
+                ladders.append(args)
+                super().__init__(*args)
+
+        for module in (attractor, classify):
+            monkeypatch.setattr(module, "endpoint_witnesses",
+                                counted_witnesses)
+            monkeypatch.setattr(module, "LevelLadder", CountedLadder)
+        cert = classify_gap_condition(golden_ifs, "u", 8, reflected=True)
+        assert cert.verdict is Verdict.NOT_STANDARD
+        assert [r.reflected for _v, r in cert.refutations] == [False, True]
+        assert witnesses == [(golden_ifs, "u", 8)]
+        assert ladders == [(golden_ifs,)]
 
 
 class TestReplayRejectsTampering:

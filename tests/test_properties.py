@@ -13,6 +13,7 @@ from graphifs import (
     Similarity,
     build_spanning_system,
     classify_gap_condition,
+    cross_refutation_empty,
     cssc_check,
     double_loop_ifs,
     dump_spec,
@@ -26,12 +27,19 @@ from graphifs import (
     path_count,
     path_similarity,
     paths_from,
+    refute_subset,
     replay_certificate,
     span_search,
     spectral_radius,
     validate_graph,
 )
-from graphifs.attractor import IntervalSet, LevelLadder, endpoint_witnesses
+from graphifs.attractor import (
+    IntervalSet,
+    LevelLadder,
+    SubsetRefutation,
+    endpoint_witnesses,
+)
+from graphifs.classify import _condition3, standard_ifs_from_maps
 from graphifs.spanning import SpanningParams, SpanningHit
 
 F = Fraction
@@ -113,6 +121,35 @@ def spanning_family(draw):
     return build_spanning_system(params)[0]
 
 
+@st.composite
+def reflected_double_loops(draw):
+    """Double loops in which any edge may be swapped for the reflecting
+    map with the same level-1 hull."""
+    ifs = double_loop_ifs(draw(double_loop_params()))
+    edges = []
+    for e in ifs.edges:
+        if draw(st.booleans()):
+            ratio, offset = e.map.ratio, e.map.offset
+            e = Edge(e.id, e.src, e.dst, Similarity(ratio, offset + ratio,
+                                                    reflect=True))
+        edges.append(e)
+    return GraphIFS(ifs.vertices, tuple(edges))
+
+
+@st.composite
+def unit_maps(draw):
+    """Two or three similarities with hulls inside [0,1], possibly
+    reflecting, touching or overlapping."""
+    maps = []
+    for _ in range(draw(st.integers(2, 3))):
+        q = draw(st.sampled_from((2, 3, 4, 9)))
+        ratio = F(draw(st.integers(1, q - 1)), q)
+        lo = F(draw(st.integers(0, 9)), 9) * (1 - ratio)
+        reflect = draw(st.booleans())
+        maps.append(Similarity(ratio, lo + ratio if reflect else lo, reflect))
+    return tuple(maps)
+
+
 # -- references: the per-call Fraction code the level ladder replaced --
 
 def reference_levels(ifs, k):
@@ -189,6 +226,84 @@ def reference_span_search(ifs, src, dst, max_j, max_k, verify_depth):
                                         verify_depth))
     hits.sort(key=lambda h: (h.s_map.offset, h.s_map.ratio))
     return hits
+
+
+def reference_refute(ifs, u, v, depth, reflected):
+    """One refutation search per (u, v, flag), as condition (3) ran it
+    before the search was shared: fresh witnesses and level sets, and a
+    linear scan of the gaps."""
+    witnesses = endpoint_witnesses(ifs, u, depth)
+    for m in range(1, depth + 1):
+        target = level_k_set(ifs, v, m)
+        if reflected:
+            target = target.reflect()
+        for point, path, endpoint in witnesses:
+            for lo, hi in target.gaps():
+                if lo < point < hi:
+                    return SubsetRefutation(point, path, endpoint, (lo, hi),
+                                            (len(path), m), reflected)
+    return None
+
+
+def reference_condition3(ifs, u, vprime, depth, reflected):
+    refs = []
+    for v in vprime:
+        if v == u:
+            continue
+        for refl in ((False, True) if reflected else (False,)):
+            ref = reference_refute(ifs, u, v, depth, refl)
+            if ref is None:
+                return tuple(refs)
+            refs.append((v, ref))
+    return tuple(refs)
+
+
+def reference_cross_check(ifs, u, maps, depth):
+    """cross_refutation_empty as a membership test of every point."""
+    std = standard_ifs_from_maps(maps)
+    (w,) = std.vertices
+    for src_ifs, src_v, dst_ifs, dst_v in ((ifs, u, std, w), (std, w, ifs, u)):
+        points = [p for p, _path, _end in
+                  endpoint_witnesses(src_ifs, src_v, depth)]
+        for m in range(1, depth + 1):
+            target = level_k_set(dst_ifs, dst_v, m)
+            if not all(target.contains(p) for p in points):
+                return False
+    return True
+
+
+class TestRefutationEquivalence:
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(st.one_of(small_graphs(), reflected_double_loops()),
+           st.integers(1, 4), st.booleans())
+    def test_certificate_refutations_match_per_pair_search(
+            self, ifs, depth, reflected):
+        for u in ifs.vertices:
+            cert = classify_gap_condition(ifs, u, depth, reflected)
+            expected = ()
+            if cert.condition2 is not None and cert.condition2.ok:
+                expected = reference_condition3(
+                    ifs, u, cert.cycle_witness.vprime, depth, reflected)
+            assert cert.refutations == expected
+            refs, _missing = _condition3(ifs, u, ifs.vertices, depth,
+                                         reflected)
+            assert tuple(refs) == reference_condition3(
+                ifs, u, ifs.vertices, depth, reflected)
+            for v in ifs.vertices:
+                if v != u:
+                    assert (refute_subset(ifs, u, v, depth, reflected)
+                            == reference_refute(ifs, u, v, depth, reflected))
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.one_of(small_graphs(), reflected_double_loops()), unit_maps(),
+           st.integers(1, 4), st.data())
+    def test_cross_check_matches_membership_reference(self, ifs, maps, depth,
+                                                      data):
+        u = data.draw(st.sampled_from(ifs.vertices))
+        if data.draw(st.booleans()):
+            maps = tuple(e.map for e in ifs.out_edges(u))
+        assert (cross_refutation_empty(ifs, u, maps, depth)
+                == reference_cross_check(ifs, u, maps, depth))
 
 
 class TestLadderEquivalence:
