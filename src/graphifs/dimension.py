@@ -4,9 +4,12 @@ The dimension s is the unique t with spectral radius rho(A(t)) = 1, where
 A(t) is the nonnegative matrix whose (u,v) entry sums r_e^t over the edges
 u -> v.  rho is strictly decreasing in t, rho(A(0)) >= 2 (out-degree >= 2)
 and rho(A(1)) < 1 (level-1 total length < 1 under the separation
-condition), so bisection on [0,1] always converges.  For the two-vertex
-double-loop family the same s is also the root of the 2x2 characteristic
-equation, which serves as an independent cross-check.
+condition), so bisection on [0,1] always converges.  Each step decides
+rho(A(t)) < 1 without computing rho: for nonnegative A, rho(A) < lam exactly
+when lam*I - A is a nonsingular M-matrix, that is when its elimination
+meets only positive pivots (Berman & Plemmons, ch. 6, condition A1).  For
+the two-vertex double-loop family the same s is also the root of the 2x2
+characteristic equation, which serves as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from .families import DoubleLoopParams
 from .model import GraphIFS
 
 mp.dps = 40
-
-_POWER_ITERATION_CAP = 10**5
 
 
 def _to_mpf(x) -> mpf:
@@ -55,32 +56,43 @@ def moran_matrix(ifs: GraphIFS, t) -> MoranMatrix:
     return MoranMatrix(tuple(ifs.vertices), tuple(tuple(r) for r in rows))
 
 
-def spectral_radius(m: MoranMatrix) -> mpf:
-    """Perron root of a nonnegative irreducible matrix.
+def _below(m: MoranMatrix, lam) -> bool:
+    """Whether rho(m) < lam: Gaussian elimination of lam*I - m without
+    pivoting, which fails at the first pivot <= 0."""
+    rows = [[(lam if i == j else 0) - x for j, x in enumerate(row)]
+            for i, row in enumerate(m.entries)]
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row[k]
+        if pivot <= 0:
+            return False
+        for row in rows[k + 1:]:
+            factor = row[k] / pivot
+            for j in range(k + 1, m.n):
+                row[j] -= factor * pivot_row[j]
+    return True
 
-    Power iteration is run on A + I (primitive whenever A is irreducible,
-    so the Rayleigh quotient cannot oscillate on periodic matrices such as
-    loop-free two-vertex systems) and 1 is subtracted at the end.
-    """
-    n = m.n
-    shifted = [[m.entries[i][j] + (1 if i == j else 0) for j in range(n)]
-               for i in range(n)]
-    vec = [mpf(1)] * n
-    tol = mpf(10) ** (-(mp.dps - 5))
-    prev = mpf(0)
-    for _ in range(_POWER_ITERATION_CAP):
-        nxt = [sum(shifted[i][j] * vec[j] for j in range(n)) for i in range(n)]
-        rayleigh = (sum(nxt[i] * vec[i] for i in range(n))
-                    / sum(vec[i] * vec[i] for i in range(n)))
-        norm = max(nxt)
-        if norm == 0:
-            raise NumericError("power iteration collapsed to zero")
-        vec = [x / norm for x in nxt]
-        if abs(rayleigh - prev) < tol:
-            return rayleigh - 1
-        prev = rayleigh
-    raise NumericError(
-        f"power iteration did not converge in {_POWER_ITERATION_CAP} steps")
+
+def _bisect(at_or_below, lo, hi, tol):
+    """Halve [lo, hi] until it is at most tol wide, keeping at_or_below
+    true at lo and false at hi; returns (lo, hi, iterations)."""
+    iterations = 0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if at_or_below(mid):
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    return lo, hi, iterations
+
+
+def spectral_radius(m: MoranMatrix) -> mpf:
+    """Perron root of a nonnegative matrix: bisection on lam over
+    [0, largest row sum] with the pivot test for rho(m) < lam.  The upper end
+    of the final bracket is returned, so an exact root stays exact."""
+    top = max(sum(row) for row in m.entries)
+    tol = mpf(10) ** (-(mp.dps - 5)) * max(1, top)
+    return _bisect(lambda lam: not _below(m, lam), mpf(0), top, tol)[1]
 
 
 @dataclass(frozen=True)
@@ -97,19 +109,12 @@ def hausdorff_dimension(ifs: GraphIFS, tol: float = 1e-12) -> DimensionResult:
     tol = _to_mpf(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lo, hi = mpf(0), mpf(1)
-    if spectral_radius(moran_matrix(ifs, lo)) < 1:
+    if _below(moran_matrix(ifs, 0), 1):
         raise NumericError("rho(A(0)) < 1: graph violates out-degree >= 2")
-    if spectral_radius(moran_matrix(ifs, hi)) >= 1:
+    if not _below(moran_matrix(ifs, 1), 1):
         raise NumericError("rho(A(1)) >= 1: level-1 intervals overfill [0,1]")
-    iterations = 0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if spectral_radius(moran_matrix(ifs, mid)) >= 1:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
+    lo, hi, iterations = _bisect(
+        lambda t: not _below(moran_matrix(ifs, t), 1), mpf(0), mpf(1), tol)
     return DimensionResult((lo + hi) / 2, (lo, hi), iterations)
 
 
@@ -127,13 +132,7 @@ def double_loop_char_root(params: DoubleLoopParams,
     def f(t):
         return (a**t - 1) * (c**t - 1) - (b**t) * (d**t)
 
-    lo, hi = mpf(0), mpf(1)
-    if not (f(lo) < 0 < f(hi)):
+    if not (f(0) < 0 < f(1)):
         raise NumericError("characteristic equation lost its sign change")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi, _ = _bisect(lambda t: f(t) < 0, mpf(0), mpf(1), tol)
     return (lo + hi) / 2

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .attractor import LevelLadder, cssc_check, level_k_set
+from .attractor import IntervalSet, cssc_check, level_k_set
 from .errors import ResourceCapError, UnsupportedFeatureError
 from .families import DoubleLoopParams
 from .model import (
@@ -38,9 +38,10 @@ def level_k_gaps(ifs: GraphIFS, u: str, k: int) -> GapList:
 
 
 def _level1_gap_lengths(ifs: GraphIFS) -> dict[str, list[Fraction]]:
-    ladder = LevelLadder(ifs)
-    return {u: [hi - lo for lo, hi in ladder.level_set(u, 1).gaps()]
-            for u in ifs.vertices}
+    """Gap lengths of F_v^1, the union of v's out-edge hulls."""
+    return {v: [hi - lo for lo, hi in IntervalSet(tuple(
+                e.map.hull() for e in ifs.out_edges(v))).gaps()]
+            for v in ifs.vertices}
 
 
 def max_gap(ifs: GraphIFS, u: str) -> Fraction:

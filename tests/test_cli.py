@@ -45,7 +45,7 @@ class TestDim:
     def test_zero_tol_is_usage_error(self, capsys, monkeypatch):
         def unreachable(*_args):
             raise AssertionError("bisection started with tol 0")
-        monkeypatch.setattr(dimension, "spectral_radius", unreachable)
+        monkeypatch.setattr(dimension, "moran_matrix", unreachable)
         assert main(["dim", GOLDEN, "--tol", "0"]) == 2
         out, err = capsys.readouterr()
         assert out == ""

@@ -57,12 +57,19 @@ class TestSpectralRadius:
         assert abs(spectral_radius(m) - mpmath.mpf(1) / 2) < 1e-25
 
     def test_periodic_matrix_converges(self):
-        # Off-diagonal-only matrices make the unshifted Rayleigh quotient
-        # oscillate; the shifted iteration must still converge.
+        # Off-diagonal-only matrices make an unshifted power iteration
+        # oscillate; the pivot test does not iterate on the matrix at all.
         m = MoranMatrix(("u", "v"), ((mpmath.mpf(0), mpmath.mpf(1) / 2),
                                      (mpmath.mpf(1) / 3, mpmath.mpf(0))))
         expected = mpmath.sqrt(mpmath.mpf(1) / 6)
         assert abs(spectral_radius(m) - expected) < 1e-25
+
+    def test_reducible_defective_matrix(self):
+        # A Jordan block: no positive eigenvector, so a power iteration
+        # converges only like 1/k and never reaches working precision.
+        m = MoranMatrix(("u", "v"), ((mpmath.mpf(1) / 2, mpmath.mpf(1)),
+                                     (mpmath.mpf(0), mpmath.mpf(1) / 2)))
+        assert abs(spectral_radius(m) - mpmath.mpf(1) / 2) < 1e-25
 
     def test_unity_at_dimension(self, golden_ifs):
         rho = spectral_radius(moran_matrix(golden_ifs, GOLDEN_S))
@@ -144,7 +151,7 @@ class TestTolerance:
 
     @pytest.mark.parametrize("tol", [0, 0.0, -1e-12, -1])
     def test_hausdorff_dimension_rejects(self, golden_ifs, monkeypatch, tol):
-        monkeypatch.setattr(dimension, "spectral_radius", _unreachable)
+        monkeypatch.setattr(dimension, "moran_matrix", _unreachable)
         with pytest.raises(ValueError, match="tol must be positive"):
             hausdorff_dimension(golden_ifs, tol=tol)
 

@@ -12,6 +12,7 @@ from graphifs import (
     GraphIFS,
     Similarity,
     UnsupportedFeatureError,
+    classify_gap_condition,
     condition2_check,
     double_loop_ifs,
     gap_length_cosets,
@@ -20,7 +21,9 @@ from graphifs import (
     max_gap_closed_form,
     nested_pair_ifs,
 )
-from conftest import random_double_loop_params
+from graphifs import attractor
+from graphifs.cli import main
+from conftest import SPEC_DIR, random_double_loop_params
 
 F = Fraction
 
@@ -178,3 +181,30 @@ class TestCondition2:
                 report = condition2_check(ifs, u, list(ifs.vertices))
                 if report.ok:
                     assert report.level1_gaps_uniform is True
+
+
+class TestLevelOneGaps:
+    """F_v^1 is the union of v's out-edge hulls, so its gap lengths are
+    read without building a LevelLadder."""
+
+    @pytest.fixture
+    def ladders(self, monkeypatch):
+        built = []
+        real_init = attractor.LevelLadder.__init__
+
+        def counted_init(ladder, *args):
+            built.append(args)
+            real_init(ladder, *args)
+
+        monkeypatch.setattr(attractor.LevelLadder, "__init__", counted_init)
+        return built
+
+    def test_classify_builds_one_ladder(self, golden_ifs, ladders):
+        classify_gap_condition(golden_ifs, "u", 8, reflected=True)
+        assert ladders == [(golden_ifs,)]
+
+    def test_cli_gaps_builds_one_ladder(self, ladders, capsys):
+        spec = str(SPEC_DIR / "golden_ratio.json")
+        assert main(["gaps", spec, "--vertex", "u", "--depth", "10"]) == 0
+        assert "max gap = 1/4" in capsys.readouterr().out
+        assert len(ladders) == 1

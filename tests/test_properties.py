@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import mpmath
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphifs import (
@@ -18,6 +19,7 @@ from graphifs import (
     double_loop_ifs,
     dump_spec,
     format_rational,
+    hausdorff_dimension,
     level_k_set,
     load_spec,
     max_gap,
@@ -41,6 +43,7 @@ from graphifs.attractor import (
 )
 from graphifs.classify import _condition3, standard_ifs_from_maps
 from graphifs.spanning import SpanningParams, SpanningHit
+from conftest import SPEC_DIR
 
 F = Fraction
 
@@ -272,6 +275,45 @@ def reference_cross_check(ifs, u, maps, depth):
     return True
 
 
+# -- reference: the power iteration the pivot-test bisection replaced --
+
+def reference_spectral_radius(m):
+    """Power iteration on A + I (primitive whenever A is irreducible, so
+    the Rayleigh quotient cannot oscillate on periodic matrices), with 1
+    subtracted at the end."""
+    n = m.n
+    shifted = [[m.entries[i][j] + (1 if i == j else 0) for j in range(n)]
+               for i in range(n)]
+    vec = [mpmath.mpf(1)] * n
+    tol = mpmath.mpf(10) ** (-(mpmath.mp.dps - 5))
+    prev = mpmath.mpf(0)
+    for _ in range(10**5):
+        nxt = [sum(shifted[i][j] * vec[j] for j in range(n))
+               for i in range(n)]
+        rayleigh = (sum(nxt[i] * vec[i] for i in range(n))
+                    / sum(vec[i] * vec[i] for i in range(n)))
+        norm = max(nxt)
+        vec = [x / norm for x in nxt]
+        if abs(rayleigh - prev) < tol:
+            return rayleigh - 1
+        prev = rayleigh
+    raise AssertionError("reference power iteration did not converge")
+
+
+def reference_dimension_bracket(ifs, tol=1e-12):
+    """hausdorff_dimension's bisection with each step decided by the
+    reference power iteration."""
+    lo, hi, iterations = mpmath.mpf(0), mpmath.mpf(1), 0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if reference_spectral_radius(moran_matrix(ifs, mid)) >= 1:
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    return (lo, hi), iterations
+
+
 class TestRefutationEquivalence:
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(st.one_of(small_graphs(), reflected_double_loops()),
@@ -419,6 +461,20 @@ class TestDimensionInvariants:
         values = [spectral_radius(moran_matrix(ifs, t)) for t in grid]
         assert all(x > y for x, y in zip(values, values[1:]))
         assert values[0] >= 2 and values[-1] < 1
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(double_loop_params(), st.integers(0, 10))
+    def test_spectral_radius_matches_power_iteration(self, params, tenths):
+        m = moran_matrix(double_loop_ifs(params), mpmath.mpf(tenths) / 10)
+        assert abs(spectral_radius(m) - reference_spectral_radius(m)) < 1e-25
+
+    @pytest.mark.parametrize("name", ["golden_ratio", "one_loop",
+                                      "nested_components", "gap_spanning"])
+    def test_dimension_matches_power_iteration_bisection(self, name):
+        ifs = load_spec((SPEC_DIR / f"{name}.json").read_text())
+        result = hausdorff_dimension(ifs)
+        assert (result.bracket, result.iterations) == \
+            reference_dimension_bracket(ifs)
 
 
 class TestCertificateInvariants:
