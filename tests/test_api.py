@@ -1,11 +1,13 @@
-"""Every public top-level function and public method of the package is
-used.
+"""Every public top-level function, public method and private name of the
+package is used.
 
 A public (no leading underscore) top-level function must either be
 exported from `graphifs/__init__.py` or be referenced by some code of the
 package outside its own definition.  A public method of a package class
 must be referenced by some code of the package or of the tests outside
-its own definition.  Anything else is dead code.
+its own definition.  A private module-level function or constant, or a
+private method, must be read by package code that is itself used.
+Anything else is dead code.
 """
 
 import ast
@@ -17,14 +19,14 @@ PACKAGE_DIR = Path(graphifs.__file__).resolve().parent
 TESTS_DIR = Path(__file__).resolve().parent
 
 
-def _names(node, skip=None) -> set[str]:
+def _names(node, skip=()) -> set[str]:
     """Every name that `node` reads, imports or reaches as an attribute,
-    leaving out the subtree `skip`."""
+    leaving out the subtrees in `skip`."""
     out = set()
     stack = [node]
     while stack:
         sub = stack.pop()
-        if sub is skip:
+        if sub in skip:
             continue
         if isinstance(sub, ast.Name):
             out.add(sub.id)
@@ -72,7 +74,53 @@ def test_every_public_method_is_used():
             for func in cls.body:
                 if (isinstance(func, ast.FunctionDef)
                         and not func.name.startswith("_")
-                        and not any(func.name in _names(other, skip=func)
+                        and not any(func.name in _names(other, skip={func})
                                     for other in trees)):
                     unused.append(f"{module}.{cls.name}.{func.name}")
     assert unused == [], f"public methods nothing uses: {unused}"
+
+
+def _private_definitions(module, tree):
+    """{node: (qualified name, name)} of every private module-level function
+    and constant and every private method in `tree`, dunders left out."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            out.update({func: (f"{module}.{node.name}.{func.name}", func.name)
+                        for func in node.body
+                        if isinstance(func, ast.FunctionDef)
+                        and private(func.name)})
+        elif isinstance(node, ast.FunctionDef) and private(node.name):
+            out[node] = (f"{module}.{node.name}", node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            out.update({node: (f"{module}.{t.id}", t.id) for t in targets
+                        if isinstance(t, ast.Name) and private(t.id)})
+    return out
+
+
+def test_every_private_name_is_used():
+    package = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    private = {}
+    for module, tree in package.items():
+        private.update(_private_definitions(module, tree))
+    # names read by the package outside every private definition, then
+    # grown by the names each private definition reached so far reads
+    reached = set().union(*(_names(tree, skip=private)
+                            for tree in package.values()))
+    live = set()
+    while True:
+        new = {node for node, (_q, name) in private.items()
+               if node not in live and name in reached}
+        if not new:
+            break
+        live |= new
+        for node in new:
+            reached |= _names(node) - {private[node][1]}
+    unused = sorted(q for node, (q, _n) in private.items() if node not in live)
+    assert unused == [], f"private names nothing uses: {unused}"

@@ -1,5 +1,7 @@
 """Randomized invariants, checked with hypothesis on seeded case generators."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import mpmath
@@ -19,6 +21,7 @@ from graphifs import (
     double_loop_ifs,
     dump_spec,
     format_rational,
+    gap_length_cosets,
     hausdorff_dimension,
     level_k_set,
     load_spec,
@@ -314,6 +317,26 @@ def reference_dimension_bracket(ifs, tol=1e-12):
     return (lo, hi), iterations
 
 
+# -- reference: coset membership by a search over the exponent box --
+
+def reference_coset_members(cosets, threshold):
+    """Every coeff * g1^e1 * ... * gn^en >= threshold of a GapCosets, found
+    by raising each generator in turn to every exponent that keeps the
+    product at or above the threshold."""
+    found = set()
+    for coeff, gens in cosets.cosets:
+        products = {coeff} if coeff >= threshold else set()
+        for g in gens:
+            raised = set()
+            for p in products:
+                while p >= threshold:
+                    raised.add(p)
+                    p *= g
+            products = raised
+        found |= products
+    return found
+
+
 class TestRefutationEquivalence:
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(st.one_of(small_graphs(), reflected_double_loops()),
@@ -432,6 +455,31 @@ class TestGapInvariants:
         assert max_gap(ifs, u) == max_gap_closed_form(params)[0]
         assert max_gap(ifs, v) == max_gap_closed_form(params)[1]
         assert max_gap(ifs, u) == max(params.g_u, params.b * params.g_v)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(double_loop_params(), st.data())
+    def test_membership_matches_exponent_box_search(self, params, data):
+        """Members coeff * prod g^e over the box e in {0,1}^n, and per coset
+        one member * g_i / g_j and one member * p/q, which may or may not
+        be members."""
+        for cosets in gap_length_cosets(params):
+            members, probes = set(), set()
+            for coeff, gens in cosets.cosets:
+                box = [coeff * math.prod(g ** e for g, e in zip(gens, exps))
+                       for exps in itertools.product((0, 1), repeat=len(gens))]
+                members.update(box)
+                m = data.draw(st.sampled_from(box))
+                gi, gj = data.draw(st.permutations(gens + (F(1),)))[:2]
+                p, q = data.draw(st.tuples(st.integers(1, 64),
+                                           st.integers(1, 64)))
+                probes |= {m * gi / gj, m * F(p, q)}
+            probes |= members
+            floor = min(probes)
+            expected = reference_coset_members(cosets, floor)
+            assert members <= expected
+            assert cosets.enumerate(floor) == sorted(expected)
+            for x in probes:
+                assert cosets.contains(x) == (x in expected)
 
 
 class TestPathInvariants:
