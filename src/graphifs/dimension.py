@@ -107,7 +107,7 @@ class DimensionResult:
 def hausdorff_dimension(ifs: GraphIFS, tol: float = 1e-12) -> DimensionResult:
     """Solve rho(A(t)) = 1 by bisection on [0, 1]."""
     tol = _to_mpf(tol)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if _below(moran_matrix(ifs, 0), 1):
         raise NumericError("rho(A(0)) < 1: graph violates out-degree >= 2")
@@ -124,7 +124,7 @@ def double_loop_char_root(params: DoubleLoopParams,
     f(t) = (a^t - 1)(c^t - 1) - b^t d^t, which satisfies f(0) = -1 and
     f(1) = g_u*g_v + g_u*d + b*g_v > 0."""
     tol = _to_mpf(tol)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     a, b = _to_mpf(params.a), _to_mpf(params.b)
     c, d = _to_mpf(params.c), _to_mpf(params.d)

@@ -10,21 +10,18 @@ finite union of multiplicative-semigroup cosets.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .attractor import IntervalSet, cssc_check, level_k_set
-from .errors import ResourceCapError, UnsupportedFeatureError
-from .families import DoubleLoopParams
-from .model import (
-    GraphIFS,
-    ONE,
-    ZERO,
-    as_rational,
+from .errors import (
+    GraphStructureError,
+    ResourceCapError,
+    UnsupportedFeatureError,
 )
+from .families import DoubleLoopParams
+from .model import DEFAULT_PATH_CAP, GraphIFS, ONE, ZERO, as_rational
 
 GapList = list[tuple[tuple[Fraction, Fraction], Fraction]]
 
@@ -54,6 +51,8 @@ def max_gap(ifs: GraphIFS, u: str) -> Fraction:
     which bounds the number of iterations.  Requires disjoint closed
     level-1 hulls at every vertex (see cssc_check).
     """
+    if u not in ifs.vertices:
+        raise GraphStructureError(f"unknown vertex {u!r}")
     violations = cssc_check(ifs).violations
     if violations:
         v, e1, e2 = violations[0]
@@ -81,108 +80,6 @@ def max_gap(ifs: GraphIFS, u: str) -> Fraction:
     return m[u]
 
 
-_MEMBERSHIP_CAP = 10_000_000
-
-
-def _prime_exponents(q: Fraction) -> dict[int, int]:
-    """Prime factorization exponents of a positive rational."""
-    exps: dict[int, int] = {}
-    for n, sign in ((q.numerator, 1), (q.denominator, -1)):
-        d = 2
-        while d * d <= n:
-            while n % d == 0:
-                exps[d] = exps.get(d, 0) + sign
-                n //= d
-            d += 1 if d == 2 else 2
-        if n > 1:
-            exps[n] = exps.get(n, 0) + sign
-    return {p: e for p, e in exps.items() if e}
-
-
-def _exponents_over(q: Fraction, primes) -> Optional[dict[int, int]]:
-    """Exponent vector of q over the given primes, or None if q has any
-    prime factor outside them."""
-    num, den = q.numerator, q.denominator
-    vec: dict[int, int] = {}
-    for p in primes:
-        e = 0
-        while num % p == 0:
-            num //= p
-            e += 1
-        while den % p == 0:
-            den //= p
-            e -= 1
-        if e:
-            vec[p] = e
-    return vec if num == 1 and den == 1 else None
-
-
-def _is_generator_product(target: Fraction, gens: tuple[Fraction, ...]) -> bool:
-    """Whether target equals a finite product of the generators (all in
-    (0,1)).  Per prime, the exponents must solve an integer linear system;
-    Gaussian elimination leaves at most a couple of free exponents, each
-    bounded because every generator is < 1."""
-    if target == ONE:
-        return True
-    if target > ONE or not gens:
-        return False
-    gvecs = [_prime_exponents(g) for g in gens]
-    primes = sorted(set().union(*gvecs))
-    tvec = _exponents_over(target, primes)
-    if tvec is None:
-        return False
-    n = len(gens)
-    rows = [[Fraction(gv.get(p, 0)) for gv in gvecs]
-            + [Fraction(tvec.get(p, 0))] for p in primes]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        rows[r] = [v / piv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    if any(rows[i][n] for i in range(r, len(rows))):
-        return False
-    free = [c for c in range(n) if c not in pivots]
-    # any valid exponent e_c satisfies gens[c]**e_c >= target
-    bounds = [int(math.log(target) / math.log(gens[c])) + 1 for c in free]
-    total = 1
-    for b in bounds:
-        total *= b + 1
-    if total > _MEMBERSHIP_CAP:
-        raise ResourceCapError(
-            "coset membership enumeration too large", total)
-    for assignment in itertools.product(*(range(b + 1) for b in bounds)):
-        exps: list[Fraction] = [Fraction(0)] * n
-        for c, val in zip(free, assignment):
-            exps[c] = Fraction(val)
-        feasible = True
-        for ri, c in enumerate(pivots):
-            val = rows[ri][n] - sum(rows[ri][fc] * exps[fc] for fc in free)
-            if val < 0 or val.denominator != 1:
-                feasible = False
-                break
-            exps[c] = val
-        if not feasible:
-            continue
-        prod = ONE
-        for g, e in zip(gens, exps):
-            prod *= g ** int(e)
-        if prod == target:
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class GapCosets:
     """A finite union of cosets coeff * <generators> of multiplicative
@@ -206,40 +103,43 @@ class GapCosets:
             normalized.append((coeff, tuple(uniq)))
         object.__setattr__(self, "cosets", tuple(normalized))
 
-    def enumerate(self, threshold) -> list[Fraction]:
-        """All members >= threshold, sorted ascending (finite since every
-        generator is < 1)."""
-        threshold = as_rational(threshold)
-        if threshold <= ZERO:
-            raise ValueError("threshold must be positive")
-        found: set[Fraction] = set()
+    def _walk(self, threshold: Fraction):
+        """Every member >= threshold, with repeats across cosets: each
+        coset's products are walked down from coeff, one generator at a
+        time, and a walk stops below the threshold (finite since every
+        generator is < 1).  More than DEFAULT_PATH_CAP products in all
+        raise ResourceCapError."""
+        walked = 0
         for coeff, gens in self.cosets:
-            stack = [coeff]
-            seen = {coeff}
+            stack = [coeff] if coeff >= threshold else []
+            seen = set(stack)
             while stack:
+                walked += 1
+                if walked > DEFAULT_PATH_CAP:
+                    raise ResourceCapError(
+                        "coset membership enumeration too large",
+                        bound=walked)
                 x = stack.pop()
-                if x < threshold:
-                    continue
-                found.add(x)
+                yield x
                 for g in gens:
                     y = x * g
                     if y >= threshold and y not in seen:
                         seen.add(y)
                         stack.append(y)
-        return sorted(found)
+
+    def enumerate(self, threshold) -> list[Fraction]:
+        """All members >= threshold, sorted ascending."""
+        threshold = as_rational(threshold)
+        if threshold <= ZERO:
+            raise ValueError("threshold must be positive")
+        return sorted(set(self._walk(threshold)))
 
     def contains(self, x) -> bool:
-        """Exact membership test, decidable because generators are < 1.
-
-        x belongs to coeff*<g1,...,gn> iff x/coeff = prod g_i^{e_i} with
-        nonnegative integer exponents.  Over the prime support of the
-        generators this is a small integer linear system, solved exactly.
-        """
+        """Exact membership test: every member >= x is reached by walking
+        the products down from coeff, so x is a member exactly when the
+        walk down to x meets it.  Costs one step per member in [x, coeff]."""
         x = as_rational(x)
-        if x <= ZERO:
-            return False
-        return any(x <= coeff and _is_generator_product(x / coeff, gens)
-                   for coeff, gens in self.cosets)
+        return x > ZERO and x in self._walk(x)
 
 
 def gap_length_cosets(params: DoubleLoopParams) -> tuple[GapCosets, GapCosets]:
@@ -290,6 +190,9 @@ def condition2_check(ifs: GraphIFS, u: str, vset) -> Condition2Report:
     u).  A pass forces all level-1 gaps at u to share one length; that
     consequence is verified and reported."""
     vset = list(vset)
+    for v in (u, *vset):
+        if v not in ifs.vertices:
+            raise GraphStructureError(f"unknown vertex {v!r}")
     if u not in vset:
         raise ValueError("vset must contain the queried vertex")
     level1 = _level1_gap_lengths(ifs)

@@ -62,7 +62,7 @@ def measure_conditions(params: DoubleLoopParams, s,
     """Evaluate and classify the two measure-formula conditions at s."""
     s = _to_mpf(s)
     eps = _to_mpf(eps)
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     a, b = _to_mpf(params.a), _to_mpf(params.b)
     value1 = (1 - a**s) / b**s

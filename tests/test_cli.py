@@ -51,6 +51,12 @@ class TestDim:
         assert out == ""
         assert "tol must be positive" in err
 
+    def test_nan_tol_is_usage_error(self, capsys):
+        assert main(["dim", GOLDEN, "--tol", "nan"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "tol must be positive" in err
+
 
 class TestGaps:
     def test_golden_u(self, capsys):
@@ -104,6 +110,14 @@ class TestMeasure:
         out, err = capsys.readouterr()
         assert out == ""
         assert "tol must be positive" in err
+
+    @pytest.mark.parametrize("option, message", [
+        ("--tol", "tol must be positive"), ("--eps", "eps must be positive")])
+    def test_nan_tolerance_is_usage_error(self, capsys, option, message):
+        assert main(["measure", GOLDEN, option, "nan"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
 
     def test_golden(self, capsys):
         assert main(["measure", GOLDEN]) == 0

@@ -145,17 +145,17 @@ class _UnreadParams:
 
 
 class TestTolerance:
-    """A non-positive tol can never end a bisection, so it is rejected
-    before any work; these tests fail at once, not by hanging, if the
-    check goes missing."""
+    """A non-positive tol can never end a bisection and a NaN tol ends it
+    before its first step, so both are rejected before any work; these
+    tests fail at once, not by hanging, if the check goes missing."""
 
-    @pytest.mark.parametrize("tol", [0, 0.0, -1e-12, -1])
+    @pytest.mark.parametrize("tol", [0, 0.0, -1e-12, -1, float("nan")])
     def test_hausdorff_dimension_rejects(self, golden_ifs, monkeypatch, tol):
         monkeypatch.setattr(dimension, "moran_matrix", _unreachable)
         with pytest.raises(ValueError, match="tol must be positive"):
             hausdorff_dimension(golden_ifs, tol=tol)
 
-    @pytest.mark.parametrize("tol", [0, 0.0, -1e-12, -1])
+    @pytest.mark.parametrize("tol", [0, 0.0, -1e-12, -1, float("nan")])
     def test_char_root_rejects(self, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
             double_loop_char_root(_UnreadParams(), tol=tol)

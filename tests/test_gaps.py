@@ -10,6 +10,8 @@ from graphifs import (
     Edge,
     GapCosets,
     GraphIFS,
+    GraphStructureError,
+    ResourceCapError,
     Similarity,
     UnsupportedFeatureError,
     classify_gap_condition,
@@ -21,11 +23,15 @@ from graphifs import (
     max_gap_closed_form,
     nested_pair_ifs,
 )
-from graphifs import attractor
+from graphifs import attractor, gaps
 from graphifs.cli import main
 from conftest import SPEC_DIR, random_double_loop_params
 
 F = Fraction
+
+
+def _unreachable(*_args):
+    raise AssertionError("reached past the vertex check")
 
 
 class TestLevelKGaps:
@@ -70,6 +76,11 @@ class TestMaxGap:
                             for u in ifs.vertices
                             for _gap, length in level_k_gaps(ifs, u, 10))
             assert extracted == max(max_gap(ifs, u) for u in ifs.vertices)
+
+    def test_unknown_vertex(self, golden_ifs, monkeypatch):
+        monkeypatch.setattr(gaps, "cssc_check", _unreachable)
+        with pytest.raises(GraphStructureError, match="unknown vertex 'z'"):
+            max_gap(golden_ifs, "z")
 
     def test_touching_hulls_rejected(self):
         # level-1 hulls [0, 1/2] and [1/2, 1] touch, so no level-1 gap exists
@@ -141,6 +152,16 @@ class TestGapCosets:
         floor = min(extracted)
         assert set(g_u.enumerate(floor)) <= extracted
 
+    def test_walk_cap(self, golden_params, monkeypatch):
+        # 1/100 is no member, so both queries walk every product >= 1/100
+        # (9 over the three cosets of g_u), and a cap of 3 stops them
+        g_u, _ = gap_length_cosets(golden_params)
+        monkeypatch.setattr(gaps, "DEFAULT_PATH_CAP", 3)
+        for query in (g_u.contains, g_u.enumerate):
+            with pytest.raises(ResourceCapError) as info:
+                query(F(1, 100))
+            assert info.value.bound > 3
+
     def test_bad_generator_rejected(self):
         with pytest.raises(ValueError):
             GapCosets(((F(1, 2), (F(3, 2),)),))
@@ -168,6 +189,13 @@ class TestCondition2:
                              F(2, 5), F(1, 5), F(2, 5))
         report = condition2_check(double_loop_ifs(p), "u", ["u", "v"])
         assert not report.ok
+
+    @pytest.mark.parametrize("u, vset", [("u", ["u", "z"]), ("z", ["z"])])
+    def test_unknown_vertex(self, golden_ifs, monkeypatch, u, vset):
+        monkeypatch.setattr(gaps, "_level1_gap_lengths", _unreachable)
+        monkeypatch.setattr(gaps, "max_gap", _unreachable)
+        with pytest.raises(GraphStructureError, match="unknown vertex 'z'"):
+            condition2_check(golden_ifs, u, vset)
 
     def test_requires_u_in_vset(self, golden_ifs):
         with pytest.raises(ValueError):

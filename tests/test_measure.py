@@ -69,6 +69,12 @@ class TestConditions:
         with pytest.raises(ValueError):
             measure_conditions(golden_params, F(1, 2), eps=0)
 
+    def test_nan_eps_rejected(self, golden_params):
+        # every comparison with NaN is False, so a NaN eps would classify
+        # every condition Fails
+        with pytest.raises(ValueError, match="eps must be positive"):
+            measure_conditions(golden_params, F(1, 2), eps=float("nan"))
+
 
 class TestMeasureValues:
     def test_golden_unit_measures(self, golden_params):
