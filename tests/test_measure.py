@@ -66,14 +66,11 @@ class TestConditions:
         assert cond1.warning
 
     def test_eps_must_be_positive(self, golden_params):
-        with pytest.raises(ValueError):
-            measure_conditions(golden_params, F(1, 2), eps=0)
-
-    def test_nan_eps_rejected(self, golden_params):
         # every comparison with NaN is False, so a NaN eps would classify
         # every condition Fails
-        with pytest.raises(ValueError, match="eps must be positive"):
-            measure_conditions(golden_params, F(1, 2), eps=float("nan"))
+        for eps in (0, float("nan")):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                measure_conditions(golden_params, F(1, 2), eps=eps)
 
 
 class TestMeasureValues:
