@@ -29,6 +29,12 @@ CASES = [
     ("render-nested",
      ["render", _spec("nested_components"), "--levels", "8"], 0,
      "c45a7851c298021dce4311b9e2e236bf400f98be0227ae9577928e349b4cd671"),
+    ("render-golden-10",
+     ["render", _spec("golden_ratio"), "--levels", "10"], 0,
+     "d0bb36b48bef575416db6f5058ee6dcc3d8b5389667cf6d2ef33b43ba5439bc8"),
+    ("render-nested-10",
+     ["render", _spec("nested_components"), "--levels", "10"], 0,
+     "06cd9197a39715e962277cf9dffedc8d2165fcfafaf6cf47cb763de4d83aaf51"),
     ("render-one-loop",
      ["render", _spec("one_loop"), "--levels", "8"], 0,
      "619e38857ec7ab6531bd0048a650232ed64c88e1217016e3ab7c34f6f520eab8"),
