@@ -89,7 +89,7 @@ from .model import (
     simple_path,
     validate_graph,
 )
-from .render import RenderSpec, render_svg
+from .render import render_svg
 from .serialize import (
     certificate_from_json,
     certificate_to_json,

@@ -16,10 +16,9 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Optional
 
-from .errors import GraphStructureError, ResourceCapError
+from .errors import GraphStructureError
 from .families import DoubleLoopParams
 from .model import (
-    DEFAULT_PATH_CAP,
     GraphIFS,
     ONE,
     Path,
@@ -27,7 +26,6 @@ from .model import (
     ZERO,
     as_rational,
     _check_path_cap,
-    path_count,
     path_similarity,
 )
 
@@ -118,13 +116,13 @@ class LevelLadder:
     asked for.  Children are laid out in the order of their level-1
     hulls, then sorted and merged so that touching or overlapping
     children become one interval; a level-1 hull outside [0,1] raises
-    ValueError.  Each level read, held to `cap`, becomes an IntervalSet
-    once.
+    ValueError.  Every read is held to the path cap of
+    model._check_path_cap, and each level read as Fractions becomes an
+    IntervalSet once.
     """
 
-    def __init__(self, ifs: GraphIFS, cap: int = DEFAULT_PATH_CAP):
+    def __init__(self, ifs: GraphIFS):
         self.ifs = ifs
-        self.cap = cap
         self.scale, maps = _scaled_maps(ifs)
         self._children: dict[str, list[tuple[str, int, int, bool]]] = {}
         for v in ifs.vertices:
@@ -152,21 +150,22 @@ class LevelLadder:
             level[v] = _merged(flat)
         self._levels.append(level)
 
-    def level_set(self, v: str, k: int) -> IntervalSet:
-        """F_v^k as an IntervalSet of Fractions."""
+    def endpoints(self, v: str, k: int) -> list[int]:
+        """F_v^k as the ladder's own flat list [lo, hi, lo, hi, ...] of
+        integers over scale**k; callers must not change it."""
         if k < 0:
             raise ValueError("level k must be >= 0")
-        if v not in self._children:
-            raise GraphStructureError(f"unknown vertex {v!r}")
+        _check_path_cap(self.ifs, v, k)
+        while len(self._levels) <= k:
+            self._extend()
+        return self._levels[k][v]
+
+    def level_set(self, v: str, k: int) -> IntervalSet:
+        """F_v^k as an IntervalSet of Fractions."""
         if (v, k) not in self._sets:
-            if k and (count := path_count(self.ifs, v, k)) > self.cap:
-                raise ResourceCapError(
-                    f"level-{k} set at {v!r} has more than {self.cap} "
-                    "intervals", bound=count)
-            while len(self._levels) <= k:
-                self._extend()
+            flat = self.endpoints(v, k)
             den = self.scale ** k
-            points = [Fraction(p, den) for p in self._levels[k][v]]
+            points = [Fraction(p, den) for p in flat]
             self._sets[v, k] = IntervalSet._from_merged(
                 tuple(zip(points[::2], points[1::2])))
         return self._sets[v, k]
@@ -184,11 +183,10 @@ def _merged(flat: list) -> list:
     return out
 
 
-def level_k_set(ifs: GraphIFS, u: str, k: int,
-                cap: int = DEFAULT_PATH_CAP) -> IntervalSet:
+def level_k_set(ifs: GraphIFS, u: str, k: int) -> IntervalSet:
     """The level-k approximation F_u^k = union of S_e(F_{t(e)}^{k-1}) over
     out-edges of u, read from a fresh LevelLadder."""
-    return LevelLadder(ifs, cap).level_set(u, k)
+    return LevelLadder(ifs).level_set(u, k)
 
 
 @dataclass(frozen=True)
@@ -237,8 +235,7 @@ def endpoint_witnesses(ifs: GraphIFS, u: str, depth: int
     length to reach a point is the one the sort key prefers."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    for j in range(1, depth + 1):
-        _check_path_cap(ifs, u, j, DEFAULT_PATH_CAP)
+    _check_path_cap(ifs, u, depth)
     scale, maps = _scaled_maps(ifs)
     lift = [scale ** (depth - j) for j in range(depth + 1)]
     # point * D^depth -> (path length, path as nested (edge id, parent)

@@ -228,12 +228,11 @@ def rewrite_to_standard(ifs: GraphIFS, u: str) -> tuple[Similarity, ...]:
     return tuple(sorted(maps, key=lambda s: (s.hull()[0], s.ratio, s.offset)))
 
 
-def standard_ifs_from_maps(maps, vertex: str = "w") -> GraphIFS:
-    """Wrap a list of similarities as a single-vertex system."""
+def standard_ifs_from_maps(maps) -> GraphIFS:
+    """Wrap a list of similarities as a single-vertex system on vertex w."""
     return GraphIFS(
-        (vertex,),
-        tuple(Edge(f"m{i+1}", vertex, vertex, sim)
-              for i, sim in enumerate(maps)))
+        ("w",),
+        tuple(Edge(f"m{i+1}", "w", "w", sim) for i, sim in enumerate(maps)))
 
 
 def cross_refutation_empty(ifs: GraphIFS, u: str, maps,

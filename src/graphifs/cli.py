@@ -38,7 +38,7 @@ from .gaps import max_gap
 from .dimension import hausdorff_dimension
 from .measure import component_measures
 from .model import format_rational, parse_rational
-from .render import RenderSpec, render_svg
+from .render import render_svg
 from .serialize import (
     certificate_from_json,
     certificate_to_json,
@@ -98,6 +98,8 @@ def _cmd_dim(args) -> int:
 def _cmd_gaps(args) -> int:
     ifs = _load(args.spec)
     _require_vertex(ifs, args.vertex)
+    if args.depth < 0:
+        raise ValueError("depth must be >= 0")
     largest = max_gap(ifs, args.vertex)
     ladder = LevelLadder(ifs)
     for k in range(1, args.depth + 1):
@@ -169,7 +171,7 @@ def _cmd_rewrite(args) -> int:
 
 def _cmd_render(args) -> int:
     ifs = _load(args.spec)
-    svg = render_svg(ifs, RenderSpec(levels=args.levels))
+    svg = render_svg(ifs, args.levels)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(svg)

@@ -74,14 +74,16 @@ def _below(m: MoranMatrix, lam) -> bool:
 
 def _bisect(at_or_below, lo, hi, tol):
     """Halve [lo, hi] until it is at most tol wide, keeping at_or_below
-    true at lo and false at hi; returns (lo, hi, iterations)."""
+    true at lo and false at hi; returns (lo, hi, iterations).  Raises
+    ValueError when a step cannot shrink the bracket, which happens once
+    it is one unit of working precision wide and still wider than tol."""
     iterations = 0
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if at_or_below(mid):
-            lo = mid
-        else:
-            hi = mid
+        bracket = (mid, hi) if at_or_below(mid) else (lo, mid)
+        if bracket == (lo, hi):
+            raise ValueError("tol is below the working precision")
+        lo, hi = bracket
         iterations += 1
     return lo, hi, iterations
 

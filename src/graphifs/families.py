@@ -49,43 +49,43 @@ class DoubleLoopParams:
         return DoubleLoopParams(self.c, self.g_v, self.d, self.a, self.g_u, self.b)
 
 
-def _loop_family_ifs(params: DoubleLoopParams, u: str, v: str,
+def _loop_family_ifs(params: DoubleLoopParams,
                      targets: tuple[str, str, str, str]) -> GraphIFS:
     """The four double-loop maps, e1 and e2 leaving u and e3 and e4 leaving
     v, with edge ei entering targets[i-1]."""
     p = params
     t1, t2, t3, t4 = targets
     return GraphIFS(
-        (u, v),
+        ("u", "v"),
         (
-            Edge("e1", u, t1, Similarity(p.a, ZERO)),
-            Edge("e2", u, t2, Similarity(p.b, p.a + p.g_u)),
-            Edge("e3", v, t3, Similarity(p.c, ZERO)),
-            Edge("e4", v, t4, Similarity(p.d, p.c + p.g_v)),
+            Edge("e1", "u", t1, Similarity(p.a, ZERO)),
+            Edge("e2", "u", t2, Similarity(p.b, p.a + p.g_u)),
+            Edge("e3", "v", t3, Similarity(p.c, ZERO)),
+            Edge("e4", "v", t4, Similarity(p.d, p.c + p.g_v)),
         ),
     )
 
 
-def double_loop_ifs(params: DoubleLoopParams, u: str = "u", v: str = "v") -> GraphIFS:
+def double_loop_ifs(params: DoubleLoopParams) -> GraphIFS:
     """Loop at each vertex plus one cross edge each way.
 
     e1: loop at u, ratio a, fixes 0.    e2: u -> v, ratio b, fixes 1.
     e3: loop at v, ratio c, fixes 0.    e4: v -> u, ratio d, fixes 1.
     """
-    return _loop_family_ifs(params, u, v, (u, v, v, u))
+    return _loop_family_ifs(params, ("u", "v", "v", "u"))
 
 
-def single_loop_ifs(params: DoubleLoopParams, u: str = "u", v: str = "v") -> GraphIFS:
+def single_loop_ifs(params: DoubleLoopParams) -> GraphIFS:
     """Variant with both u-edges redirected to v: the only loop is at v."""
-    return _loop_family_ifs(params, u, v, (v, v, v, u))
+    return _loop_family_ifs(params, ("v", "v", "v", "u"))
 
 
-def no_loop_ifs(params: DoubleLoopParams, u: str = "u", v: str = "v") -> GraphIFS:
+def no_loop_ifs(params: DoubleLoopParams) -> GraphIFS:
     """Variant with no loops at all: every edge crosses between u and v."""
-    return _loop_family_ifs(params, u, v, (v, v, u, u))
+    return _loop_family_ifs(params, ("v", "v", "u", "u"))
 
 
-def nested_pair_ifs(a, g_u, g_v, u: str = "u", v: str = "v") -> GraphIFS:
+def nested_pair_ifs(a, g_u, g_v) -> GraphIFS:
     """Two-vertex family with F_v = F_u ∪ (middle shifted copy of F_u).
 
     F_u has two level-1 intervals [0,a] and [1-b,1] with b = 1-a-g_u.
@@ -102,13 +102,13 @@ def nested_pair_ifs(a, g_u, g_v, u: str = "u", v: str = "v") -> GraphIFS:
     if min(a, b, g_u, g_v, d) <= ZERO:
         raise ValueError("need a, b, g_u, g_v > 0 and g_v < g_u/2")
     return GraphIFS(
-        (u, v),
+        ("u", "v"),
         (
-            Edge("e1", u, u, Similarity(a, ZERO)),
-            Edge("e2", u, v, Similarity(b, ONE - b)),
-            Edge("e3", v, u, Similarity(a, ZERO)),
-            Edge("e4", v, u, Similarity(d, a + g_v)),
-            Edge("e5", v, v, Similarity(b, ONE - b)),
+            Edge("e1", "u", "u", Similarity(a, ZERO)),
+            Edge("e2", "u", "v", Similarity(b, ONE - b)),
+            Edge("e3", "v", "u", Similarity(a, ZERO)),
+            Edge("e4", "v", "u", Similarity(d, a + g_v)),
+            Edge("e5", "v", "v", Similarity(b, ONE - b)),
         ),
     )
 

@@ -11,6 +11,7 @@ All geometry is exact: ratios and offsets are `fractions.Fraction`.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -288,36 +289,42 @@ def validate_graph(ifs: GraphIFS) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # enumeration
 
-def path_count(ifs: GraphIFS, u: str, k: int) -> int:
-    """|E^k_u| via the k-th power of the edge-count adjacency matrix."""
+def _path_counts(ifs: GraphIFS, u: str):
+    """|E^0_u|, |E^1_u|, ... without end: the row sums of the powers of
+    the edge-count adjacency matrix."""
     n = len(ifs.vertices)
     index = {v: i for i, v in enumerate(ifs.vertices)}
     adj = [[0] * n for _ in range(n)]
     for e in ifs.edges:
         adj[index[e.src]][index[e.dst]] += 1
     row = [1 if i == index[u] else 0 for i in range(n)]
-    for _ in range(k):
+    while True:
+        yield sum(row)
         row = [sum(row[i] * adj[i][j] for i in range(n)) for j in range(n)]
-    return sum(row)
 
 
-def _check_path_cap(ifs: GraphIFS, u: str, k: int, cap: int) -> None:
-    """Raise unless u is a vertex with at most `cap` paths of length k."""
+def path_count(ifs: GraphIFS, u: str, k: int) -> int:
+    """|E^k_u| via the k-th power of the edge-count adjacency matrix."""
+    return next(itertools.islice(_path_counts(ifs, u), k, None))
+
+
+def _check_path_cap(ifs: GraphIFS, u: str, k: int) -> None:
+    """Raise unless u is a vertex with at most DEFAULT_PATH_CAP paths of
+    every length 1..k, stopping at the first length over the cap."""
     if u not in ifs.vertices:
         raise GraphStructureError(f"unknown vertex {u!r}")
-    total = path_count(ifs, u, k)
-    if total > cap:
-        raise ResourceCapError(
-            f"{total} paths of length {k} from {u!r} exceed cap {cap}",
-            bound=total)
+    for j, total in enumerate(itertools.islice(_path_counts(ifs, u), k + 1)):
+        if total > DEFAULT_PATH_CAP:
+            raise ResourceCapError(
+                f"{total} paths of length {j} from {u!r} exceed cap "
+                f"{DEFAULT_PATH_CAP}", bound=total)
 
 
-def paths_from(ifs: GraphIFS, u: str, k: int,
-               cap: int = DEFAULT_PATH_CAP) -> list[Path]:
+def paths_from(ifs: GraphIFS, u: str, k: int) -> list[Path]:
     """All length-k paths starting at u, in lexicographic edge-id order."""
     if k < 1:
         raise ValueError("path length k must be >= 1")
-    _check_path_cap(ifs, u, k, cap)
+    _check_path_cap(ifs, u, k)
     # extending each prefix by its out-edges in id order keeps the order
     frontier: list[tuple[tuple[str, ...], str]] = [((), u)]
     for _ in range(k):

@@ -21,7 +21,6 @@ sends the unit-interval copy at "to" into the copy at "from".
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from mpmath import mp, mpf
 
@@ -96,7 +95,7 @@ def load_spec(text: str) -> GraphIFS:
     return ifs
 
 
-def dump_spec(ifs: GraphIFS, metadata: Optional[dict] = None) -> str:
+def dump_spec(ifs: GraphIFS) -> str:
     """Render a system back to its canonical document form."""
     doc = {
         "vertices": list(ifs.vertices),
@@ -112,8 +111,6 @@ def dump_spec(ifs: GraphIFS, metadata: Optional[dict] = None) -> str:
             for e in ifs.edges
         ],
     }
-    if metadata:
-        doc["metadata"] = metadata
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

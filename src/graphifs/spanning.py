@@ -159,8 +159,7 @@ def example_params() -> SpanningParams:
     )
 
 
-def build_spanning_system(params: SpanningParams,
-                          u: str = "u", v: str = "v"
+def build_spanning_system(params: SpanningParams
                           ) -> tuple[GraphIFS, Similarity]:
     """Assemble the eight-edge system and its spanning similarity S.
 
@@ -175,16 +174,16 @@ def build_spanning_system(params: SpanningParams,
     off_e6 = p.r_e5 + p.g4
     off_e7 = off_e6 + p.r_e6 + p.g5
     ifs = GraphIFS(
-        (u, v),
+        ("u", "v"),
         (
-            Edge("e1", u, u, Similarity(p.r_e1, ZERO)),
-            Edge("e2", u, v, Similarity(p.r_e2, off_e2)),
-            Edge("e3", u, u, Similarity(p.r_e3, off_e3)),
-            Edge("e4", u, v, Similarity(p.r_e4, ONE - p.r_e4)),
-            Edge("e5", v, u, Similarity(p.r_e5, ZERO)),
-            Edge("e6", v, v, Similarity(p.r_e6, off_e6)),
-            Edge("e7", v, u, Similarity(p.r_e7, off_e7)),
-            Edge("e8", v, v, Similarity(p.r_e8, ONE - p.r_e8)),
+            Edge("e1", "u", "u", Similarity(p.r_e1, ZERO)),
+            Edge("e2", "u", "v", Similarity(p.r_e2, off_e2)),
+            Edge("e3", "u", "u", Similarity(p.r_e3, off_e3)),
+            Edge("e4", "u", "v", Similarity(p.r_e4, ONE - p.r_e4)),
+            Edge("e5", "v", "u", Similarity(p.r_e5, ZERO)),
+            Edge("e6", "v", "v", Similarity(p.r_e6, off_e6)),
+            Edge("e7", "v", "u", Similarity(p.r_e7, off_e7)),
+            Edge("e8", "v", "v", Similarity(p.r_e8, ONE - p.r_e8)),
         ),
     )
     s_offset = (p.r_e1 * p.r_e1 + p.r_e1 * p.g1

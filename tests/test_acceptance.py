@@ -9,7 +9,6 @@ import mpmath
 
 from graphifs import (
     ConditionStatus,
-    RenderSpec,
     Verdict,
     build_spanning_system,
     classify_distinct_components,
@@ -210,10 +209,10 @@ def test_criterion_09_randomized_invariants(capsys):
 def test_criterion_10_rendering(golden_ifs, capsys):
     with criterion(10, capsys=capsys, desc="deterministic SVG rendering with per-level "
                        "interval counts"):
-        svg = render_svg(golden_ifs, RenderSpec(levels=5))
+        svg = render_svg(golden_ifs, 5)
         for vertex in golden_ifs.vertices:
             for k, expected in enumerate((1, 2, 4, 8, 16, 32)):
                 block = re.search(
                     rf'<g id="row-{vertex}-{k}">(.*?)</g>', svg, re.S)
                 assert block.group(1).count("<rect") == expected
-        assert render_svg(golden_ifs, RenderSpec(levels=5)) == svg
+        assert render_svg(golden_ifs, 5) == svg

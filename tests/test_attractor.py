@@ -19,7 +19,7 @@ from graphifs import (
     refute_subset,
     replay_refutation,
 )
-from graphifs import attractor
+from graphifs import attractor, model
 from graphifs.attractor import IntervalSet, LevelLadder
 
 F = Fraction
@@ -92,13 +92,15 @@ class TestLevelSets:
                                match=r"interval \[9/10, 23/20\] escapes"):
                 level_k_set(ifs, "u", k)
 
-    def test_cap_reports_path_count(self, golden_ifs):
+    def test_cap_reports_path_count(self, golden_ifs, monkeypatch):
+        monkeypatch.setattr(model, "DEFAULT_PATH_CAP", 31)
         with pytest.raises(ResourceCapError,
-                           match="level-5 set at 'u' has more than 31 "
-                                 "intervals") as info:
-            level_k_set(golden_ifs, "u", 5, cap=31)
+                           match="32 paths of length 5 from 'u' exceed "
+                                 "cap 31") as info:
+            level_k_set(golden_ifs, "u", 5)
         assert info.value.bound == 32
-        assert len(level_k_set(golden_ifs, "u", 5, cap=32)) == 32
+        monkeypatch.setattr(model, "DEFAULT_PATH_CAP", 32)
+        assert len(level_k_set(golden_ifs, "u", 5)) == 32
 
     @pytest.mark.parametrize("call", [
         lambda ifs: level_k_set(ifs, "z", 0),
@@ -113,8 +115,8 @@ class TestLevelSets:
     def test_ladder_makes_each_level_set_once(self, golden_ifs,
                                               monkeypatch):
         counts = []
-        real = attractor.path_count
-        monkeypatch.setattr(attractor, "path_count",
+        real = attractor._check_path_cap
+        monkeypatch.setattr(attractor, "_check_path_cap",
                             lambda *args: counts.append(args) or real(*args))
         ladder = LevelLadder(golden_ifs)
         first = ladder.level_set("u", 5)
@@ -122,8 +124,9 @@ class TestLevelSets:
         assert counts == [(golden_ifs, "u", 5)]
         assert first == level_k_set(golden_ifs, "u", 5)
 
-    def test_ladder_cap_holds_at_every_level(self, golden_ifs):
-        ladder = LevelLadder(golden_ifs, cap=16)
+    def test_ladder_cap_holds_at_every_level(self, golden_ifs, monkeypatch):
+        monkeypatch.setattr(model, "DEFAULT_PATH_CAP", 16)
+        ladder = LevelLadder(golden_ifs)
         assert len(ladder.level_set("u", 4)) == 16
         with pytest.raises(ResourceCapError) as info:
             ladder.level_set("u", 5)

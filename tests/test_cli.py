@@ -1,6 +1,9 @@
 """End-to-end command-line interface and exit codes."""
 
+import itertools
 import json
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,36 @@ GOLDEN = str(SPEC_DIR / "golden_ratio.json")
 NESTED = str(SPEC_DIR / "nested_components.json")
 ONE_LOOP = str(SPEC_DIR / "one_loop.json")
 SPANNING = str(SPEC_DIR / "gap_spanning.json")
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once `seconds` of wall time pass,
+    so that a hang fails the test instead of stalling the suite."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def bisection_steps_bounded(monkeypatch):
+    """Let every bisection evaluate its predicate at most 1,000 times."""
+    bisect = dimension._bisect
+
+    def bounded(at_or_below, lo, hi, tol):
+        calls = itertools.count(1)
+
+        def counted(x):
+            assert next(calls) <= 1000, "bisection does not terminate"
+            return at_or_below(x)
+        return bisect(counted, lo, hi, tol)
+    monkeypatch.setattr(dimension, "_bisect", bounded)
 
 
 class TestValidate:
@@ -57,6 +90,19 @@ class TestDim:
         assert out == ""
         assert "tol must be positive" in err
 
+    @pytest.mark.parametrize("command", ["dim", "measure"])
+    def test_tol_below_working_precision_is_usage_error(
+            self, capsys, bisection_steps_bounded, command):
+        assert main([command, GOLDEN, "--tol", "1e-41"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "tol is below the working precision" in err
+
+    def test_tol_near_working_precision_still_answers(
+            self, capsys, bisection_steps_bounded):
+        assert main(["dim", GOLDEN, "--tol", "1e-39"]) == 0
+        assert "iterations = 130" in capsys.readouterr().out
+
 
 class TestGaps:
     def test_golden_u(self, capsys):
@@ -67,6 +113,12 @@ class TestGaps:
 
     def test_unknown_vertex(self, capsys):
         assert main(["gaps", GOLDEN, "--vertex", "z"]) == 1
+
+    def test_negative_depth_is_usage_error(self, capsys):
+        assert main(["gaps", GOLDEN, "--vertex", "u", "--depth", "-2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "depth must be >= 0" in err
 
     def test_resource_cap(self, tmp_path, capsys):
         # 128 out-edges: 128^3 > 10^6 paths, so depth 3 trips the cap
@@ -210,6 +262,18 @@ class TestVerifyCertificate:
         cert_path.write_text(json.dumps(doc))
         assert main(["verify-certificate", GOLDEN, str(cert_path)]) == 1
         assert err in capsys.readouterr().err
+
+    def test_deep_target_level_hits_the_cap_at_once(self, tmp_path, capsys):
+        assert main(["classify", GOLDEN, "--vertex", "u"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        doc["refutations"][0]["depths"][1] = 10**9
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(doc))
+        with deadline(10):
+            assert main(["verify-certificate", GOLDEN, str(cert_path)]) == 4
+        # 2^20 paths: length 20 is the first over the cap of 10^6
+        assert ("1048576 paths of length 20 from 'v' exceed cap 1000000"
+                in capsys.readouterr().err)
 
 
 class TestRewrite:

@@ -28,6 +28,7 @@ from graphifs import (
     validate_graph,
 )
 from graphifs.attractor import endpoint_witnesses
+from graphifs import model
 from graphifs.model import path_count, path_vertices
 
 F = Fraction
@@ -126,9 +127,10 @@ class TestPaths:
     def test_level5_count(self, golden_ifs):
         assert len(paths_from(golden_ifs, "u", 5)) == 32
 
-    def test_resource_cap(self, golden_ifs):
+    def test_resource_cap(self, golden_ifs, monkeypatch):
+        monkeypatch.setattr(model, "DEFAULT_PATH_CAP", 31)
         with pytest.raises(ResourceCapError):
-            paths_from(golden_ifs, "u", 5, cap=31)
+            paths_from(golden_ifs, "u", 5)
 
     def test_count_matches_enumeration(self, golden_ifs):
         for k in range(1, 7):

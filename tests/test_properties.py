@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
 import mpmath
@@ -44,6 +45,7 @@ from graphifs.attractor import (
     SubsetRefutation,
     endpoint_witnesses,
 )
+from graphifs import render
 from graphifs.classify import _condition3, standard_ifs_from_maps
 from graphifs.spanning import SpanningParams, SpanningHit
 from conftest import SPEC_DIR
@@ -54,9 +56,9 @@ COMMON = settings(max_examples=200, derandomize=True, deadline=None)
 
 
 @st.composite
-def double_loop_params(draw):
+def double_loop_params(draw, max_denominator=64):
     def row():
-        q = draw(st.integers(4, 64))
+        q = draw(st.integers(4, max_denominator))
         i = draw(st.integers(1, q - 2))
         j = draw(st.integers(i + 1, q - 1))
         return F(i, q), F(j - i, q), F(q - j, q)
@@ -544,3 +546,31 @@ class TestSerializationInvariants:
     @given(st.fractions())
     def test_rational_round_trip(self, x):
         assert parse_rational(format_rational(x)) == x
+
+
+def decimal_coord(x: Fraction, width: int) -> str:
+    """width * x to three decimals the way render_svg once computed it:
+    multiply and divide in Decimal's 28-digit context, then quantize
+    half-even.  It agrees with exact rounding while the denominator of x
+    is below about 8 * 10^20, past which the two context roundings can
+    move a value across a tie."""
+    value = Decimal(x.numerator) * width / Decimal(x.denominator)
+    return str(value.quantize(Decimal("0.001"), rounding=ROUND_HALF_EVEN))
+
+
+class TestRenderInvariants:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.one_of(double_loop_params(), double_loop_params(10**5)),
+           st.data())
+    def test_coordinates_match_decimal_reference(self, params, data):
+        ladder = LevelLadder(double_loop_ifs(params))
+        top = max(k for k in range(9) if ladder.scale ** k < 10**20)
+        k = data.draw(st.integers(0, top))
+        den = ladder.scale ** k
+        for v in ("u", "v"):
+            for p in ladder.endpoints(v, k):
+                x = render._thousandths(p, den)
+                expected = decimal_coord(F(p, den), render.WIDTH)
+                assert render._fixed3(x) == expected
+                assert (render._fixed3(x + 1000 * render.MARGIN)
+                        == str(Decimal(expected) + render.MARGIN))

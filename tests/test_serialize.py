@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from graphifs import (
-    RenderSpec,
     SpecValidationError,
     Verdict,
     certificate_from_json,
@@ -137,7 +136,7 @@ class TestCertificates:
 
 class TestRendering:
     def test_rect_counts(self, golden_ifs):
-        svg = render_svg(golden_ifs, RenderSpec(levels=5))
+        svg = render_svg(golden_ifs, 5)
         for vertex in golden_ifs.vertices:
             for k, expected in enumerate((1, 2, 4, 8, 16, 32)):
                 block = re.search(
@@ -145,16 +144,16 @@ class TestRendering:
                 assert block.group(1).count("<rect") == expected
 
     def test_level0_single_rect(self, nested_ifs):
-        svg = render_svg(nested_ifs, RenderSpec(levels=0))
+        svg = render_svg(nested_ifs, 0)
         assert svg.count("<rect") == len(nested_ifs.vertices)
 
     def test_deterministic(self, golden_ifs):
-        a = render_svg(golden_ifs, RenderSpec(levels=4))
-        b = render_svg(golden_ifs, RenderSpec(levels=4))
+        a = render_svg(golden_ifs, 4)
+        b = render_svg(golden_ifs, 4)
         assert a == b
 
     def test_level1_coordinates(self, golden_ifs):
-        svg = render_svg(golden_ifs, RenderSpec(levels=1, width=600))
+        svg = render_svg(golden_ifs, 1)
         row = re.search(r'<g id="row-u-1">(.*?)</g>', svg, re.S).group(1)
         xs = re.findall(r'x="([\d.]+)"', row)
         widths = re.findall(r'width="([\d.]+)"', row)
@@ -164,4 +163,4 @@ class TestRendering:
 
     def test_is_well_formed_xml(self, golden_ifs):
         import xml.etree.ElementTree as ET
-        ET.fromstring(render_svg(golden_ifs, RenderSpec(levels=3)))
+        ET.fromstring(render_svg(golden_ifs, 3))
