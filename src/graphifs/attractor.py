@@ -163,7 +163,7 @@ class LevelLadder:
     def level_set(self, v: str, k: int) -> IntervalSet:
         """F_v^k as an IntervalSet of Fractions."""
         if (v, k) not in self._sets:
-            flat = self.endpoints(v, k)
+            flat = self.endpoints(v, k)  # its cap check bounds scale ** k
             den = self.scale ** k
             points = [Fraction(p, den) for p in flat]
             self._sets[v, k] = IntervalSet._from_merged(

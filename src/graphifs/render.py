@@ -2,9 +2,8 @@
 
 One horizontal row per (vertex, level) pair, levels 0..K top to bottom per
 vertex; each level-k interval becomes one rectangle.  All x-coordinates
-are WIDTH*lo and WIDTH*hi rounded half-even to thousandths in exact
-integer arithmetic, so identical inputs always produce byte-identical
-output.
+are WIDTH*lo and WIDTH*hi rounded half-even to thousandths in integer
+arithmetic, so identical inputs always produce byte-identical output.
 """
 
 from __future__ import annotations
