@@ -90,44 +90,34 @@ class IntervalSet:
         return IntervalSet(tuple(sim.map_interval(lo, hi)
                                  for lo, hi in self.intervals))
 
-    def reflect(self) -> "IntervalSet":
-        """Image under R(x) = 1 - x."""
-        return IntervalSet(tuple((ONE - hi, ONE - lo)
-                                 for lo, hi in self.intervals))
-
-
-def _scaled_maps(ifs: GraphIFS) -> tuple[int, dict[str, tuple[int, int]]]:
-    """D, the lcm of every ratio and offset denominator, and for each edge
-    the integers (D * coefficient, D * offset)."""
-    scale = math.lcm(*(x.denominator for e in ifs.edges
-                       for x in (e.map.ratio, e.map.offset)))
-    return scale, {e.id: (int(e.map.coefficient * scale),
-                          int(e.map.offset * scale)) for e in ifs.edges}
-
 
 class LevelLadder:
-    """The level sets F_v^0, F_v^1, ... of every vertex of one system.
+    """The level sets F_v^0, F_v^1, ... of every vertex of one system,
+    which owns it as `GraphIFS.ladder` and frees it with itself.
 
-    Level k of a vertex is stored as a flat list [lo, hi, lo, hi, ...] of
-    integers over D^k, where D is the lcm of every ratio and offset
-    denominator, so an edge map sends an endpoint p over D^(k-1) to
-    (D * coefficient) * p + (D * offset) * D^(k-1) over D^k.  Each level
-    is built once from the level before it, for all vertices, when first
-    asked for.  Children are laid out in the order of their level-1
-    hulls, then sorted and merged so that touching or overlapping
-    children become one interval; a level-1 hull outside [0,1] raises
-    ValueError.  Every read is held to the path cap of
-    model._check_path_cap, and each level read as Fractions becomes an
-    IntervalSet once.
+    `scale` is D, the lcm of every ratio and offset denominator, and
+    `maps[edge id]` is (D * coefficient, D * offset).  Level k of a
+    vertex is a flat list [lo, hi, lo, hi, ...] of integers over D^k, so
+    an edge map sends an endpoint p over D^(k-1) to (D * coefficient) * p
+    + (D * offset) * D^(k-1) over D^k.  Each level is built once from the
+    level before it, for all vertices, when first asked for.  Children
+    are laid out in the order of their level-1 hulls, then sorted and
+    merged so that touching or overlapping children become one interval;
+    a level-1 hull outside [0,1] raises ValueError.  Every read is held
+    to the path cap of model._check_path_cap, and each level read as
+    Fractions becomes an IntervalSet once.
     """
 
     def __init__(self, ifs: GraphIFS):
         self.ifs = ifs
-        self.scale, maps = _scaled_maps(ifs)
+        scale = self.scale = math.lcm(*(x.denominator for e in ifs.edges
+                                        for x in (e.map.ratio, e.map.offset)))
+        self.maps = {e.id: (int(e.map.coefficient * scale),
+                            int(e.map.offset * scale)) for e in ifs.edges}
         self._children: dict[str, list[tuple[str, int, int, bool]]] = {}
         for v in ifs.vertices:
             out = sorted(ifs.out_edges(v), key=lambda e: e.map.hull())
-            self._children[v] = [(e.dst, *maps[e.id], e.map.reflect)
+            self._children[v] = [(e.dst, *self.maps[e.id], e.map.reflect)
                                  for e in out]
         self._levels: list[dict[str, list[int]]] = [
             {v: [0, 1] for v in ifs.vertices}]
@@ -185,8 +175,8 @@ def _merged(flat: list) -> list:
 
 def level_k_set(ifs: GraphIFS, u: str, k: int) -> IntervalSet:
     """The level-k approximation F_u^k = union of S_e(F_{t(e)}^{k-1}) over
-    out-edges of u, read from a fresh LevelLadder."""
-    return LevelLadder(ifs).level_set(u, k)
+    out-edges of u, read from the system's ladder."""
+    return ifs.ladder.level_set(u, k)
 
 
 @dataclass(frozen=True)
@@ -236,7 +226,7 @@ def endpoint_witnesses(ifs: GraphIFS, u: str, depth: int
     if depth < 0:
         raise ValueError("depth must be >= 0")
     _check_path_cap(ifs, u, depth)
-    scale, maps = _scaled_maps(ifs)
+    scale, maps = ifs.ladder.scale, ifs.ladder.maps
     lift = [scale ** (depth - j) for j in range(depth + 1)]
     # point * D^depth -> (path length, path as nested (edge id, parent)
     # links, endpoint)
@@ -287,17 +277,17 @@ class SubsetRefutation:
 
 
 def first_refutation(witnesses: list[tuple[Fraction, Path, Fraction]],
-                     ladder: LevelLadder, v: str, depth: int,
+                     ifs: GraphIFS, v: str, depth: int,
                      reflected: bool = False) -> Optional[SubsetRefutation]:
     """The first witness (from endpoint_witnesses) that lies strictly
-    inside a gap of F_v^m (of R(F_v^m) when `reflected`), searching
-    target levels m = 1..depth outermost and witnesses in point order
-    within each level; None when there is none."""
+    inside a gap of F_v^m (of R(F_v^m) when `reflected`, whose gaps are
+    those of F_v^m reflected, (1 - hi, 1 - lo)), searching target levels
+    m = 1..depth outermost and witnesses in point order within each
+    level; None when there is none."""
     for m in range(1, depth + 1):
-        target = ladder.level_set(v, m)
+        gaps = ifs.ladder.level_set(v, m).gaps()
         if reflected:
-            target = target.reflect()
-        gaps = target.gaps()
+            gaps = [(ONE - hi, ONE - lo) for lo, hi in reversed(gaps)]
         los = [lo for lo, _hi in gaps]
         for point, path, endpoint in witnesses:
             i = bisect.bisect_right(los, point) - 1
@@ -314,8 +304,8 @@ def refute_subset(ifs: GraphIFS, u: str, v: str, depth: int = 8,
     at this depth, not that containment holds."""
     if u == v:
         raise ValueError("refute_subset requires distinct vertices")
-    return first_refutation(endpoint_witnesses(ifs, u, depth),
-                            LevelLadder(ifs), v, depth, reflected)
+    return first_refutation(endpoint_witnesses(ifs, u, depth), ifs, v,
+                            depth, reflected)
 
 
 def replay_refutation(ifs: GraphIFS, u: str, v: str,
@@ -326,21 +316,16 @@ def replay_refutation(ifs: GraphIFS, u: str, v: str,
     except (ValueError, GraphStructureError):
         return False
     if (v not in ifs.vertices or ref.depths[0] != len(ref.witness_path)
-            or ref.depths[1] < 1):
-        return False
-    if ifs.edge(ref.witness_path.edges[0]).src != u:
-        return False
-    if ref.endpoint not in (ZERO, ONE):
-        return False
-    if sim(ref.endpoint) != ref.witness_point:
+            or ref.depths[1] < 1
+            or ifs.edge(ref.witness_path.edges[0]).src != u
+            or ref.endpoint not in (ZERO, ONE)
+            or sim(ref.endpoint) != ref.witness_point
+            or not ref.gap[0] < ref.witness_point < ref.gap[1]):
         return False
     lo, hi = ref.gap
-    if not (lo < ref.witness_point < hi):
-        return False
-    target = level_k_set(ifs, v, ref.depths[1])
-    if ref.reflected:
-        target = target.reflect()
-    return (lo, hi) in target.gaps()
+    if ref.reflected:  # the gap of F_v^m that R maps onto this one
+        lo, hi = ONE - hi, ONE - lo
+    return (lo, hi) in level_k_set(ifs, v, ref.depths[1]).gaps()
 
 
 def components_equal(params: DoubleLoopParams) -> bool:

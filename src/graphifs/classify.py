@@ -30,11 +30,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .attractor import (
-    LevelLadder,
     SubsetRefutation,
     components_equal,
     endpoint_witnesses,
     first_refutation,
+    level_k_set,
     replay_refutation,
 )
 from .errors import GraphStructureError, RewriteError
@@ -244,11 +244,10 @@ def cross_refutation_empty(ifs: GraphIFS, u: str, maps,
     (w,) = std.vertices
     for src_ifs, src_v, dst_ifs, dst_v in ((ifs, u, std, w), (std, w, ifs, u)):
         witnesses = endpoint_witnesses(src_ifs, src_v, depth)
-        ladder = LevelLadder(dst_ifs)
         # points at or beyond 0 and 1 lie strictly inside no gap; levels
         # 1..depth are built by then and nest, so test the deepest
-        if (first_refutation(witnesses, ladder, dst_v, depth) is not None
-                or not all(ladder.level_set(dst_v, depth).contains(p)
+        if (first_refutation(witnesses, dst_ifs, dst_v, depth) is not None
+                or not all(level_k_set(dst_ifs, dst_v, depth).contains(p)
                            for p, _path, _end in witnesses
                            if not ZERO < p < ONE)):
             return False
@@ -263,13 +262,12 @@ def _condition3(ifs: GraphIFS, u: str, vprime, depth: int, reflected: bool):
     returns (refutations, missing-description or None)."""
     refs: list[tuple[str, SubsetRefutation]] = []
     witnesses = endpoint_witnesses(ifs, u, depth)
-    ladder = LevelLadder(ifs)
     for v in vprime:
         if v == u:
             continue
         variants = (False, True) if reflected else (False,)
         for refl in variants:
-            r = first_refutation(witnesses, ladder, v, depth, refl)
+            r = first_refutation(witnesses, ifs, v, depth, refl)
             if r is None:
                 kind = "reflection of component" if refl else "component"
                 return refs, (f"containment of component {u!r} in {kind} "

@@ -18,7 +18,6 @@ from fractions import Fraction
 from mpmath import mp
 
 from . import __version__
-from .attractor import LevelLadder
 from .classify import (
     Verdict,
     classify_distinct_components,
@@ -34,7 +33,7 @@ from .errors import (
     SpecValidationError,
 )
 from .families import params_from_ifs
-from .gaps import max_gap
+from .gaps import level_k_gaps, max_gap
 from .dimension import hausdorff_dimension
 from .measure import component_measures
 from .model import format_rational, parse_rational
@@ -101,12 +100,11 @@ def _cmd_gaps(args) -> int:
     if args.depth < 0:
         raise ValueError("depth must be >= 0")
     largest = max_gap(ifs, args.vertex)
-    ladder = LevelLadder(ifs)
     for k in range(1, args.depth + 1):
         rendered = ", ".join(
             f"({format_rational(lo)}, {format_rational(hi)}) "
-            f"len {format_rational(hi - lo)}"
-            for lo, hi in ladder.level_set(args.vertex, k).gaps())
+            f"len {format_rational(length)}"
+            for (lo, hi), length in level_k_gaps(ifs, args.vertex, k))
         print(f"level {k}: {rendered}")
     print(f"max gap = {format_rational(largest)}")
     return EXIT_OK

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .attractor import IntervalSet, cssc_check, level_k_set
+from .attractor import cssc_check, level_k_set
 from .errors import (
     GraphStructureError,
     ResourceCapError,
@@ -35,9 +35,8 @@ def level_k_gaps(ifs: GraphIFS, u: str, k: int) -> GapList:
 
 
 def _level1_gap_lengths(ifs: GraphIFS) -> dict[str, list[Fraction]]:
-    """Gap lengths of F_v^1, the union of v's out-edge hulls."""
-    return {v: [hi - lo for lo, hi in IntervalSet(tuple(
-                e.map.hull() for e in ifs.out_edges(v))).gaps()]
+    """Gap lengths of F_v^1 for every vertex v."""
+    return {v: [length for _gap, length in level_k_gaps(ifs, v, 1)]
             for v in ifs.vertices}
 
 

@@ -10,9 +10,11 @@ All geometry is exact: ratios and offsets are `fractions.Fraction`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -118,7 +120,8 @@ class Path:
 
 @dataclass(frozen=True)
 class GraphIFS:
-    """A directed-graph IFS: ordered vertices plus ordered edges."""
+    """A directed-graph IFS: ordered vertices plus ordered edges, whose
+    level sets are read from its own `ladder`."""
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
@@ -164,6 +167,16 @@ class GraphIFS:
 
     def has_reflecting_edges(self) -> bool:
         return any(e.map.reflect for e in self.edges)
+
+    def __getstate__(self):  # a copy or unpickled system builds its own ladder
+        return {k: v for k, v in vars(self).items() if k != "ladder"}
+
+    @functools.cached_property
+    def ladder(self):
+        """This system's one attractor.LevelLadder, built on first read; it
+        holds the system by a weak proxy, so refcounting frees the two."""
+        from .attractor import LevelLadder  # attractor imports this module
+        return LevelLadder(weakref.proxy(self))
 
 
 def graph_digest(ifs: GraphIFS) -> str:
@@ -292,6 +305,8 @@ def validate_graph(ifs: GraphIFS) -> ValidationReport:
 def _path_counts(ifs: GraphIFS, u: str):
     """|E^0_u|, |E^1_u|, ... without end: the row sums of the powers of
     the edge-count adjacency matrix."""
+    if u not in ifs.vertices:
+        raise GraphStructureError(f"unknown vertex {u!r}")
     n = len(ifs.vertices)
     index = {v: i for i, v in enumerate(ifs.vertices)}
     adj = [[0] * n for _ in range(n)]
@@ -311,8 +326,6 @@ def path_count(ifs: GraphIFS, u: str, k: int) -> int:
 def _check_path_cap(ifs: GraphIFS, u: str, k: int) -> None:
     """Raise unless u is a vertex with at most DEFAULT_PATH_CAP paths of
     every length 1..k, stopping at the first length over the cap."""
-    if u not in ifs.vertices:
-        raise GraphStructureError(f"unknown vertex {u!r}")
     for j, total in enumerate(itertools.islice(_path_counts(ifs, u), k + 1)):
         if total > DEFAULT_PATH_CAP:
             raise ResourceCapError(

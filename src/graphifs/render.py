@@ -8,7 +8,6 @@ arithmetic, so identical inputs always produce byte-identical output.
 
 from __future__ import annotations
 
-from .attractor import LevelLadder
 from .model import GraphIFS
 
 #: Layout of the diagram, in SVG user units.
@@ -47,7 +46,6 @@ def render_svg(ifs: GraphIFS, levels: int = 5) -> str:
         f'width="{total_w}" height="{total_h}" '
         f'viewBox="0 0 {total_w} {total_h}">',
     ]
-    ladder = LevelLadder(ifs)
     for vi, vertex in enumerate(ifs.vertices):
         block_y = MARGIN + vi * (block + VERTEX_GAP)
         for k in range(levels + 1):
@@ -57,8 +55,8 @@ def render_svg(ifs: GraphIFS, levels: int = 5) -> str:
                 f'<text x="4" y="{y + ROW_HEIGHT - 3}" '
                 f'font-size="10" font-family="monospace">'
                 f'{vertex} k={k}</text>')
-            den = ladder.scale ** k
-            xs = [_thousandths(p, den) for p in ladder.endpoints(vertex, k)]
+            den = ifs.ladder.scale ** k
+            xs = [_thousandths(p, den) for p in ifs.ladder.endpoints(vertex, k)]
             for x1, x2 in zip(xs[::2], xs[1::2]):
                 lines.append(
                     f'<rect x="{_fixed3(x1 + 1000 * MARGIN)}" y="{y}" '

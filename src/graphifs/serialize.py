@@ -43,6 +43,13 @@ from .model import (
 # ---------------------------------------------------------------------------
 # system documents
 
+def _flag(d: dict, key: str) -> bool:
+    """A JSON boolean field, false when missing."""
+    if not isinstance(flag := d.get(key, False), bool):
+        raise ValueError(f"{key!r} must be true or false, got {flag!r}")
+    return flag
+
+
 def load_spec(text: str) -> GraphIFS:
     """Parse and validate a system document; raises SpecValidationError
     listing every problem found."""
@@ -71,7 +78,6 @@ def load_spec(text: str) -> GraphIFS:
             src, dst = e["from"], e["to"]
             ratio = parse_rational(str(e["ratio"]))
             offset = parse_rational(str(e["offset"]))
-            reflect = bool(e.get("reflect", False))
         except KeyError as exc:
             issues.append(f"{where}: missing field {exc}")
             continue
@@ -79,6 +85,7 @@ def load_spec(text: str) -> GraphIFS:
             issues.append(f"{where}: bad rational: {exc}")
             continue
         try:
+            reflect = _flag(e, "reflect")
             edges.append(Edge(eid, src, dst, Similarity(ratio, offset, reflect)))
         except ValueError as exc:
             issues.append(f"{where} (id {eid!r}): {exc}")
@@ -125,7 +132,7 @@ def _similarity_to_doc(s: Similarity) -> dict:
 
 def _similarity_from_doc(d: dict) -> Similarity:
     return Similarity(parse_rational(d["ratio"]), parse_rational(d["offset"]),
-                      bool(d.get("reflect", False)))
+                      _flag(d, "reflect"))
 
 
 def _refutation_to_doc(v: str, r: SubsetRefutation) -> dict:
@@ -154,7 +161,7 @@ def _refutation_from_doc(d: dict) -> tuple[str, SubsetRefutation]:
         parse_rational(d["endpoint"]),
         _pair(d, "gap", parse_rational),
         _pair(d, "depths", int),
-        bool(d.get("reflected", False)),
+        _flag(d, "reflected"),
     )
 
 
@@ -264,7 +271,7 @@ def certificate_from_json(text: str) -> Certificate:
                      else _measure_from_doc(doc["measure"])),
             maps=(None if doc.get("maps") is None
                   else tuple(_similarity_from_doc(d) for d in doc["maps"])),
-            reflected=bool(doc.get("reflected", False)),
+            reflected=_flag(doc, "reflected"),
             minimal_edges_asserted=doc.get("minimal_edges_asserted"),
             unknown_reason=doc.get("unknown_reason"),
             notes=tuple(doc.get("notes", ())),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .attractor import IntervalSet, LevelLadder
+from .attractor import IntervalSet
 from .model import (
     Edge,
     GraphIFS,
@@ -252,16 +252,15 @@ def span_search(ifs: GraphIFS, src: str, dst: str, max_j: int = 2,
     d <= verify_depth.  Deterministic output, deduplicated by map."""
     if max_j < 1 or max_k < 1 or verify_depth < 0:
         raise ValueError("bounds must be positive (verify_depth >= 0)")
-    ladder = LevelLadder(ifs)
-    level1_gaps = ladder.level_set(dst, 1).gaps()
+    level1_gaps = ifs.ladder.level_set(dst, 1).gaps()
     hits: list[SpanningHit] = []
     seen: set[tuple[Fraction, Fraction]] = set()
     for j in range(1, max_j + 1):
-        src_set = ladder.level_set(src, j)
+        src_set = ifs.ladder.level_set(src, j)
         first_lo, first_hi = src_set.intervals[0]
         src_len = first_hi - first_lo
         for k in range(1, max_k + 1):
-            dst_set = ladder.level_set(dst, k)
+            dst_set = ifs.ladder.level_set(dst, k)
             dst_intervals = set(dst_set.intervals)
             for t_lo, t_hi in dst_set.intervals:
                 ratio = (t_hi - t_lo) / src_len
@@ -282,10 +281,10 @@ def span_search(ifs: GraphIFS, src: str, dst: str, max_j: int = 2,
                 # a non-reflecting map keeps the source intervals sorted
                 # and apart, so each image is checked on its own
                 if not all(_interval_inside(cand.map_interval(lo, hi),
-                                            ladder.level_set(dst, k + d))
+                                            ifs.ladder.level_set(dst, k + d))
                            for d in range(1, verify_depth + 1)
                            for lo, hi
-                           in ladder.level_set(src, j + d).intervals):
+                           in ifs.ladder.level_set(src, j + d).intervals):
                     continue
                 seen.add((ratio, offset))
                 hits.append(SpanningHit(cand, src, dst, gap, (j, k),

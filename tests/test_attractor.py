@@ -44,10 +44,6 @@ class TestIntervalSet:
         assert s.contains(F(1, 2))
         assert not s.contains(F(3, 8))
 
-    def test_reflect(self):
-        s = IntervalSet(((F(0), F(1, 4)),))
-        assert s.reflect().intervals == ((F(3, 4), F(1)),)
-
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             IntervalSet(((F(-1, 4), F(1, 2)),))
@@ -106,7 +102,8 @@ class TestLevelSets:
         lambda ifs: level_k_set(ifs, "z", 0),
         lambda ifs: level_k_set(ifs, "z", 2),
         lambda ifs: refute_subset(ifs, "u", "z"),
-    ], ids=["level0", "level2", "refute"])
+        lambda ifs: model.path_count(ifs, "z", 3),
+    ], ids=["level0", "level2", "refute", "path_count"])
     def test_unknown_vertex_rejected(self, golden_ifs, call):
         with pytest.raises(GraphStructureError,
                            match="unknown vertex 'z'"):

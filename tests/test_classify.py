@@ -204,27 +204,20 @@ class TestRewrite:
 
     def test_condition3_enumerates_witnesses_once(self, golden_ifs,
                                                   monkeypatch):
-        witnesses, ladders = [], []
+        witnesses = []
         real_witnesses = attractor.endpoint_witnesses
 
         def counted_witnesses(*args):
             witnesses.append(args)
             return real_witnesses(*args)
 
-        class CountedLadder(attractor.LevelLadder):
-            def __init__(self, *args):
-                ladders.append(args)
-                super().__init__(*args)
-
         for module in (attractor, classify):
             monkeypatch.setattr(module, "endpoint_witnesses",
                                 counted_witnesses)
-            monkeypatch.setattr(module, "LevelLadder", CountedLadder)
         cert = classify_gap_condition(golden_ifs, "u", 8, reflected=True)
         assert cert.verdict is Verdict.NOT_STANDARD
         assert [r.reflected for _v, r in cert.refutations] == [False, True]
         assert witnesses == [(golden_ifs, "u", 8)]
-        assert ladders == [(golden_ifs,)]
 
 
 class TestReplayRejectsTampering:

@@ -1,6 +1,10 @@
 """Gap extraction, maximum gap, coset representations."""
 
+import copy
+import gc
+import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -19,9 +23,11 @@ from graphifs import (
     double_loop_ifs,
     gap_length_cosets,
     level_k_gaps,
+    level_k_set,
     max_gap,
     max_gap_closed_form,
     nested_pair_ifs,
+    replay_certificate,
 )
 from graphifs import attractor, gaps
 from graphifs.cli import main
@@ -212,8 +218,8 @@ class TestCondition2:
 
 
 class TestLevelOneGaps:
-    """F_v^1 is the union of v's out-edge hulls, so its gap lengths are
-    read without building a LevelLadder."""
+    """Level 1, like every level, is read from the one LevelLadder that
+    the system owns, and the ladder is freed with the system."""
 
     @pytest.fixture
     def ladders(self, monkeypatch):
@@ -230,6 +236,32 @@ class TestLevelOneGaps:
     def test_classify_builds_one_ladder(self, golden_ifs, ladders):
         classify_gap_condition(golden_ifs, "u", 8, reflected=True)
         assert ladders == [(golden_ifs,)]
+
+    def test_classify_and_replay_build_one_ladder(self, golden_ifs, ladders):
+        cert = classify_gap_condition(golden_ifs, "u", 8, reflected=True)
+        assert replay_certificate(golden_ifs, cert)
+        assert ladders == [(golden_ifs,)]
+
+    def test_system_freed_by_reference_counting(self, golden_params):
+        ifs = double_loop_ifs(golden_params)
+        level_k_set(ifs, "u", 8)
+        system = weakref.ref(ifs)
+        gc.disable()
+        try:
+            del ifs
+            assert system() is None
+        finally:
+            gc.enable()
+
+    def test_copies_build_their_own_ladder(self, golden_params):
+        ifs = double_loop_ifs(golden_params)
+        expected = level_k_set(ifs, "u", 4)
+        copies = [copy.copy(ifs), copy.deepcopy(ifs),
+                  pickle.loads(pickle.dumps(ifs))]
+        del ifs
+        for other in copies:
+            assert level_k_set(other, "u", 4) == expected
+            assert len(level_k_set(other, "u", 5)) == 32
 
     def test_cli_gaps_builds_one_ladder(self, ladders, capsys):
         spec = str(SPEC_DIR / "golden_ratio.json")

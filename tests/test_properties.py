@@ -244,7 +244,8 @@ def reference_refute(ifs, u, v, depth, reflected):
     for m in range(1, depth + 1):
         target = level_k_set(ifs, v, m)
         if reflected:
-            target = target.reflect()
+            target = IntervalSet(tuple((1 - hi, 1 - lo)
+                                       for lo, hi in target.intervals))
         for point, path, endpoint in witnesses:
             for lo, hi in target.gaps():
                 if lo < point < hi:

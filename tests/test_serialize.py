@@ -83,6 +83,26 @@ class TestSpecDocuments:
             load_spec(json.dumps(doc))
         assert any("strongly connected" in i for i in exc.value.issues)
 
+    def test_reflect_must_be_a_boolean(self):
+        doc = {
+            "vertices": ["u"],
+            "edges": [
+                {"id": "e1", "from": "u", "to": "u",
+                 "ratio": "1/3", "offset": "1/3", "reflect": "false"},
+                {"id": "e2", "from": "u", "to": "u",
+                 "ratio": "1/3", "offset": "2/3", "reflect": False},
+            ],
+        }
+        for value in ("false", 1, None):
+            doc["edges"][0]["reflect"] = value
+            with pytest.raises(SpecValidationError) as exc:
+                load_spec(json.dumps(doc))
+            assert exc.value.issues == (
+                f"edges[0] (id 'e1'): 'reflect' must be true or false, "
+                f"got {value!r}",)
+        del doc["edges"][0]["reflect"]
+        assert not load_spec(json.dumps(doc)).edge("e1").map.reflect
+
     def test_all_sample_documents_load(self):
         for path in sorted(SPEC_DIR.glob("*.json")):
             load_spec(path.read_text())
@@ -131,6 +151,24 @@ class TestCertificates:
         doc["refutations"][0][key] = value
         with pytest.raises(SpecValidationError,
                            match="malformed certificate"):
+            certificate_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["reflected", "refutation reflected",
+                                       "map reflect"])
+    def test_flags_must_be_booleans(self, golden_ifs, golden_params, field):
+        from graphifs import no_loop_ifs
+        if field == "map reflect":
+            doc = json.loads(certificate_to_json(
+                classify_gap_condition(no_loop_ifs(golden_params), "u")))
+            holder, key = doc["maps"][0], "reflect"
+        else:
+            doc = json.loads(certificate_to_json(
+                classify_gap_condition(golden_ifs, "u")))
+            holder = doc if field == "reflected" else doc["refutations"][0]
+            key = "reflected"
+        holder[key] = "false"
+        with pytest.raises(SpecValidationError,
+                           match=f"'{key}' must be true or false"):
             certificate_from_json(json.dumps(doc))
 
 
