@@ -3,7 +3,7 @@
 Exit codes:
     0   success / verdict reached (including NotStandardAttractor and
         StandardAttractor)
-    1   validation or computation failure
+    1   validation or computation failure, or an unreadable input file
     2   usage error
     3   verdict Unknown (a legitimate answer under one-sided criteria)
     4   resource cap exceeded
@@ -255,33 +255,32 @@ def _cmd_verify_certificate(args) -> int:
 def _rational(text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="graphifs",
-        description="Exact directed-graph IFS attractors on [0,1]: gaps, "
-                    "dimension, measure, and standardness certificates.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_validate(sub):
     p = sub.add_parser("validate", help="validate a system document")
     p.add_argument("spec")
     p.set_defaults(func=_cmd_validate)
 
+
+def _add_dim(sub):
     p = sub.add_parser("dim", help="Hausdorff dimension via the Moran matrix")
     p.add_argument("spec")
     p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=_cmd_dim)
 
+
+def _add_gaps(sub):
     p = sub.add_parser("gaps", help="gap intervals and maximum gap length")
     p.add_argument("spec")
     p.add_argument("--vertex", required=True)
     p.add_argument("--depth", type=int, default=3)
     p.set_defaults(func=_cmd_gaps)
 
+
+def _add_measure(sub):
     p = sub.add_parser("measure",
                        help="Hausdorff measure (double-loop family only)")
     p.add_argument("spec")
@@ -289,6 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-9)
     p.set_defaults(func=_cmd_measure)
 
+
+def _add_classify(sub):
     p = sub.add_parser("classify",
                        help="standardness certificate for one component")
     p.add_argument("spec")
@@ -299,35 +300,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assert-minimal-edges", action="store_true")
     p.set_defaults(func=_cmd_classify)
 
+
+def _add_rewrite(sub):
     p = sub.add_parser("rewrite",
                        help="explicit standard IFS for one component")
     p.add_argument("spec")
     p.add_argument("--vertex", required=True)
     p.set_defaults(func=_cmd_rewrite)
 
+
+def _add_render(sub):
     p = sub.add_parser("render", help="SVG diagram of level-k intervals")
     p.add_argument("spec")
     p.add_argument("--levels", type=int, default=5)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_render)
 
+
+def _add_counterexample(sub):
     p = sub.add_parser("counterexample",
                        help="gap-spanning construction kit")
+    p.set_defaults(func=_cmd_counterexample)
     csub = p.add_subparsers(dest="action", required=True)
     c = csub.add_parser("solve", help="solve the spanning ratio system")
     for name in ("--g1", "--g2", "--g3", "--g4"):
         c.add_argument(name, type=_rational, required=True)
-    c.set_defaults(func=_cmd_counterexample)
     c = csub.add_parser("quadratic",
                         help="roots of the symmetric-instance quadratic")
     c.add_argument("--alpha", type=_rational, required=True)
-    c.set_defaults(func=_cmd_counterexample)
-    c = csub.add_parser("build", help="emit the reference spanning system")
-    c.set_defaults(func=_cmd_counterexample)
-    c = csub.add_parser("verify",
-                        help="check the four spanning map identities")
-    c.set_defaults(func=_cmd_counterexample)
+    csub.add_parser("build", help="emit the reference spanning system")
+    csub.add_parser("verify", help="check the four spanning map identities")
 
+
+def _add_span_search(sub):
     p = sub.add_parser("span-search",
                        help="bounded search for gap-spanning similarities")
     p.add_argument("spec")
@@ -338,37 +343,64 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-depth", type=int, default=3)
     p.set_defaults(func=_cmd_span_search)
 
+
+def _add_verify_certificate(sub):
     p = sub.add_parser("verify-certificate",
                        help="replay a certificate against its system")
     p.add_argument("spec")
     p.add_argument("certificate")
     p.set_defaults(func=_cmd_verify_certificate)
 
+
+# command name -> the function that adds its subparser, in --help order
+_COMMANDS = {
+    "validate": _add_validate, "dim": _add_dim, "gaps": _add_gaps,
+    "measure": _add_measure, "classify": _add_classify,
+    "rewrite": _add_rewrite, "render": _add_render,
+    "counterexample": _add_counterexample, "span-search": _add_span_search,
+    "verify-certificate": _add_verify_certificate,
+}
+
+
+def _parser(names) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="graphifs",
+        description="Exact directed-graph IFS attractors on [0,1]: gaps, "
+                    "dimension, measure, and standardness certificates.")
+    parser.add_argument("--version", action="version", version=__version__)
+    # a one-command tree still lists every command in its usage line
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if names is _COMMANDS else "{%s}" % ",".join(_COMMANDS))
+    for name in names:
+        _COMMANDS[name](sub)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    return _parser(_COMMANDS)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # only the named command's subparser; top-level help and errors list all
+    parser = (_parser(argv[:1]) if argv and argv[0] in _COMMANDS
+              else build_parser())
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecValidationError as exc:
+    except ResourceCapError as exc:
+        print(f"resource cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    # a failed computation, or an input file that cannot be read or decoded
+    except (GraphIFSError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         for issue in getattr(exc, "issues", ()):
             print(f"  - {issue}", file=sys.stderr)
         return EXIT_FAIL
-    except ResourceCapError as exc:
-        print(f"resource cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except GraphIFSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
 
 
 if __name__ == "__main__":

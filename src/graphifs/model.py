@@ -43,7 +43,10 @@ def as_rational(value) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     """Parse a canonical 'p/q' (or integer 'p') string."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(x: Fraction) -> str:

@@ -81,7 +81,7 @@ def load_spec(text: str) -> GraphIFS:
         except KeyError as exc:
             issues.append(f"{where}: missing field {exc}")
             continue
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             issues.append(f"{where}: bad rational: {exc}")
             continue
         try:

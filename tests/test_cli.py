@@ -1,5 +1,6 @@
 """End-to-end command-line interface and exit codes."""
 
+import argparse
 import itertools
 import json
 import signal
@@ -8,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from graphifs import certificate_from_json, dimension, load_spec
+from graphifs import __version__, certificate_from_json, dimension, load_spec
 from graphifs.classify import Verdict
-from graphifs.cli import main
+from graphifs.cli import build_parser, main
 from conftest import SPEC_DIR
 
 GOLDEN = str(SPEC_DIR / "golden_ratio.json")
@@ -250,6 +251,8 @@ class TestVerifyCertificate:
         ("refutation", "depths", [8, 0], "FAILED to replay"),
         ("refutation", "target_vertex", "zz", "FAILED to replay"),
         ("refutation", "gap", ["1/2"], "error: malformed certificate"),
+        ("refutation", "witness_point", "1/0",
+         "error: malformed certificate: zero denominator in '1/0'"),
     ])
     def test_tampered_certificate_fails(self, tmp_path, capsys,
                                         part, key, value, err):
@@ -336,6 +339,13 @@ class TestCounterexample:
             main(["counterexample", "quadratic", "--alpha", "zebra"])
         assert exc.value.code == 2
 
+    def test_quadratic_zero_denominator_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["counterexample", "quadratic", "--alpha", "1/0"])
+        assert exc.value.code == 2
+        assert ("argument --alpha: zero denominator in '1/0'"
+                in capsys.readouterr().err)
+
     def test_build_emits_loadable_spec(self, capsys):
         assert main(["counterexample", "build"]) == 0
         out = capsys.readouterr().out
@@ -361,21 +371,127 @@ class TestSpanSearch:
         assert "no gap-spanning similarity" in capsys.readouterr().out
 
 
-class TestUsage:
-    def test_no_command(self):
-        with pytest.raises(SystemExit) as exc:
-            main([])
-        assert exc.value.code == 2
+COMMANDS = ("validate", "dim", "gaps", "measure", "classify", "rewrite",
+            "render", "counterexample", "span-search", "verify-certificate")
+TOP_USAGE = """\
+usage: graphifs [-h] [--version]
+                {validate,dim,gaps,measure,classify,rewrite,render,counterexample,span-search,verify-certificate}
+                ...
+"""
+TOP_HELP = TOP_USAGE + """
+Exact directed-graph IFS attractors on [0,1]: gaps, dimension, measure, and
+standardness certificates.
 
-    def test_unknown_command(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+positional arguments:
+  {validate,dim,gaps,measure,classify,rewrite,render,counterexample,span-search,verify-certificate}
+    validate            validate a system document
+    dim                 Hausdorff dimension via the Moran matrix
+    gaps                gap intervals and maximum gap length
+    measure             Hausdorff measure (double-loop family only)
+    classify            standardness certificate for one component
+    rewrite             explicit standard IFS for one component
+    render              SVG diagram of level-k intervals
+    counterexample      gap-spanning construction kit
+    span-search         bounded search for gap-spanning similarities
+    verify-certificate  replay a certificate against its system
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+
+
+def run_exit(capsys, argv):
+    """(exit code, stdout, stderr) of a `main` call that exits."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.fixture
+def columns_80(monkeypatch):
+    """Fix the width argparse wraps help and usage text to."""
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+@pytest.mark.usefixtures("columns_80")
+class TestUsage:
+    def test_no_command(self, capsys):
+        assert run_exit(capsys, []) == (2, "", TOP_USAGE + (
+            "graphifs: error: the following arguments are required: "
+            "command\n"))
+
+    def test_unknown_command(self, capsys):
+        assert run_exit(capsys, ["frobnicate"]) == (2, "", TOP_USAGE + (
+            "graphifs: error: argument command: invalid choice: "
+            "'frobnicate' (choose from 'validate', 'dim', 'gaps', 'measure', "
+            "'classify', 'rewrite', 'render', 'counterexample', "
+            "'span-search', 'verify-certificate')\n"))
 
     def test_version(self, capsys):
+        assert run_exit(capsys, ["--version"]) == (0, f"{__version__}\n", "")
+
+    def test_top_level_help(self, capsys):
+        assert run_exit(capsys, ["--help"]) == (0, TOP_HELP, "")
+
+    @pytest.mark.parametrize("argv, err", [
+        (["gaps"], "usage: graphifs gaps [-h] --vertex VERTEX "
+                   "[--depth DEPTH] spec\n"
+                   "graphifs gaps: error: the following arguments are "
+                   "required: spec, --vertex\n"),
+        (["counterexample"], "usage: graphifs counterexample [-h] "
+                             "{solve,quadratic,build,verify} ...\n"
+                             "graphifs counterexample: error: the following "
+                             "arguments are required: action\n"),
+        # left over by the subcommand, so reported by the top-level parser
+        (["validate", GOLDEN, "extra"],
+         TOP_USAGE + "graphifs: error: unrecognized arguments: extra\n"),
+    ], ids=["missing-argument", "missing-action", "extra-argument"])
+    def test_usage_error_text(self, capsys, argv, err):
+        assert run_exit(capsys, argv) == (2, "", err)
+
+    @pytest.mark.parametrize("argv", [
+        *([name] for name in COMMANDS),
+        *(["counterexample", action]
+          for action in ("solve", "quadratic", "build", "verify")),
+    ], ids=" ".join)
+    def test_subcommand_help_matches_full_tree(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["--version"])
+            build_parser().parse_args([*argv, "--help"])
         assert exc.value.code == 0
+        full = capsys.readouterr()
+        assert full.out.startswith(f"usage: graphifs {' '.join(argv)} ")
+        assert run_exit(capsys, [*argv, "--help"]) == (0, full.out, full.err)
+
+    def test_builds_only_the_named_subparser(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["validate", GOLDEN]) == 0
+        assert built == ["graphifs", "graphifs validate"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["validate", "DIR"], "Is a directory"),
+        (["verify-certificate", GOLDEN, "DIR"], "Is a directory"),
+        (["render", GOLDEN, "-o", "DIR"], "Is a directory"),
+        (["validate", "UTF16"], "'utf-8' codec can't decode"),
+        (["verify-certificate", GOLDEN, "UTF16"],
+         "'utf-8' codec can't decode"),
+    ], ids=["validate-dir", "certificate-dir", "render-output-dir",
+            "spec-not-utf8", "certificate-not-utf8"])
+    def test_unreadable_input_file_fails(self, tmp_path, capsys,
+                                         argv, message):
+        utf16 = tmp_path / "utf16.json"
+        utf16.write_bytes(b"\xff\xfe{}")
+        paths = {"DIR": str(tmp_path), "UTF16": str(utf16)}
+        assert main([paths.get(arg, arg) for arg in argv]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and message in err
 
     def test_installed_entry_point(self):
         """The console script declared in pyproject.toml, run as its own

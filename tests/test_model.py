@@ -229,6 +229,10 @@ class TestRationals:
         for x in (F(0), F(3), F(-2, 7), F(355, 113), F(1, 64)):
             assert parse_rational(format_rational(x)) == x
 
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            parse_rational("1/0")
+
     def test_canonical_form(self):
         assert format_rational(F(2, 4)) == "1/2"
         assert format_rational(F(4, 2)) == "2"

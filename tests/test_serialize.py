@@ -61,6 +61,21 @@ class TestSpecDocuments:
         with pytest.raises(SpecValidationError):
             load_spec(json.dumps(doc))
 
+    def test_zero_denominator_named(self):
+        doc = {
+            "vertices": ["u"],
+            "edges": [
+                {"id": "e1", "from": "u", "to": "u",
+                 "ratio": "1/0", "offset": "0"},
+                {"id": "e2", "from": "u", "to": "u",
+                 "ratio": "1/4", "offset": "3/4"},
+            ],
+        }
+        with pytest.raises(SpecValidationError) as exc:
+            load_spec(json.dumps(doc))
+        assert exc.value.issues == (
+            "edges[0]: bad rational: zero denominator in '1/0'",)
+
     def test_invalid_json_rejected(self):
         with pytest.raises(SpecValidationError):
             load_spec("{not json")
@@ -144,6 +159,7 @@ class TestCertificates:
         ("depths", [8, 1, 1]),
         ("depths", [8, "one"]),
         ("endpoint", 1),
+        ("witness_point", "1/0"),
     ])
     def test_malformed_refutation_rejected(self, golden_ifs, key, value):
         doc = json.loads(certificate_to_json(
