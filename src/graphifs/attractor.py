@@ -26,6 +26,7 @@ from .model import (
     ZERO,
     as_rational,
     _check_path_cap,
+    endpoint_fixed_check,
     path_similarity,
 )
 
@@ -207,17 +208,20 @@ def cssc_check(ifs: GraphIFS) -> CSSCReport:
 
 
 def endpoint_points(ifs: GraphIFS, u: str, depth: int) -> list[Fraction]:
-    """Sorted exact members of F_u: {0, 1} together with all images of 0
-    and 1 under path maps of length <= depth."""
-    return sorted({ZERO, ONE}.union(
-        point for point, _path, _end in endpoint_witnesses(ifs, u, depth)))
+    """Sorted exact members of F_u: each of 0 and 1 that lies in F_u,
+    together with the points of endpoint_witnesses(ifs, u, depth)."""
+    witnesses = endpoint_witnesses(ifs, u, depth)
+    ends = zip((ZERO, ONE), endpoint_fixed_check(ifs)[u])
+    return sorted({end for end, member in ends if member}.union(
+        point for point, _path, _end in witnesses))
 
 
 def endpoint_witnesses(ifs: GraphIFS, u: str, depth: int
                        ) -> list[tuple[Fraction, Path, Fraction]]:
     """All (point, path, endpoint) witnesses S_be(endpoint) = point for
-    paths of length 1..depth from u, sorted by (point, path length, edge
-    ids, endpoint) and deduplicated by point.
+    paths of length 1..depth from u and endpoints that lie in F_{t(path)}
+    (model.endpoint_fixed_check), sorted by (point, path length, edge ids,
+    endpoint) and deduplicated by point.
 
     An iterative depth-first walk composes each path map one edge at a
     time as integers (A, B) meaning x -> (A x + B) / D^length.  It visits
@@ -226,6 +230,7 @@ def endpoint_witnesses(ifs: GraphIFS, u: str, depth: int
     if depth < 0:
         raise ValueError("depth must be >= 0")
     _check_path_cap(ifs, u, depth)
+    members = endpoint_fixed_check(ifs)
     scale, maps = ifs.ladder.scale, ifs.ladder.maps
     lift = [scale ** (depth - j) for j in range(depth + 1)]
     # point * D^depth -> (path length, path as nested (edge id, parent)
@@ -236,9 +241,10 @@ def endpoint_witnesses(ifs: GraphIFS, u: str, depth: int
     while stack:
         at, j, a, b, link = stack.pop()
         if j:
-            for endpoint, point in ((ZERO, b * lift[j]),
-                                    (ONE, (a + b) * lift[j])):
-                if point not in best or j < best[point][0]:
+            points = (b * lift[j], (a + b) * lift[j])
+            for endpoint, member, point in zip((ZERO, ONE), members[at],
+                                               points):
+                if member and (point not in best or j < best[point][0]):
                     best[point] = (j, link, endpoint)
         if j < depth:
             for e in reversed(ifs.out_edges(at)):
@@ -276,25 +282,93 @@ class SubsetRefutation:
     reflected: bool = False
 
 
-def first_refutation(witnesses: list[tuple[Fraction, Path, Fraction]],
-                     ifs: GraphIFS, v: str, depth: int,
+def first_refutation(ifs: GraphIFS, u: str, v: str, depth: int,
                      reflected: bool = False) -> Optional[SubsetRefutation]:
-    """The first witness (from endpoint_witnesses) that lies strictly
-    inside a gap of F_v^m (of R(F_v^m) when `reflected`, whose gaps are
-    those of F_v^m reflected, (1 - hi, 1 - lo)), searching target levels
-    m = 1..depth outermost and witnesses in point order within each
-    level; None when there is none."""
+    """The least witness point of endpoint_witnesses(ifs, u, depth) that
+    lies strictly inside a gap of F_v^m (of R(F_v^m) when `reflected`,
+    whose gaps are those of F_v^m reflected, (1 - hi, 1 - lo)), for the
+    least level m = 1..depth that has one; None when there is none.
+
+    No witness list is built.  For each m, a best-first search pops
+    path-tree nodes, the integer maps (A, B) of endpoint_witnesses, in
+    order of the low end of their hull S_p([0,1]) over D^depth.  It skips
+    every node whose closed hull meets no open gap and stops once no node
+    left starts below the best point found; a child's hull lies in its
+    parent's, since the ladder rejects a hull outside [0,1] when it builds
+    level 1 for every vertex.  A descent along the hulls
+    that hold that point then picks its path as endpoint_witnesses does:
+    shortest, then in edge-id order, endpoint 0 before 1."""
+    from heapq import heappop, heappush  # loaded by a search, not on import
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    _check_path_cap(ifs, u, depth)
+    ladder = ifs.ladder
+    scale = ladder.scale
+    top = scale ** depth
+    lift = [scale ** (depth - j) for j in range(depth + 1)]
+    members = endpoint_fixed_check(ifs)
+    out = {w: [(e.id, e.dst, *ladder.maps[e.id]) for e in ifs.out_edges(w)]
+           for w in ifs.vertices}
     for m in range(1, depth + 1):
-        gaps = ifs.ladder.level_set(v, m).gaps()
+        bounds = [0, *(p * lift[m] for p in ladder.endpoints(v, m)), top]
+        gaps = [(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2])
+                if lo < hi]
         if reflected:
-            gaps = [(ONE - hi, ONE - lo) for lo, hi in reversed(gaps)]
+            gaps = [(top - hi, top - lo) for lo, hi in reversed(gaps)]
         los = [lo for lo, _hi in gaps]
-        for point, path, endpoint in witnesses:
-            i = bisect.bisect_right(los, point) - 1
-            if i >= 0 and gaps[i][0] < point < gaps[i][1]:
-                return SubsetRefutation(point, path, endpoint, gaps[i],
-                                        (len(path), m), reflected)
+        his = [hi for _lo, hi in gaps]
+        best = top  # no point strictly inside a gap reaches 1
+        heap = [(0, 0, u, 1, 0)]  # (hull low end, length, vertex, A, B)
+        while heap and heap[0][0] < best:
+            _lo, j, at, a, b = heappop(heap)
+            if j:
+                for member, point in zip(members[at],
+                                         (b * lift[j], (a + b) * lift[j])):
+                    if member and point < best:
+                        i = bisect.bisect_right(los, point) - 1
+                        if i >= 0 and los[i] < point < his[i]:
+                            best = point
+            if j < depth:
+                j += 1
+                for _id, dst, c, o in out[at]:
+                    ca, cb = a * c, a * o + b * scale
+                    lo, hi = cb * lift[j], (ca + cb) * lift[j]
+                    if ca < 0:
+                        lo, hi = hi, lo
+                    i = bisect.bisect_right(his, lo)  # first gap past lo
+                    if lo < best and i < len(gaps) and los[i] < hi:
+                        heappush(heap, (lo, j, dst, ca, cb))
+        if best < top:
+            path, endpoint = _preferred_path(out, members, u, best, lift,
+                                             scale)
+            i = bisect.bisect_right(los, best) - 1
+            return SubsetRefutation(
+                Fraction(best, top), path, endpoint,
+                (Fraction(los[i], top), Fraction(his[i], top)),
+                (len(path), m), reflected)
     return None
+
+
+def _preferred_path(out, members, u: str, x: int, lift: list[int],
+                    scale: int) -> tuple[Path, Fraction]:
+    """The (path, endpoint) that endpoint_witnesses keeps for its point x
+    over D^depth, found by descending through the nodes whose closed hull
+    holds x, one path length at a time in edge-id order."""
+    level = [(u, 1, 0, ())]
+    for lift_j in lift[1:]:
+        nodes = []
+        for at, a, b, edges in level:
+            for edge_id, dst, c, o in out[at]:
+                ca, cb = a * c, a * o + b * scale
+                ends = (cb * lift_j, (ca + cb) * lift_j)
+                if min(ends) <= x <= max(ends):
+                    for endpoint, member, point in zip((ZERO, ONE),
+                                                       members[dst], ends):
+                        if member and point == x:
+                            return Path(edges + (edge_id,)), endpoint
+                    nodes.append((dst, ca, cb, edges + (edge_id,)))
+        level = nodes
+    raise ValueError(f"{x} is no witness point")
 
 
 def refute_subset(ifs: GraphIFS, u: str, v: str, depth: int = 8,
@@ -304,8 +378,7 @@ def refute_subset(ifs: GraphIFS, u: str, v: str, depth: int = 8,
     at this depth, not that containment holds."""
     if u == v:
         raise ValueError("refute_subset requires distinct vertices")
-    return first_refutation(endpoint_witnesses(ifs, u, depth), ifs, v,
-                            depth, reflected)
+    return first_refutation(ifs, u, v, depth, reflected)
 
 
 def replay_refutation(ifs: GraphIFS, u: str, v: str,
@@ -319,6 +392,8 @@ def replay_refutation(ifs: GraphIFS, u: str, v: str,
             or ref.depths[1] < 1
             or ifs.edge(ref.witness_path.edges[0]).src != u
             or ref.endpoint not in (ZERO, ONE)
+            or not endpoint_fixed_check(ifs)[
+                ifs.edge(ref.witness_path.edges[-1]).dst][int(ref.endpoint)]
             or sim(ref.endpoint) != ref.witness_point
             or not ref.gap[0] < ref.witness_point < ref.gap[1]):
         return False

@@ -44,10 +44,8 @@ from .measure import MeasureResult, component_measures
 from .model import (
     Edge,
     GraphIFS,
-    ONE,
     Path,
     Similarity,
-    ZERO,
     graph_digest,
     is_simple_cycle,
     is_simple_path,
@@ -238,18 +236,15 @@ def standard_ifs_from_maps(maps) -> GraphIFS:
 def cross_refutation_empty(ifs: GraphIFS, u: str, maps,
                            depth: int = 6) -> bool:
     """Necessary condition for F_u to equal the attractor of the standard
-    IFS `maps`: no exact endpoint-image point of either system lies
-    outside the other's level-k approximation, k <= depth."""
+    IFS `maps`: every endpoint-witness point of either system lies in the
+    other's level-`depth` approximation, and so, as levels nest (the
+    ladder rejects a hull outside [0,1]), in each of its levels <= depth."""
     std = standard_ifs_from_maps(maps)
     (w,) = std.vertices
     for src_ifs, src_v, dst_ifs, dst_v in ((ifs, u, std, w), (std, w, ifs, u)):
         witnesses = endpoint_witnesses(src_ifs, src_v, depth)
-        # points at or beyond 0 and 1 lie strictly inside no gap; levels
-        # 1..depth are built by then and nest, so test the deepest
-        if (first_refutation(witnesses, dst_ifs, dst_v, depth) is not None
-                or not all(level_k_set(dst_ifs, dst_v, depth).contains(p)
-                           for p, _path, _end in witnesses
-                           if not ZERO < p < ONE)):
+        target = level_k_set(dst_ifs, dst_v, depth)
+        if not all(target.contains(point) for point, _path, _end in witnesses):
             return False
     return True
 
@@ -261,13 +256,12 @@ def _condition3(ifs: GraphIFS, u: str, vprime, depth: int, reflected: bool):
     """Collect containment refutations for every other involved vertex;
     returns (refutations, missing-description or None)."""
     refs: list[tuple[str, SubsetRefutation]] = []
-    witnesses = endpoint_witnesses(ifs, u, depth)
     for v in vprime:
         if v == u:
             continue
         variants = (False, True) if reflected else (False,)
         for refl in variants:
-            r = first_refutation(witnesses, ifs, v, depth, refl)
+            r = first_refutation(ifs, u, v, depth, refl)
             if r is None:
                 kind = "reflection of component" if refl else "component"
                 return refs, (f"containment of component {u!r} in {kind} "

@@ -61,9 +61,16 @@ EXIT_UNKNOWN = 3
 EXIT_RESOURCE = 4
 
 
-def _load(path: str):
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_spec(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphIFSError(f"{path}: {exc}") from None
+
+
+def _load(path: str):
+    return load_spec(_read(path))
 
 
 def _require_vertex(ifs, vertex: str):
@@ -240,8 +247,7 @@ def _cmd_span_search(args) -> int:
 
 def _cmd_verify_certificate(args) -> int:
     ifs = _load(args.spec)
-    with open(args.certificate, "r", encoding="utf-8") as fh:
-        cert = certificate_from_json(fh.read())
+    cert = certificate_from_json(_read(args.certificate))
     if replay_certificate(ifs, cert):
         print("certificate replays successfully")
         return EXIT_OK
@@ -393,7 +399,7 @@ def main(argv=None) -> int:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     # a failed computation, or an input file that cannot be read or decoded
-    except (GraphIFSError, OSError, UnicodeDecodeError) as exc:
+    except (GraphIFSError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         for issue in getattr(exc, "issues", ()):
             print(f"  - {issue}", file=sys.stderr)

@@ -19,11 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import (
-    GraphStructureError,
-    ResourceCapError,
-    UnsupportedFeatureError,
-)
+from .errors import GraphStructureError, ResourceCapError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -38,6 +34,8 @@ def as_rational(value) -> Fraction:
         return value
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass a Fraction, int or 'p/q' string")
+    if isinstance(value, str):
+        return parse_rational(value)
     return Fraction(value)
 
 
@@ -168,9 +166,6 @@ class GraphIFS:
         except KeyError:
             raise GraphStructureError(f"unknown vertex {vertex!r}") from None
 
-    def has_reflecting_edges(self) -> bool:
-        return any(e.map.reflect for e in self.edges)
-
     def __getstate__(self):  # a copy or unpickled system builds its own ladder
         return {k: v for k, v in vars(self).items() if k != "ladder"}
 
@@ -247,15 +242,13 @@ def is_simple_cycle(ifs: GraphIFS, path: Path) -> bool:
 # ---------------------------------------------------------------------------
 # validation
 
-def _reachable(ifs: GraphIFS, start: str, edges: Iterable[Edge],
-               exclude_start: bool = False) -> set[str]:
-    """Vertices reachable from start along `edges`; with exclude_start,
-    only those reached by a path of at least one edge."""
+def _reachable(ifs: GraphIFS, start: str, edges: Iterable[Edge]) -> set[str]:
+    """Vertices reachable from start along `edges`."""
     out = {v: [] for v in ifs.vertices}
     for e in edges:
         out[e.src].append(e.dst)
-    stack = list(out[start]) if exclude_start else [start]
-    seen = set(stack)
+    stack = [start]
+    seen = {start}
     while stack:
         v = stack.pop()
         for w in out[v]:
@@ -392,34 +385,25 @@ def simple_path(ifs: GraphIFS, u: str, w: str) -> Optional[Path]:
 # ---------------------------------------------------------------------------
 # endpoint fixing / unit-interval normalization
 
-def _on_cycle_vertices(ifs: GraphIFS, edges: list[Edge]) -> set[str]:
-    return {v for v in ifs.vertices
-            if v in _reachable(ifs, v, edges, exclude_start=True)}
-
-
 def endpoint_fixed_check(ifs: GraphIFS) -> dict[str, tuple[bool, bool]]:
     """For each vertex u, whether 0 and 1 are points of F_u.
 
-    The endpoint p is in F_u iff u reaches a cycle inside the subgraph of
-    edges whose maps fix p.  Reflecting maps are unsupported here.
+    The states are (vertex, endpoint) pairs, with a step (w, p) -> (x, q)
+    for each edge w -> x whose map sends q to p.  The endpoint p is in F_u
+    iff an infinite walk of steps leaves (u, p), that is, iff (u, p)
+    reaches a cycle; exact whenever every level-1 hull lies in [0, 1].
     """
-    if ifs.has_reflecting_edges():
-        raise UnsupportedFeatureError(
-            "endpoint_fixed_check does not support reflecting similarities")
-    result = {}
-    subgraphs = {}
-    for p in (ZERO, ONE):
-        edges = [e for e in ifs.edges if e.map(p) == p]
-        on_cycle = _on_cycle_vertices(ifs, edges)
-        subgraphs[p] = (edges, on_cycle)
-    for u in ifs.vertices:
-        flags = []
-        for p in (ZERO, ONE):
-            edges, on_cycle = subgraphs[p]
-            reach = _reachable(ifs, u, edges)
-            flags.append(bool(reach & on_cycle))
-        result[u] = (flags[0], flags[1])
-    return result
+    steps = {(v, p): [] for v in ifs.vertices for p in (0, 1)}
+    for e in ifs.edges:
+        images = (e.map.offset, e.map.offset + e.map.coefficient)
+        for q, p in enumerate(images):  # p = S_e(q)
+            if p.denominator == 1 and p.numerator in (0, 1):
+                steps[e.src, p.numerator].append((e.dst, q))
+    # drop states with no step into a kept state until none is dropped
+    live = set(steps)
+    while dead := {s for s in live if live.isdisjoint(steps[s])}:
+        live -= dead
+    return {v: ((v, 0) in live, (v, 1) in live) for v in ifs.vertices}
 
 
 def is_unit_interval(ifs: GraphIFS) -> bool:

@@ -41,6 +41,19 @@ def nested_ifs() -> GraphIFS:
 
 
 @pytest.fixture
+def twin_ifs() -> GraphIFS:
+    """F_u = F_v = the attractor of {x/4 + 1/4, x/4 + 3/4}, by symmetry;
+    1 lies in both components and 0 in neither."""
+    quarter = Fraction(1, 4)
+    return GraphIFS(("u", "v"), (
+        Edge("e1", "u", "v", Similarity(quarter, quarter)),
+        Edge("e2", "u", "u", Similarity(quarter, 3 * quarter)),
+        Edge("e3", "v", "u", Similarity(quarter, quarter)),
+        Edge("e4", "v", "v", Similarity(quarter, 3 * quarter)),
+    ))
+
+
+@pytest.fixture
 def spanning_pair():
     """(GraphIFS, S) for the reference gap-spanning system."""
     return build_spanning_system(example_params())

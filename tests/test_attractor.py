@@ -11,6 +11,7 @@ from graphifs import (
     GraphStructureError,
     ResourceCapError,
     Similarity,
+    classify_gap_condition,
     components_equal,
     cssc_check,
     double_loop_ifs,
@@ -165,6 +166,11 @@ class TestEndpointPoints:
     def test_depth3_contains_11_16(self, golden_ifs):
         assert F(11, 16) in endpoint_points(golden_ifs, "u", 3)
 
+    def test_ends_only_when_members(self, twin_ifs):
+        assert endpoint_points(twin_ifs, "u", 0) == [F(1)]
+        # S_e1(0) = 1/4 and S_e2(0) = 3/4 are left out: 0 is in no component
+        assert endpoint_points(twin_ifs, "u", 1) == [F(1, 2), F(1)]
+
     def test_points_are_interval_endpoints(self, golden_ifs):
         for d in range(4):
             ends = set()
@@ -207,6 +213,52 @@ class TestRefuteSubset:
     def test_same_vertex_rejected(self, golden_ifs):
         with pytest.raises(ValueError):
             refute_subset(golden_ifs, "u", "u", depth=2)
+
+    @pytest.mark.parametrize("target, expected", [
+        # 1/3 = S_e1(1) = S_e2(1) = S_e1 S_e3(1): the shortest path first
+        ((F(1, 4), F(0), F(1, 4), F(3, 4)),
+         (F(1, 3), ("e1",), F(1), (F(1, 4), F(3, 4)))),
+        # 2/9 = S_e1 S_e3(0) = S_e2 S_e3(0): then edge-id order
+        ((F(1, 5), F(0), F(7, 10), F(3, 10)),
+         (F(2, 9), ("e1", "e3"), F(0), (F(1, 5), F(3, 10)))),
+    ], ids=["shortest", "edge-id-order"])
+    def test_preferred_witness_path(self, target, expected):
+        r1, o1, r2, o2 = target
+        ifs = GraphIFS(("u", "v"), (
+            Edge("e1", "u", "u", Similarity(F(1, 3), F(0))),
+            Edge("e2", "u", "u", Similarity(F(1, 3), F(0))),
+            Edge("e3", "u", "u", Similarity(F(1, 3), F(2, 3))),
+            Edge("e4", "v", "v", Similarity(r1, o1)),
+            Edge("e5", "v", "v", Similarity(r2, o2)),
+        ))
+        r = refute_subset(ifs, "u", "v", depth=2)
+        assert (r.witness_point, r.witness_path.edges, r.endpoint,
+                r.gap) == expected
+        assert r.depths == (len(expected[1]), 1)
+
+    def test_non_member_endpoint_is_no_witness(self, twin_ifs):
+        for u, v in (("u", "v"), ("v", "u")):
+            assert refute_subset(twin_ifs, u, v, depth=6) is None
+
+    @pytest.mark.parametrize("cap, call, bound, where", [
+        (31, lambda g, n: refute_subset(g, "u", "v", 8), 32,
+         "length 5 from 'u'"),
+        (1000, lambda g, n: refute_subset(n, "u", "v", 8), 1393,
+         "length 8 from 'v'"),
+        (255, lambda g, n: classify_gap_condition(g, "u", 8), 256,
+         "length 8 from 'u'"),
+        (100, lambda g, n: classify_gap_condition(n, "v", 8), 239,
+         "length 6 from 'v'"),
+    ], ids=["refute-source", "refute-target", "classify-golden",
+            "classify-nested"])
+    def test_cap_fires_at_the_same_bound(self, golden_ifs, nested_ifs,
+                                         monkeypatch, cap, call, bound,
+                                         where):
+        monkeypatch.setattr(model, "DEFAULT_PATH_CAP", cap)
+        with pytest.raises(ResourceCapError,
+                           match=f"{bound} paths of {where}") as info:
+            call(golden_ifs, nested_ifs)
+        assert info.value.bound == bound
 
 
 class TestComponentsEqual:

@@ -1,5 +1,7 @@
 """Standardness deciders, rewrites, and certificate replay."""
 
+import dataclasses
+import heapq
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from graphifs import (
     classify_gap_condition,
     classify_measure_condition,
     cross_refutation_empty,
+    cssc_check,
     double_loop_ifs,
     find_detached_cycle,
     no_loop_ifs,
@@ -21,9 +24,11 @@ from graphifs import (
     replay_certificate,
     rewrite_to_standard,
     single_loop_ifs,
+    validate_graph,
 )
-from graphifs import attractor, classify
+from graphifs.attractor import SubsetRefutation, replay_refutation
 from graphifs.classify import Certificate, standard_ifs_from_maps
+from graphifs.model import Path
 
 F = Fraction
 
@@ -202,22 +207,22 @@ class TestRewrite:
         maps = (Similarity(F(1, 9), F(2, 9)), Similarity(F(1, 3), F(2, 3)))
         assert not cross_refutation_empty(cantor, "w", maps, depth=1)
 
-    def test_condition3_enumerates_witnesses_once(self, golden_ifs,
-                                                  monkeypatch):
-        witnesses = []
-        real_witnesses = attractor.endpoint_witnesses
+    def test_condition3_search_visits_nine_nodes(self, golden_ifs,
+                                                 monkeypatch):
+        # the refutation of golden u in v at depth 8 lies on a path of
+        # length 8; the search pops 9 of the 511 path-tree nodes
+        popped = []
+        real_heappop = heapq.heappop
 
-        def counted_witnesses(*args):
-            witnesses.append(args)
-            return real_witnesses(*args)
+        def counted_heappop(heap):
+            popped.append(heap[0])
+            return real_heappop(heap)
 
-        for module in (attractor, classify):
-            monkeypatch.setattr(module, "endpoint_witnesses",
-                                counted_witnesses)
-        cert = classify_gap_condition(golden_ifs, "u", 8, reflected=True)
+        monkeypatch.setattr(heapq, "heappop", counted_heappop)
+        cert = classify_gap_condition(golden_ifs, "u", 8)
         assert cert.verdict is Verdict.NOT_STANDARD
-        assert [r.reflected for _v, r in cert.refutations] == [False, True]
-        assert witnesses == [(golden_ifs, "u", 8)]
+        assert [r.depths for _v, r in cert.refutations] == [(8, 1)]
+        assert len(popped) == 9
 
 
 class TestReplayRejectsTampering:
@@ -238,3 +243,28 @@ class TestReplayRejectsTampering:
         cert = classify_gap_condition(nested_ifs, "u")
         assert cert.verdict is Verdict.UNKNOWN
         assert replay_certificate(nested_ifs, cert)
+
+
+class TestNonMemberEndpoints:
+    """On twin_ifs, F_u = F_v and 0 lies in neither, so S_e1(0) = 1/4 is
+    no point of F_u although it lies in the gap (0, 5/16) of F_v^2."""
+
+    def test_twin_components_stay_unknown(self, twin_ifs):
+        assert validate_graph(twin_ifs).ok and cssc_check(twin_ifs).ok
+        cert = classify_gap_condition(twin_ifs, "u", 4)
+        assert cert.verdict is Verdict.UNKNOWN
+        assert cert.unknown_reason == (
+            "condition (3): containment of component 'u' in component 'v' "
+            "not refuted at depth 4")
+        assert replay_certificate(twin_ifs, cert)
+
+    def test_refutation_from_a_non_member_endpoint_fails_replay(
+            self, twin_ifs):
+        forged = SubsetRefutation(F(1, 4), Path(("e1",)), F(0),
+                                  (F(0), F(5, 16)), (1, 2))
+        assert not replay_refutation(twin_ifs, "u", "v", forged)
+        cert = dataclasses.replace(
+            classify_gap_condition(twin_ifs, "u", 4),
+            verdict=Verdict.NOT_STANDARD, refutations=(("v", forged),),
+            unknown_reason=None)
+        assert not replay_certificate(twin_ifs, cert)

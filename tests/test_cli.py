@@ -479,11 +479,14 @@ class TestUsage:
         (["validate", "DIR"], "Is a directory"),
         (["verify-certificate", GOLDEN, "DIR"], "Is a directory"),
         (["render", GOLDEN, "-o", "DIR"], "Is a directory"),
-        (["validate", "UTF16"], "'utf-8' codec can't decode"),
+        (["validate", "UTF16"], "{UTF16}: 'utf-8' codec can't decode"),
+        (["verify-certificate", "UTF16", GOLDEN],
+         "{UTF16}: 'utf-8' codec can't decode"),
         (["verify-certificate", GOLDEN, "UTF16"],
-         "'utf-8' codec can't decode"),
+         "{UTF16}: 'utf-8' codec can't decode"),
     ], ids=["validate-dir", "certificate-dir", "render-output-dir",
-            "spec-not-utf8", "certificate-not-utf8"])
+            "spec-not-utf8", "certificate-command-spec-not-utf8",
+            "certificate-not-utf8"])
     def test_unreadable_input_file_fails(self, tmp_path, capsys,
                                          argv, message):
         utf16 = tmp_path / "utf16.json"
@@ -491,7 +494,7 @@ class TestUsage:
         paths = {"DIR": str(tmp_path), "UTF16": str(utf16)}
         assert main([paths.get(arg, arg) for arg in argv]) == 1
         out, err = capsys.readouterr()
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and message.format(**paths) in err
 
     def test_installed_entry_point(self):
         """The console script declared in pyproject.toml, run as its own

@@ -12,7 +12,6 @@ from graphifs import (
     Path,
     ResourceCapError,
     Similarity,
-    UnsupportedFeatureError,
     double_loop_ifs,
     endpoint_fixed_check,
     graph_digest,
@@ -215,13 +214,24 @@ class TestEndpoints:
         assert endpoint_fixed_check(ifs) == {
             "u": (True, True), "v": (True, True)}
 
-    def test_reflecting_unsupported(self):
+    def test_reflecting_maps(self):
+        # 0 -> 1/4 - x/4 -> 1 -> x/4 + 3/4 -> 1: 0 is reached through 1
         ifs = GraphIFS(("u",), (
-            Edge("e1", "u", "u", Similarity(F(1, 4), F(0))),
-            Edge("e2", "u", "u", Similarity(F(1, 4), F(1), reflect=True)),
+            Edge("e1", "u", "u", Similarity(F(1, 4), F(1, 4), reflect=True)),
+            Edge("e2", "u", "u", Similarity(F(1, 4), F(3, 4))),
         ))
-        with pytest.raises(UnsupportedFeatureError):
-            endpoint_fixed_check(ifs)
+        assert endpoint_fixed_check(ifs) == {"u": (True, True)}
+        # x -> 1/2 - x/4 sends neither endpoint to 0
+        ifs = GraphIFS(("u",), (
+            Edge("e1", "u", "u", Similarity(F(1, 4), F(1, 2), reflect=True)),
+            Edge("e2", "u", "u", Similarity(F(1, 4), F(3, 4))),
+        ))
+        assert endpoint_fixed_check(ifs) == {"u": (False, True)}
+
+    def test_endpoint_in_no_component(self, twin_ifs):
+        assert endpoint_fixed_check(twin_ifs) == {
+            "u": (False, True), "v": (False, True)}
+        assert not is_unit_interval(twin_ifs)
 
 
 class TestRationals:
@@ -232,6 +242,13 @@ class TestRationals:
     def test_zero_denominator_is_a_value_error(self):
         with pytest.raises(ValueError, match="zero denominator in '1/0'"):
             parse_rational("1/0")
+
+    def test_strings_go_through_parse_rational(self):
+        assert model.as_rational(" 3/6 ") == F(1, 2)
+        for make in (model.as_rational, lambda text: Similarity(text, 0)):
+            with pytest.raises(ValueError,
+                               match="zero denominator in '1/0'"):
+                make("1/0")
 
     def test_canonical_form(self):
         assert format_rational(F(2, 4)) == "1/2"

@@ -1,5 +1,6 @@
 """Randomized invariants, checked with hypothesis on seeded case generators."""
 
+import functools
 import itertools
 import math
 from decimal import ROUND_HALF_EVEN, Decimal
@@ -175,13 +176,38 @@ def reference_levels(ifs, k):
     return levels
 
 
+def reference_members(ifs):
+    """Whether 0 and 1 lie in each component, by path enumeration: with
+    every hull inside [0,1], p is in F_v iff some path of length 2|V|
+    from v maps an endpoint to p, since the (vertex, endpoint) states
+    along it repeat.  A prefix whose hull misses p is not extended."""
+    members = {}
+    for v in ifs.vertices:
+        flags = []
+        for p in (F(0), F(1)):
+            sims = [(e.map, e.dst) for e in ifs.out_edges(v)]
+            for _ in range(2 * len(ifs.vertices) - 1):
+                sims = [(sim.compose(e.map), e.dst) for sim, at in sims
+                        if sim.hull()[0] <= p <= sim.hull()[1]
+                        for e in ifs.out_edges(at)]
+            flags.append(any(p in (sim(0), sim(1)) for sim, _at in sims))
+        members[v] = tuple(flags)
+    return members
+
+
+@functools.lru_cache(maxsize=64)
 def reference_witnesses(ifs, u, depth):
+    """Every endpoint image S_p(e) with e a point of F_{t(p)}, by path
+    enumeration, sorted and deduplicated as endpoint_witnesses."""
+    members = reference_members(ifs)
     raw = []
     for j in range(1, depth + 1):
         for p in paths_from(ifs, u, j):
             sim = path_similarity(ifs, p)
-            for endpoint in (F(0), F(1)):
-                raw.append((sim(endpoint), j, p.edges, endpoint, p))
+            end_members = members[ifs.edge(p.edges[-1]).dst]
+            for endpoint, member in zip((F(0), F(1)), end_members):
+                if member:
+                    raw.append((sim(endpoint), j, p.edges, endpoint, p))
     raw.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
     out, seen = [], set()
     for point, _j, _edges, endpoint, p in raw:
@@ -237,10 +263,10 @@ def reference_span_search(ifs, src, dst, max_j, max_k, verify_depth):
 
 
 def reference_refute(ifs, u, v, depth, reflected):
-    """One refutation search per (u, v, flag), as condition (3) ran it
-    before the search was shared: fresh witnesses and level sets, and a
-    linear scan of the gaps."""
-    witnesses = endpoint_witnesses(ifs, u, depth)
+    """The witness-list search the best-first search replaced, over
+    witnesses from path enumeration: target levels outermost, witnesses in
+    point order, and a linear scan of the gaps."""
+    witnesses = reference_witnesses(ifs, u, depth)
     for m in range(1, depth + 1):
         target = level_k_set(ifs, v, m)
         if reflected:
@@ -273,7 +299,7 @@ def reference_cross_check(ifs, u, maps, depth):
     (w,) = std.vertices
     for src_ifs, src_v, dst_ifs, dst_v in ((ifs, u, std, w), (std, w, ifs, u)):
         points = [p for p, _path, _end in
-                  endpoint_witnesses(src_ifs, src_v, depth)]
+                  reference_witnesses(src_ifs, src_v, depth)]
         for m in range(1, depth + 1):
             target = level_k_set(dst_ifs, dst_v, m)
             if not all(target.contains(p) for p in points):
@@ -357,6 +383,18 @@ class TestRefutationEquivalence:
                                          reflected)
             assert tuple(refs) == reference_condition3(
                 ifs, u, ifs.vertices, depth, reflected)
+            for v in ifs.vertices:
+                if v != u:
+                    assert (refute_subset(ifs, u, v, depth, reflected)
+                            == reference_refute(ifs, u, v, depth, reflected))
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(messy_graphs(), st.integers(1, 4), st.booleans())
+    def test_search_matches_reference_on_messy_graphs(self, ifs, depth,
+                                                      reflected):
+        """Touching and overlapping hulls, reflecting maps and endpoints
+        outside their component."""
+        for u in ifs.vertices:
             for v in ifs.vertices:
                 if v != u:
                     assert (refute_subset(ifs, u, v, depth, reflected)
