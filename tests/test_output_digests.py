@@ -44,6 +44,12 @@ CASES = [
     ("gaps-one-loop-v",
      ["gaps", _spec("one_loop"), "--vertex", "v", "--depth", "10"], 0,
      "29945ad97e7a10c0a3a67bd50091145411219e701ddae4a6a2b5e9e06764259b"),
+    ("gaps-nested-v",
+     ["gaps", _spec("nested_components"), "--vertex", "v", "--depth", "10"],
+     0, "53ed1d2a81e758cfb1bba1007cdd2316a0a2a4ec1f26f1190ad44e51429104f8"),
+    ("gaps-gap-spanning-u",
+     ["gaps", _spec("gap_spanning"), "--vertex", "u", "--depth", "8"], 0,
+     "a7dcf51594b3fb71daa5f7277837e686f900f015c1c0aae1a40213f036c40a6c"),
     ("span-search-u-u",
      ["span-search", _spec("gap_spanning"), "--from", "u", "--to", "u"], 0,
      "9f7db05441a415ddf877345a98896fffaba515e460c1131704570bc92a4d79b8"),
@@ -53,6 +59,18 @@ CASES = [
     ("span-search-v-u",
      ["span-search", _spec("gap_spanning"), "--from", "v", "--to", "u"], 0,
      "7310c091e973e77e917d9b45281b2f173459bcdc977dcef745ca80baec1f33ea"),
+    ("span-search-u-u-deep",
+     ["span-search", _spec("gap_spanning"), "--from", "u", "--to", "u",
+      "--max-j", "3", "--max-k", "4", "--verify-depth", "2"], 0,
+     "3545813a66230725607110cfc2b117e1cb8a525b7f7304ea8d8e4060c55aee6c"),
+    ("span-search-v-v-deep",
+     ["span-search", _spec("gap_spanning"), "--from", "v", "--to", "v",
+      "--max-j", "3", "--max-k", "4", "--verify-depth", "2"], 0,
+     "100b754ddc739f1e991036533fa0e4c4afcb766caa421f0f37052e7eb088ccca"),
+    ("span-search-golden-u-v",
+     ["span-search", _spec("golden_ratio"), "--from", "u", "--to", "v",
+      "--max-j", "4", "--max-k", "4"], 0,
+     "5fdb01cadcaf5baf78543e6d91066b132c712aa803dde52366d109489b7d5238"),
     ("classify-golden-u",
      ["classify", _spec("golden_ratio"), "--vertex", "u", "--depth", "10"], 0,
      "f1a2692347dd59f19bb418d17412c600ff21c15fd664b7e9c75702a90712bb53"),
