@@ -77,15 +77,9 @@ class IntervalSet:
 
     def gaps(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """The maximal open complementary intervals inside [0,1]."""
-        out = []
-        prev = ZERO
-        for lo, hi in self.intervals:
-            if lo > prev:
-                out.append((prev, lo))
-            prev = hi
-        if prev < ONE:
-            out.append((prev, ONE))
-        return tuple(out)
+        bounds = [ZERO, *(p for pair in self.intervals for p in pair), ONE]
+        return tuple((lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2])
+                     if lo < hi)
 
     def apply(self, sim: Similarity) -> "IntervalSet":
         return IntervalSet(tuple(sim.map_interval(lo, hi)
@@ -105,8 +99,8 @@ class LevelLadder:
     are laid out in the order of their level-1 hulls, then sorted and
     merged so that touching or overlapping children become one interval;
     a level-1 hull outside [0,1] raises ValueError.  Every read is held
-    to the path cap of model._check_path_cap, and each level read as
-    Fractions becomes an IntervalSet once.
+    to the path cap of model._check_path_cap.  The ladder keeps integers
+    only: level_k_set builds Fractions per call.
     """
 
     def __init__(self, ifs: GraphIFS):
@@ -122,7 +116,6 @@ class LevelLadder:
                                  for e in out]
         self._levels: list[dict[str, list[int]]] = [
             {v: [0, 1] for v in ifs.vertices}]
-        self._sets: dict[tuple[str, int], IntervalSet] = {}
 
     def _extend(self) -> None:
         k = len(self._levels)
@@ -151,15 +144,12 @@ class LevelLadder:
             self._extend()
         return self._levels[k][v]
 
-    def level_set(self, v: str, k: int) -> IntervalSet:
-        """F_v^k as an IntervalSet of Fractions."""
-        if (v, k) not in self._sets:
-            flat = self.endpoints(v, k)  # its cap check bounds scale ** k
-            den = self.scale ** k
-            points = [Fraction(p, den) for p in flat]
-            self._sets[v, k] = IntervalSet._from_merged(
-                tuple(zip(points[::2], points[1::2])))
-        return self._sets[v, k]
+    def gaps(self, v: str, k: int) -> list[tuple[int, int]]:
+        """The open gaps of F_v^k inside [0,1], in order, as integer pairs
+        (lo, hi) over scale**k."""
+        bounds = [0, *self.endpoints(v, k), self.scale ** k]
+        return [(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2])
+                if lo < hi]
 
 
 def _merged(flat: list) -> list:
@@ -176,8 +166,12 @@ def _merged(flat: list) -> list:
 
 def level_k_set(ifs: GraphIFS, u: str, k: int) -> IntervalSet:
     """The level-k approximation F_u^k = union of S_e(F_{t(e)}^{k-1}) over
-    out-edges of u, read from the system's ladder."""
-    return ifs.ladder.level_set(u, k)
+    out-edges of u, read from the system's ladder and wrapped in Fractions
+    on each call."""
+    flat = ifs.ladder.endpoints(u, k)  # its cap check bounds scale ** k
+    den = ifs.ladder.scale ** k
+    points = [Fraction(p, den) for p in flat]
+    return IntervalSet._from_merged(tuple(zip(points[::2], points[1::2])))
 
 
 @dataclass(frozen=True)
@@ -310,9 +304,7 @@ def first_refutation(ifs: GraphIFS, u: str, v: str, depth: int,
     out = {w: [(e.id, e.dst, *ladder.maps[e.id]) for e in ifs.out_edges(w)]
            for w in ifs.vertices}
     for m in range(1, depth + 1):
-        bounds = [0, *(p * lift[m] for p in ladder.endpoints(v, m)), top]
-        gaps = [(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2])
-                if lo < hi]
+        gaps = [(lo * lift[m], hi * lift[m]) for lo, hi in ladder.gaps(v, m)]
         if reflected:
             gaps = [(top - hi, top - lo) for lo, hi in reversed(gaps)]
         los = [lo for lo, _hi in gaps]
@@ -400,7 +392,9 @@ def replay_refutation(ifs: GraphIFS, u: str, v: str,
     lo, hi = ref.gap
     if ref.reflected:  # the gap of F_v^m that R maps onto this one
         lo, hi = ONE - hi, ONE - lo
-    return (lo, hi) in level_k_set(ifs, v, ref.depths[1]).gaps()
+    gaps = ifs.ladder.gaps(v, ref.depths[1])
+    den = ifs.ladder.scale ** ref.depths[1]
+    return (lo * den, hi * den) in gaps
 
 
 def components_equal(params: DoubleLoopParams) -> bool:

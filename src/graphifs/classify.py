@@ -37,7 +37,7 @@ from .attractor import (
     level_k_set,
     replay_refutation,
 )
-from .errors import GraphStructureError, RewriteError
+from .errors import GraphStructureError, RewriteError, UnsupportedFeatureError
 from .families import DoubleLoopParams, double_loop_ifs, params_from_ifs
 from .gaps import Condition2Report, condition2_check
 from .measure import MeasureResult, component_measures
@@ -315,7 +315,10 @@ def classify_gap_condition(ifs: GraphIFS, u: str, depth: int = 8,
     reflection, when requested) must be exactly refuted."""
 
     def condition2(witness):
-        report = condition2_check(ifs, u, witness.vprime)
+        try:
+            report = condition2_check(ifs, u, witness.vprime)
+        except UnsupportedFeatureError as exc:
+            return {}, f"condition (2): {exc}"
         unmet = None if report.ok else (
             f"condition (2): max gap at {u!r} exceeds a level-1 gap in the "
             "involved set")
@@ -405,7 +408,10 @@ def replay_certificate(ifs: GraphIFS, cert: Certificate) -> bool:
     if cert.theorem == "p2q":
         if cert.condition2 is None:
             return False
-        fresh = condition2_check(ifs, cert.vertex, w.vprime)
+        try:
+            fresh = condition2_check(ifs, cert.vertex, w.vprime)
+        except UnsupportedFeatureError:
+            return False
         if (fresh.max_gap_u != cert.condition2.max_gap_u
                 or fresh.comparisons != cert.condition2.comparisons
                 or not fresh.ok):

@@ -12,6 +12,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from .errors import (
     SpecValidationError,
 )
 from .families import params_from_ifs
-from .gaps import level_k_gaps, max_gap
+from .gaps import max_gap
 from .dimension import hausdorff_dimension
 from .measure import component_measures
 from .model import format_rational, parse_rational
@@ -83,6 +84,12 @@ def _num(x) -> str:
     return mp.nstr(x, 15)
 
 
+def _over(p: int, den: int) -> str:
+    """format_rational(Fraction(p, den)), reduced by one gcd."""
+    g = math.gcd(p, den)
+    return str(p // g) if g == den else f"{p // g}/{den // g}"
+
+
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
@@ -106,12 +113,14 @@ def _cmd_gaps(args) -> int:
     _require_vertex(ifs, args.vertex)
     if args.depth < 0:
         raise ValueError("depth must be >= 0")
+    ladder = ifs.ladder
+    ladder.endpoints(args.vertex, args.depth)  # the path cap fires before output
     largest = max_gap(ifs, args.vertex)
     for k in range(1, args.depth + 1):
+        den = ladder.scale ** k
         rendered = ", ".join(
-            f"({format_rational(lo)}, {format_rational(hi)}) "
-            f"len {format_rational(length)}"
-            for (lo, hi), length in level_k_gaps(ifs, args.vertex, k))
+            f"({_over(lo, den)}, {_over(hi, den)}) len {_over(hi - lo, den)}"
+            for lo, hi in ladder.gaps(args.vertex, k))
         print(f"level {k}: {rendered}")
     print(f"max gap = {format_rational(largest)}")
     return EXIT_OK

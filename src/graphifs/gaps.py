@@ -14,14 +14,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .attractor import cssc_check, level_k_set
+from .attractor import cssc_check
 from .errors import (
     GraphStructureError,
     ResourceCapError,
     UnsupportedFeatureError,
 )
 from .families import DoubleLoopParams
-from .model import DEFAULT_PATH_CAP, GraphIFS, ONE, ZERO, as_rational
+from .model import (
+    DEFAULT_PATH_CAP,
+    GraphIFS,
+    ONE,
+    ZERO,
+    as_rational,
+    endpoint_fixed_check,
+)
 
 GapList = list[tuple[tuple[Fraction, Fraction], Fraction]]
 
@@ -31,7 +38,10 @@ def level_k_gaps(ifs: GraphIFS, u: str, k: int) -> GapList:
     sorted by position, each with its exact length."""
     if k < 1:
         raise ValueError("level k must be >= 1")
-    return [((lo, hi), hi - lo) for lo, hi in level_k_set(ifs, u, k).gaps()]
+    gaps = ifs.ladder.gaps(u, k)  # its cap check bounds scale ** k
+    den = ifs.ladder.scale ** k
+    return [((Fraction(lo, den), Fraction(hi, den)), Fraction(hi - lo, den))
+            for lo, hi in gaps]
 
 
 def _level1_gap_lengths(ifs: GraphIFS) -> dict[str, list[Fraction]]:
@@ -48,7 +58,9 @@ def max_gap(ifs: GraphIFS, u: str) -> Fraction:
     iterated from M_u = max G_u^1.  Improvements routed through L or more
     edges are impossible once r_max^L drops below the smallest level-1 gap,
     which bounds the number of iterations.  Requires disjoint closed
-    level-1 hulls at every vertex (see cssc_check).
+    level-1 hulls at every vertex (see cssc_check) and 0 and 1 in every
+    component (see model.endpoint_fixed_check): a missing endpoint
+    widens gaps beyond the level-1 gaps that the recursion scales.
     """
     if u not in ifs.vertices:
         raise GraphStructureError(f"unknown vertex {u!r}")
@@ -58,6 +70,12 @@ def max_gap(ifs: GraphIFS, u: str) -> Fraction:
         raise UnsupportedFeatureError(
             f"max_gap requires disjoint level-1 hulls: edges {e1!r} and "
             f"{e2!r} at vertex {v!r} touch or overlap")
+    for v, members in endpoint_fixed_check(ifs).items():
+        for end, member in enumerate(members):
+            if not member:
+                raise UnsupportedFeatureError(
+                    f"max_gap requires 0 and 1 in every component: {end} "
+                    f"is no point of component {v!r}")
     level1 = _level1_gap_lengths(ifs)
     m = {v: max(level1[v]) for v in ifs.vertices}
     r_max = max(e.map.ratio for e in ifs.edges)

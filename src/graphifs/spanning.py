@@ -15,12 +15,12 @@ maps of that shape at the given bounds, nothing more.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .attractor import IntervalSet
 from .model import (
     Edge,
     GraphIFS,
@@ -234,12 +234,6 @@ class SpanningHit:
     verified_depth: int
 
 
-def _interval_inside(pair, iset: IntervalSet) -> bool:
-    lo, hi = pair
-    holder = iset.interval_containing(lo)
-    return holder is not None and hi <= holder[1]
-
-
 def span_search(ifs: GraphIFS, src: str, dst: str, max_j: int = 2,
                 max_k: int = 3, verify_depth: int = 3) -> list[SpanningHit]:
     """Bounded search for gap-spanning similarities of the conjectured
@@ -249,45 +243,64 @@ def span_search(ifs: GraphIFS, src: str, dst: str, max_j: int = 2,
     source level-j interval maps exactly onto a target level-k interval,
     its image of [0,1] strictly contains a level-1 gap of the target, and
     image containment S(F_src^{j+d}) within F_dst^{k+d} verifies for all
-    d <= verify_depth.  Deterministic output, deduplicated by map."""
+    d <= verify_depth.  Deterministic output, deduplicated by map.
+
+    The search reads the ladder's integers: with the first source
+    interval [f_lo, f_lo + L] over D^j and a target interval
+    [t_lo, t_lo + delta] over D^k, the candidate sends p over D^(j+d) to
+    delta * p + (t_lo * L - delta * f_lo) * D^d over L * D^(k+d)."""
     if max_j < 1 or max_k < 1 or verify_depth < 0:
         raise ValueError("bounds must be positive (verify_depth >= 0)")
-    level1_gaps = ifs.ladder.level_set(dst, 1).gaps()
+    ladder = ifs.ladder
+    scale = ladder.scale
+    level1_gaps = ladder.gaps(dst, 1)
     hits: list[SpanningHit] = []
-    seen: set[tuple[Fraction, Fraction]] = set()
+    seen: set[Similarity] = set()
     for j in range(1, max_j + 1):
-        src_set = ifs.ladder.level_set(src, j)
-        first_lo, first_hi = src_set.intervals[0]
-        src_len = first_hi - first_lo
+        source = ladder.endpoints(src, j)
+        f_lo, length = source[0], source[1] - source[0]
         for k in range(1, max_k + 1):
-            dst_set = ifs.ladder.level_set(dst, k)
-            dst_intervals = set(dst_set.intervals)
-            for t_lo, t_hi in dst_set.intervals:
-                ratio = (t_hi - t_lo) / src_len
-                if not (ZERO < ratio < ONE):
+            target = ladder.endpoints(dst, k)
+            pairs = set(zip(target[::2], target[1::2]))
+            den = length * scale ** k  # the image of p over D^j is over den
+            for t_lo, t_hi in zip(target[::2], target[1::2]):
+                delta = t_hi - t_lo
+                if delta * scale ** j >= den:  # ratio >= 1
                     continue
-                offset = t_lo - ratio * first_lo
-                if (ratio, offset) in seen:
+                base = t_lo * length - delta * f_lo
+                # each source interval must map onto a target pair: both
+                # image numerators divisible by L, the quotients in pairs
+                ends = (divmod(delta * p + base, length) for p in source)
+                if not all(r_lo == r_hi == 0 and (q_lo, q_hi) in pairs
+                           for (q_lo, r_lo), (q_hi, r_hi) in zip(ends, ends)):
                     continue
-                cand = Similarity(ratio, offset)
-                if not all(cand.map_interval(lo, hi) in dst_intervals
-                           for lo, hi in src_set.intervals):
-                    continue
-                hull = cand.hull()
+                cand = Similarity(Fraction(delta * scale ** j, den),
+                                  Fraction(base, den))
+                hull_lo, hull_hi = (x * scale for x in cand.hull())
                 gap = next((g for g in level1_gaps
-                            if hull[0] < g[0] and g[1] < hull[1]), None)
-                if gap is None:
+                            if hull_lo < g[0] and g[1] < hull_hi), None)
+                if cand in seen or gap is None or not all(
+                        _images_inside(ladder.endpoints(src, j + d),
+                                       ladder.endpoints(dst, k + d),
+                                       delta, base * scale ** d, length)
+                        for d in range(1, verify_depth + 1)):
                     continue
-                # a non-reflecting map keeps the source intervals sorted
-                # and apart, so each image is checked on its own
-                if not all(_interval_inside(cand.map_interval(lo, hi),
-                                            ifs.ladder.level_set(dst, k + d))
-                           for d in range(1, verify_depth + 1)
-                           for lo, hi
-                           in ifs.ladder.level_set(src, j + d).intervals):
-                    continue
-                seen.add((ratio, offset))
-                hits.append(SpanningHit(cand, src, dst, gap, (j, k),
-                                        verify_depth))
+                seen.add(cand)
+                hits.append(SpanningHit(
+                    cand, src, dst, tuple(Fraction(g, scale) for g in gap),
+                    (j, k), verify_depth))
     hits.sort(key=lambda h: (h.s_map.offset, h.s_map.ratio))
     return hits
+
+
+def _images_inside(source: list[int], target: list[int], delta: int,
+                   shift: int, length: int) -> bool:
+    """Whether x -> (delta * x + shift) / length sends every interval of
+    the flat list `source` into one of the flat list `target`: into the
+    last one whose low end is at most the floor of the image's."""
+    los = target[::2]
+    for lo, hi in zip(source[::2], source[1::2]):
+        i = bisect.bisect_right(los, (delta * lo + shift) // length) - 1
+        if i < 0 or delta * hi + shift > target[2 * i + 1] * length:
+            return False
+    return True

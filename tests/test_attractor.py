@@ -117,17 +117,21 @@ class TestLevelSets:
         monkeypatch.setattr(attractor, "_check_path_cap",
                             lambda *args: counts.append(args) or real(*args))
         ladder = LevelLadder(golden_ifs)
-        first = ladder.level_set("u", 5)
-        assert ladder.level_set("u", 5) is first
-        assert counts == [(golden_ifs, "u", 5)]
-        assert first == level_k_set(golden_ifs, "u", 5)
+        first = ladder.endpoints("u", 5)
+        assert ladder.endpoints("u", 5) is first
+        assert counts == [(golden_ifs, "u", 5)] * 2  # every read is capped
+        iset = level_k_set(golden_ifs, "u", 5)
+        assert iset == level_k_set(golden_ifs, "u", 5)
+        den = ladder.scale ** 5
+        assert [p for pair in iset.intervals for p in pair] == [
+            F(p, den) for p in first]
 
     def test_ladder_cap_holds_at_every_level(self, golden_ifs, monkeypatch):
         monkeypatch.setattr(model, "DEFAULT_PATH_CAP", 16)
         ladder = LevelLadder(golden_ifs)
-        assert len(ladder.level_set("u", 4)) == 16
+        assert len(ladder.endpoints("u", 4)) == 2 * 16
         with pytest.raises(ResourceCapError) as info:
-            ladder.level_set("u", 5)
+            ladder.endpoints("u", 5)
         assert info.value.bound == 32
 
 

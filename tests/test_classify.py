@@ -28,6 +28,7 @@ from graphifs import (
 )
 from graphifs.attractor import SubsetRefutation, replay_refutation
 from graphifs.classify import Certificate, standard_ifs_from_maps
+from graphifs.gaps import Condition2Report
 from graphifs.model import Path
 
 F = Fraction
@@ -247,16 +248,25 @@ class TestReplayRejectsTampering:
 
 class TestNonMemberEndpoints:
     """On twin_ifs, F_u = F_v and 0 lies in neither, so S_e1(0) = 1/4 is
-    no point of F_u although it lies in the gap (0, 5/16) of F_v^2."""
+    no point of F_u although it lies in the gap (0, 5/16) of F_v^2, and
+    max G_u is not the max_gap recursion's value."""
 
     def test_twin_components_stay_unknown(self, twin_ifs):
         assert validate_graph(twin_ifs).ok and cssc_check(twin_ifs).ok
         cert = classify_gap_condition(twin_ifs, "u", 4)
         assert cert.verdict is Verdict.UNKNOWN
         assert cert.unknown_reason == (
-            "condition (3): containment of component 'u' in component 'v' "
-            "not refuted at depth 4")
+            "condition (2): max_gap requires 0 and 1 in every component: "
+            "0 is no point of component 'u'")
+        assert cert.condition2 is None
         assert replay_certificate(twin_ifs, cert)
+        vprime = cert.cycle_witness.vprime
+        forged = dataclasses.replace(
+            cert, verdict=Verdict.NOT_STANDARD, unknown_reason=None,
+            condition2=Condition2Report(
+                "u", F(1, 4), tuple((v, F(1, 4), True) for v in vprime),
+                True))
+        assert not replay_certificate(twin_ifs, forged)
 
     def test_refutation_from_a_non_member_endpoint_fails_replay(
             self, twin_ifs):

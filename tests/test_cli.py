@@ -131,7 +131,14 @@ class TestGaps:
                       for i in range(128)],
         }))
         assert main(["gaps", str(dense), "--vertex", "u", "--depth", "3"]) == 4
-        assert "resource cap" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "resource cap" in err
+        # golden has 2^k paths of length k: levels 1-19 fit, depth 40 does not
+        assert main(["gaps", GOLDEN, "--vertex", "u", "--depth", "40"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "paths of length 20 from 'u' exceed cap" in err
 
     def test_touching_hulls_fail_before_output(self, tmp_path, capsys):
         touching = tmp_path / "touching.json"

@@ -4,6 +4,7 @@ import copy
 import gc
 import pickle
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -95,6 +96,15 @@ class TestMaxGap:
             Edge("e2", "u", "u", Similarity(F(1, 2), F(1, 2)))))
         with pytest.raises(UnsupportedFeatureError, match="'e1' and 'e2'"):
             max_gap(ifs, "u")
+
+    def test_missing_endpoint_rejected(self, twin_ifs):
+        # 0 lies in no component, and F_u^3 already has a gap of 21/64,
+        # more than the 1/4 that the recursion gives
+        assert ((F(1, 2), F(53, 64)), F(21, 64)) in level_k_gaps(
+            twin_ifs, "u", 3)
+        with pytest.raises(UnsupportedFeatureError,
+                           match="0 is no point of component 'u'"):
+            max_gap(twin_ifs, "v")
 
 
 class TestGapCosets:
@@ -252,6 +262,22 @@ class TestLevelOneGaps:
             assert system() is None
         finally:
             gc.enable()
+
+    def test_kept_system_holds_only_integer_levels(self, golden_params):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ints = double_loop_ifs(golden_params)
+            ints.ladder.endpoints("u", 14)
+            levels = tracemalloc.get_traced_memory()[0] - start
+            start = tracemalloc.get_traced_memory()[0]
+            kept = double_loop_ifs(golden_params)
+            level_k_set(kept, "u", 14)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert held <= levels + 64 * 1024
+        assert level_k_set(kept, "u", 14) == level_k_set(kept, "u", 14)
 
     def test_copies_build_their_own_ladder(self, golden_params):
         ifs = double_loop_ifs(golden_params)

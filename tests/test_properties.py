@@ -17,6 +17,7 @@ from graphifs import (
     Path,
     Similarity,
     build_spanning_system,
+    example_params,
     classify_gap_condition,
     cross_refutation_empty,
     cssc_check,
@@ -49,7 +50,7 @@ from graphifs.attractor import (
 from graphifs import render
 from graphifs.classify import _condition3, standard_ifs_from_maps
 from graphifs.spanning import SpanningParams, SpanningHit
-from conftest import SPEC_DIR
+from conftest import SPEC_DIR, random_small_graph
 
 F = Fraction
 
@@ -116,11 +117,10 @@ def messy_graphs(draw):
     return GraphIFS(vertices, tuple(edges))
 
 
-@st.composite
-def spanning_family(draw):
-    """The eight-edge spanning system with the reference u row and a
-    random completion of the v row, so that u -> u hits exist."""
-    parts = [draw(st.integers(1, 12)) for _ in range(4)]
+def perturbed_spanning_system(parts):
+    """The eight-edge spanning system with the reference u row and the
+    v row completed in the proportions `parts`, so that u -> u hits
+    exist."""
     g5, g6, r_e7, r_e8 = (F(3, 4) * x / sum(parts) for x in parts)
     tenth, twentieth = F(1, 10), F(1, 20)
     params = SpanningParams(
@@ -128,6 +128,13 @@ def spanning_family(draw):
         r_e1=tenth, r_e2=tenth, r_e3=tenth, r_e4=tenth,
         r_e5=tenth, r_e6=tenth, r_e7=r_e7, r_e8=r_e8)
     return build_spanning_system(params)[0]
+
+
+@st.composite
+def spanning_family(draw):
+    """A perturbed spanning system with a random completion of the v row."""
+    return perturbed_spanning_system(
+        [draw(st.integers(1, 12)) for _ in range(4)])
 
 
 @st.composite
@@ -218,20 +225,23 @@ def reference_witnesses(ifs, u, depth):
 
 
 def reference_span_search(ifs, src, dst, max_j, max_k, verify_depth):
-    """span_search with a level set rebuilt per read and a linear scan for
-    interval containment."""
+    """span_search as it ran on Fraction level sets before the integer
+    search replaced it, with the level sets made once per call."""
+    level = functools.cache(functools.partial(level_k_set, ifs))
+
     def inside(pair, iset):
         lo, hi = pair
-        return any(a <= lo and hi <= b for a, b in iset.intervals)
+        holder = iset.interval_containing(lo)
+        return holder is not None and hi <= holder[1]
 
-    level1_gaps = level_k_set(ifs, dst, 1).gaps()
+    level1_gaps = level(dst, 1).gaps()
     hits, seen = [], set()
     for j in range(1, max_j + 1):
-        src_set = level_k_set(ifs, src, j)
+        src_set = level(src, j)
         first_lo, first_hi = src_set.intervals[0]
         src_len = first_hi - first_lo
         for k in range(1, max_k + 1):
-            dst_set = level_k_set(ifs, dst, k)
+            dst_set = level(dst, k)
             dst_intervals = set(dst_set.intervals)
             for t_lo, t_hi in dst_set.intervals:
                 ratio = (t_hi - t_lo) / src_len
@@ -249,11 +259,9 @@ def reference_span_search(ifs, src, dst, max_j, max_k, verify_depth):
                             if hull[0] < g[0] and g[1] < hull[1]), None)
                 if gap is None:
                     continue
-                if not all(
-                        all(inside(pair, level_k_set(ifs, dst, k + d))
-                            for pair in level_k_set(ifs, src, j + d)
-                            .apply(cand).intervals)
-                        for d in range(1, verify_depth + 1)):
+                if not all(inside(cand.map_interval(lo, hi), level(dst, k + d))
+                           for d in range(1, verify_depth + 1)
+                           for lo, hi in level(src, j + d).intervals):
                     continue
                 seen.add((ratio, offset))
                 hits.append(SpanningHit(cand, src, dst, gap, (j, k),
@@ -419,10 +427,11 @@ class TestLadderEquivalence:
         expected = reference_levels(ifs, 6)
         ladder = LevelLadder(ifs)
         for k, level in enumerate(expected):
+            den = ladder.scale ** k
             for v in ifs.vertices:
-                assert ladder.level_set(v, k) == level[v]
-        for v in ifs.vertices:
-            assert level_k_set(ifs, v, 6) == expected[6][v]
+                assert level_k_set(ifs, v, k) == level[v]
+                assert [(F(lo, den), F(hi, den)) for lo, hi
+                        in ladder.gaps(v, k)] == list(level[v].gaps())
 
     @COMMON
     @given(messy_graphs(), st.integers(0, 4))
@@ -431,14 +440,58 @@ class TestLadderEquivalence:
             assert (endpoint_witnesses(ifs, u, depth)
                     == reference_witnesses(ifs, u, depth))
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(st.one_of(messy_graphs(), spanning_family()), st.data())
-    def test_span_hits_match_linear_scan(self, ifs, data):
+
+
+class TestSpanSearchEquivalence:
+    """The integer span_search against the Fraction search it replaced."""
+
+    @COMMON
+    @given(st.one_of(messy_graphs(), spanning_family(),
+                     st.randoms(use_true_random=False).map(
+                         lambda rng: random_small_graph(rng, 3))),
+           st.integers(1, 3), st.integers(1, 3), st.integers(0, 3),
+           st.data())
+    def test_span_hits_match_fraction_reference(self, ifs, max_j, max_k,
+                                                verify_depth, data):
         src = data.draw(st.sampled_from(ifs.vertices))
         dst = data.draw(st.sampled_from(ifs.vertices))
-        bounds = (1, 2, 2)
+        bounds = (max_j, max_k, verify_depth)
         assert (span_search(ifs, src, dst, *bounds)
                 == reference_span_search(ifs, src, dst, *bounds))
+
+    @staticmethod
+    def off_grid_system():
+        """Over D = 16, F_u^1 = [0,4] u [10,14] and F_w^1 = [0,1] u [2,3].
+        The map x/4 sends [0,4] onto [0,1] and [10,14] onto [2.5,3.5],
+        which matches [2,3] only when the remainders of 10/4 and 14/4
+        are ignored; its hull [0,4] spans the gap (1,2)."""
+        quarter, sixteenth = F(1, 4), F(1, 16)
+        return GraphIFS(("u", "w"), (
+            Edge("e1", "u", "u", Similarity(quarter, 0)),
+            Edge("e2", "u", "u", Similarity(quarter, F(5, 8))),
+            Edge("e3", "w", "w", Similarity(sixteenth, 0)),
+            Edge("e4", "w", "w", Similarity(sixteenth, F(1, 8)))))
+
+    @pytest.mark.parametrize("verify_depth", range(4))
+    @pytest.mark.parametrize("system", ["reference", "perturbed", "off-grid"])
+    def test_fixed_systems_match_fraction_reference(self, system,
+                                                    verify_depth):
+        ifs = {
+            "reference": lambda: build_spanning_system(example_params())[0],
+            # the v row over 3988 makes D = 19940, so that the endpoints
+            # checked at depth 3 exceed 2^53: a float division would
+            # misplace them
+            "perturbed": lambda: perturbed_spanning_system(
+                (200, 251, 300, 246)),
+            "off-grid": self.off_grid_system,
+        }[system]()
+        hits = 0
+        for src, dst in itertools.product(ifs.vertices, repeat=2):
+            found = span_search(ifs, src, dst, 3, 3, verify_depth)
+            assert found == reference_span_search(ifs, src, dst, 3, 3,
+                                                  verify_depth)
+            hits += len(found)
+        assert hits or system == "off-grid"
 
 
 class TestGeneratorSoundness:
