@@ -392,7 +392,7 @@ def replay_refutation(ifs: GraphIFS, u: str, v: str,
     lo, hi = ref.gap
     if ref.reflected:  # the gap of F_v^m that R maps onto this one
         lo, hi = ONE - hi, ONE - lo
-    gaps = ifs.ladder.gaps(v, ref.depths[1])
+    gaps = ifs.ladder.gaps(v, ref.depths[1])  # its cap check bounds den
     den = ifs.ladder.scale ** ref.depths[1]
     return (lo * den, hi * den) in gaps
 
