@@ -1,9 +1,9 @@
-"""Pinned CLI output bytes for the level-set consumers.
+"""Pinned CLI output bytes for the level-set consumers and the numerics.
 
 Each case runs one `graphifs` subcommand in process and pins its exit code
 and the sha256 of everything it wrote to stdout, so any change to the
-level sets, gap lists, SVG coordinates, span hits or certificates that
-these commands print fails here.
+level sets, gap lists, SVG coordinates, span hits, certificates,
+dimension brackets or measure values that these commands print fails here.
 """
 
 import hashlib
@@ -71,6 +71,16 @@ CASES = [
      ["span-search", _spec("golden_ratio"), "--from", "u", "--to", "v",
       "--max-j", "4", "--max-k", "4"], 0,
      "5fdb01cadcaf5baf78543e6d91066b132c712aa803dde52366d109489b7d5238"),
+    ("dim-gap-spanning", ["dim", _spec("gap_spanning")], 0,
+     "aa454c9f1022ed5e716a82cdf639647133a873e6727f9161788059824fe0ec34"),
+    ("dim-golden", ["dim", _spec("golden_ratio")], 0,
+     "7e8459e4a412dc8e0f9567680111f5402ea6323dc5a9914a86cec57823dc4654"),
+    ("dim-nested", ["dim", _spec("nested_components")], 0,
+     "251cb0cb3690ba692b686e4d8d9c883bf741f56af20e8b0750a1e3e8e3166a98"),
+    ("dim-one-loop", ["dim", _spec("one_loop")], 0,
+     "7e8459e4a412dc8e0f9567680111f5402ea6323dc5a9914a86cec57823dc4654"),
+    ("measure-golden", ["measure", _spec("golden_ratio")], 0,
+     "33c0f60af4dee0739bd6ede79309187a9af73b82a9cb83e284e8af7fedf4a384"),
     ("classify-golden-u",
      ["classify", _spec("golden_ratio"), "--vertex", "u", "--depth", "10"], 0,
      "f1a2692347dd59f19bb418d17412c600ff21c15fd664b7e9c75702a90712bb53"),
