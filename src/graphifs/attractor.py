@@ -26,7 +26,6 @@ from .model import (
     ZERO,
     as_rational,
     _check_path_cap,
-    endpoint_fixed_check,
     path_similarity,
 )
 
@@ -205,7 +204,7 @@ def endpoint_points(ifs: GraphIFS, u: str, depth: int) -> list[Fraction]:
     """Sorted exact members of F_u: each of 0 and 1 that lies in F_u,
     together with the points of endpoint_witnesses(ifs, u, depth)."""
     witnesses = endpoint_witnesses(ifs, u, depth)
-    ends = zip((ZERO, ONE), endpoint_fixed_check(ifs)[u])
+    ends = zip((ZERO, ONE), ifs.fixed_endpoints[u])
     return sorted({end for end, member in ends if member}.union(
         point for point, _path, _end in witnesses))
 
@@ -224,7 +223,7 @@ def endpoint_witnesses(ifs: GraphIFS, u: str, depth: int
     if depth < 0:
         raise ValueError("depth must be >= 0")
     _check_path_cap(ifs, u, depth)
-    members = endpoint_fixed_check(ifs)
+    members = ifs.fixed_endpoints
     scale, maps = ifs.ladder.scale, ifs.ladder.maps
     lift = [scale ** (depth - j) for j in range(depth + 1)]
     # point * D^depth -> (path length, path as nested (edge id, parent)
@@ -300,7 +299,7 @@ def first_refutation(ifs: GraphIFS, u: str, v: str, depth: int,
     scale = ladder.scale
     top = scale ** depth
     lift = [scale ** (depth - j) for j in range(depth + 1)]
-    members = endpoint_fixed_check(ifs)
+    members = ifs.fixed_endpoints
     out = {w: [(e.id, e.dst, *ladder.maps[e.id]) for e in ifs.out_edges(w)]
            for w in ifs.vertices}
     for m in range(1, depth + 1):
@@ -384,7 +383,7 @@ def replay_refutation(ifs: GraphIFS, u: str, v: str,
             or ref.depths[1] < 1
             or ifs.edge(ref.witness_path.edges[0]).src != u
             or ref.endpoint not in (ZERO, ONE)
-            or not endpoint_fixed_check(ifs)[
+            or not ifs.fixed_endpoints[
                 ifs.edge(ref.witness_path.edges[-1]).dst][int(ref.endpoint)]
             or sim(ref.endpoint) != ref.witness_point
             or not ref.gap[0] < ref.witness_point < ref.gap[1]):

@@ -10,6 +10,7 @@ finite union of multiplicative-semigroup cosets.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -27,7 +28,6 @@ from .model import (
     ONE,
     ZERO,
     as_rational,
-    endpoint_fixed_check,
 )
 
 GapList = list[tuple[tuple[Fraction, Fraction], Fraction]]
@@ -64,13 +64,21 @@ def max_gap(ifs: GraphIFS, u: str) -> Fraction:
     """
     if u not in ifs.vertices:
         raise GraphStructureError(f"unknown vertex {u!r}")
+    return _max_gaps(ifs)[1][u]
+
+
+def _max_gaps(ifs: GraphIFS) -> tuple[dict[str, list[Fraction]],
+                                      dict[str, Fraction]]:
+    """The level-1 gap lengths and max G_v of every vertex v, as max_gap
+    describes; raises UnsupportedFeatureError, before reading any level,
+    when a requirement of max_gap fails."""
     violations = cssc_check(ifs).violations
     if violations:
         v, e1, e2 = violations[0]
         raise UnsupportedFeatureError(
             f"max_gap requires disjoint level-1 hulls: edges {e1!r} and "
             f"{e2!r} at vertex {v!r} touch or overlap")
-    for v, members in endpoint_fixed_check(ifs).items():
+    for v, members in ifs.fixed_endpoints.items():
         for end, member in enumerate(members):
             if not member:
                 raise UnsupportedFeatureError(
@@ -94,13 +102,18 @@ def max_gap(ifs: GraphIFS, u: str) -> Fraction:
         if nxt == m:
             break
         m = nxt
-    return m[u]
+    return level1, m
 
 
 @dataclass(frozen=True)
 class GapCosets:
     """A finite union of cosets coeff * <generators> of multiplicative
-    semigroups (the empty product 1 is always included, not stored)."""
+    semigroups (the empty product 1 is always included, not stored).
+
+    Each object walks its products once per new lowest threshold: the
+    sorted members at or above the lowest threshold asked so far are kept
+    outside the fields (so ==, hash and repr ignore them), and every
+    `enumerate` or `contains` at or above it reads them."""
 
     cosets: tuple[tuple[Fraction, tuple[Fraction, ...]], ...]
 
@@ -120,12 +133,12 @@ class GapCosets:
             normalized.append((coeff, tuple(uniq)))
         object.__setattr__(self, "cosets", tuple(normalized))
 
-    def _walk(self, threshold: Fraction):
-        """Every member >= threshold, with repeats across cosets: each
-        coset's products are walked down from coeff, one generator at a
-        time, and a walk stops below the threshold (finite since every
-        generator is < 1).  More than DEFAULT_PATH_CAP products in all
-        raise ResourceCapError."""
+    def _walk(self, threshold: Fraction) -> set[Fraction]:
+        """Every member >= threshold: each coset's products are walked
+        down from coeff, one generator at a time, and a walk stops below
+        the threshold (finite since every generator is < 1).  More than
+        DEFAULT_PATH_CAP products in all raise ResourceCapError."""
+        members: set[Fraction] = set()
         walked = 0
         for coeff, gens in self.cosets:
             stack = [coeff] if coeff >= threshold else []
@@ -137,26 +150,44 @@ class GapCosets:
                         "coset membership enumeration too large",
                         bound=walked)
                 x = stack.pop()
-                yield x
                 for g in gens:
                     y = x * g
                     if y >= threshold and y not in seen:
                         seen.add(y)
                         stack.append(y)
+            members |= seen
+        return members
+
+    def _members(self, threshold: Fraction) -> list[Fraction]:
+        """The kept sorted members, which hold every member >= threshold;
+        a threshold below the kept one walks once and replaces them (a
+        walk that hits the cap keeps nothing)."""
+        floor, members = vars(self).get("_kept", (None, None))
+        if floor is None or threshold < floor:
+            members = sorted(self._walk(threshold))
+            object.__setattr__(self, "_kept", (threshold, members))
+        return members
 
     def enumerate(self, threshold) -> list[Fraction]:
         """All members >= threshold, sorted ascending."""
         threshold = as_rational(threshold)
         if threshold <= ZERO:
             raise ValueError("threshold must be positive")
-        return sorted(set(self._walk(threshold)))
+        members = self._members(threshold)
+        return members[bisect_left(members, threshold):]
 
     def contains(self, x) -> bool:
         """Exact membership test: every member >= x is reached by walking
-        the products down from coeff, so x is a member exactly when the
-        walk down to x meets it.  Costs one step per member in [x, coeff]."""
+        the products down from coeff, so x is a member exactly when it is
+        among the members >= x.  Those are read from the kept members, so
+        only a query below every earlier threshold walks, and it walks
+        every product >= x, a member or not."""
         x = as_rational(x)
-        return x > ZERO and x in self._walk(x)
+        if x <= ZERO:
+            return False
+        members = self._members(x)
+        i = bisect_left(members, x)
+        return i < len(members) and members[i] == x
 
 
 def gap_length_cosets(params: DoubleLoopParams) -> tuple[GapCosets, GapCosets]:
@@ -212,8 +243,8 @@ def condition2_check(ifs: GraphIFS, u: str, vset) -> Condition2Report:
             raise GraphStructureError(f"unknown vertex {v!r}")
     if u not in vset:
         raise ValueError("vset must contain the queried vertex")
-    level1 = _level1_gap_lengths(ifs)
-    m_u = max_gap(ifs, u)
+    level1, m = _max_gaps(ifs)
+    m_u = m[u]
     comparisons = tuple(
         (v, min(level1[v]), m_u <= min(level1[v])) for v in vset)
     uniform = None

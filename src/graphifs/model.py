@@ -166,8 +166,9 @@ class GraphIFS:
         except KeyError:
             raise GraphStructureError(f"unknown vertex {vertex!r}") from None
 
-    def __getstate__(self):  # a copy or unpickled system builds its own ladder
-        return {k: v for k, v in vars(self).items() if k != "ladder"}
+    def __getstate__(self):  # a copy or unpickled system derives its own
+        return {k: v for k, v in vars(self).items()
+                if k not in ("ladder", "fixed_endpoints")}
 
     @functools.cached_property
     def ladder(self):
@@ -175,6 +176,12 @@ class GraphIFS:
         holds the system by a weak proxy, so refcounting frees the two."""
         from .attractor import LevelLadder  # attractor imports this module
         return LevelLadder(weakref.proxy(self))
+
+    @functools.cached_property
+    def fixed_endpoints(self) -> dict[str, tuple[bool, bool]]:
+        """endpoint_fixed_check(self), a fixed fact of the system, run on
+        first read; callers must not mutate it."""
+        return endpoint_fixed_check(self)
 
 
 def graph_digest(ifs: GraphIFS) -> str:
@@ -411,4 +418,4 @@ def is_unit_interval(ifs: GraphIFS) -> bool:
     hull stays inside [0, 1]."""
     if not validate_graph(ifs).ok:
         return False
-    return all(zero and one for zero, one in endpoint_fixed_check(ifs).values())
+    return all(zero and one for zero, one in ifs.fixed_endpoints.values())

@@ -104,6 +104,19 @@ class TestHausdorffDimension:
         fine = hausdorff_dimension(golden_ifs, tol=1e-12)
         assert fine.iterations <= 2 * coarse.iterations + 2
 
+    def test_ratios_converted_once_per_solve(self, golden_ifs, monkeypatch):
+        solves = []
+        real_terms = dimension._moran_terms
+
+        def counted_terms(ifs):
+            solves.append(ifs)
+            return real_terms(ifs)
+
+        monkeypatch.setattr(dimension, "_moran_terms", counted_terms)
+        result = hausdorff_dimension(golden_ifs)
+        assert result.iterations == 40
+        assert solves == [golden_ifs]
+
 
 class TestCharacteristicRoot:
     def test_golden_agrees(self, golden_params, golden_ifs):
@@ -151,7 +164,7 @@ class TestTolerance:
 
     @pytest.mark.parametrize("tol", [0, 0.0, -1e-12, -1, float("nan")])
     def test_hausdorff_dimension_rejects(self, golden_ifs, monkeypatch, tol):
-        monkeypatch.setattr(dimension, "moran_matrix", _unreachable)
+        monkeypatch.setattr(dimension, "_moran_terms", _unreachable)
         with pytest.raises(ValueError, match="tol must be positive"):
             hausdorff_dimension(golden_ifs, tol=tol)
 

@@ -30,7 +30,7 @@ from graphifs import (
     nested_pair_ifs,
     replay_certificate,
 )
-from graphifs import attractor, gaps
+from graphifs import attractor, gaps, model
 from graphifs.cli import main
 from conftest import SPEC_DIR, random_double_loop_params
 
@@ -169,14 +169,67 @@ class TestGapCosets:
         assert set(g_u.enumerate(floor)) <= extracted
 
     def test_walk_cap(self, golden_params, monkeypatch):
-        # 1/100 is no member, so both queries walk every product >= 1/100
-        # (9 over the three cosets of g_u), and a cap of 3 stops them
+        # each query walks every product >= 1/100, a member or not (9 over
+        # the three cosets of g_u), and a cap of 3 stops it
         g_u, _ = gap_length_cosets(golden_params)
         monkeypatch.setattr(gaps, "DEFAULT_PATH_CAP", 3)
         for query in (g_u.contains, g_u.enumerate):
             with pytest.raises(ResourceCapError) as info:
                 query(F(1, 100))
             assert info.value.bound > 3
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        thresholds = []
+        real_walk = GapCosets._walk
+
+        def counted_walk(cosets, threshold):
+            thresholds.append(threshold)
+            return real_walk(cosets, threshold)
+
+        monkeypatch.setattr(GapCosets, "_walk", counted_walk)
+        return thresholds
+
+    def test_queries_above_a_walk_read_its_members(self, golden_params,
+                                                   walks):
+        g_u, _ = gap_length_cosets(golden_params)
+        assert g_u.enumerate(F(1, 64)) == [
+            F(1, 64), F(1, 32), F(1, 16), F(1, 8), F(1, 4)]
+        assert walks == [F(1, 64)]
+        assert g_u.contains(F(1, 64)) and g_u.contains(F(1, 4))
+        assert not g_u.contains(F(3, 64)) and not g_u.contains(F(1, 2))
+        assert g_u.enumerate(F(1, 10)) == [F(1, 8), F(1, 4)]
+        assert walks == [F(1, 64)]
+
+    def test_lower_threshold_walks_once_more(self, golden_params, walks):
+        g_u, _ = gap_length_cosets(golden_params)
+        assert g_u.contains(F(1, 16))
+        assert g_u.contains(F(1, 32))
+        assert g_u.enumerate(F(1, 32)) == [
+            F(1, 32), F(1, 16), F(1, 8), F(1, 4)]
+        assert not g_u.contains(F(1, 20))
+        assert walks == [F(1, 16), F(1, 32)]
+
+    def test_capped_walk_keeps_nothing(self, golden_params, monkeypatch,
+                                       walks):
+        g_u, _ = gap_length_cosets(golden_params)
+        assert g_u.contains(F(1, 4))
+        monkeypatch.setattr(gaps, "DEFAULT_PATH_CAP", 3)
+        with pytest.raises(ResourceCapError):
+            g_u.enumerate(F(1, 100))
+        monkeypatch.setattr(gaps, "DEFAULT_PATH_CAP", 10**6)
+        assert not g_u.contains(F(1, 100))
+        assert g_u.enumerate(F(1, 16)) == [F(1, 16), F(1, 8), F(1, 4)]
+        assert walks == [F(1, 4), F(1, 100), F(1, 100)]
+
+    def test_kept_members_leave_equality_alone(self, golden_params):
+        walked, _ = gap_length_cosets(golden_params)
+        unwalked, _ = gap_length_cosets(golden_params)
+        text = repr(unwalked)
+        walked.enumerate(F(1, 64))
+        assert walked == unwalked
+        assert hash(walked) == hash(unwalked)
+        assert repr(walked) == repr(unwalked) == text
 
     def test_bad_generator_rejected(self):
         with pytest.raises(ValueError):
@@ -225,6 +278,55 @@ class TestCondition2:
                 report = condition2_check(ifs, u, list(ifs.vertices))
                 if report.ok:
                     assert report.level1_gaps_uniform is True
+
+
+class TestEndpointCheckOnce:
+    """endpoint_fixed_check is a fixed fact of a system: its cycle search
+    runs once per system, whichever queries read it."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        checked = []
+        real_check = model.endpoint_fixed_check
+
+        def counted_check(ifs):
+            checked.append(ifs)
+            return real_check(ifs)
+
+        monkeypatch.setattr(model, "endpoint_fixed_check", counted_check)
+        return checked
+
+    def test_max_gap_at_both_vertices(self, golden_params, checks):
+        ifs = double_loop_ifs(golden_params)
+        assert (max_gap(ifs, "u"), max_gap(ifs, "v")) == (F(1, 4), F(1, 4))
+        assert checks == [ifs]
+
+    def test_p2q_replay(self, golden_ifs, golden_params, checks):
+        cert = classify_gap_condition(golden_ifs, "u", 8, reflected=True)
+        assert cert.theorem == "p2q" and cert.refutations
+        fresh = double_loop_ifs(golden_params)
+        checks.clear()
+        assert replay_certificate(fresh, cert)
+        assert checks == [fresh]
+
+    def test_copies_check_anew(self, golden_params, checks):
+        ifs = double_loop_ifs(golden_params)
+        expected = ifs.fixed_endpoints
+        for other in (copy.copy(ifs), pickle.loads(pickle.dumps(ifs))):
+            assert other.fixed_endpoints == expected
+        assert len(checks) == 3
+
+    def test_condition2_reads_level1_once(self, golden_ifs, monkeypatch):
+        reads = []
+        real_read = gaps._level1_gap_lengths
+
+        def counted_read(ifs):
+            reads.append(ifs)
+            return real_read(ifs)
+
+        monkeypatch.setattr(gaps, "_level1_gap_lengths", counted_read)
+        assert condition2_check(golden_ifs, "u", ["u", "v"]).ok
+        assert reads == [golden_ifs]
 
 
 class TestLevelOneGaps:

@@ -575,6 +575,27 @@ class TestGapInvariants:
             for x in probes:
                 assert cosets.contains(x) == (x in expected)
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(double_loop_params(), st.data())
+    def test_kept_walk_matches_reference_in_any_order(self, params, data):
+        """enumerate and contains in a drawn order, each at a member times
+        p/q, so a query may lie above or below every earlier threshold and
+        contains may be the one that walks; every answer is checked
+        against the reference."""
+        for cosets in gap_length_cosets(params):
+            top = max(coeff for coeff, _gens in cosets.cosets)
+            members = sorted(reference_coset_members(cosets, top / 8))
+            queries = data.draw(st.lists(
+                st.tuples(st.booleans(), st.sampled_from(members),
+                          st.integers(1, 4), st.integers(1, 4)),
+                min_size=1, max_size=6))
+            for enumerate_first, member, p, q in queries:
+                x = member * F(p, q)
+                expected = reference_coset_members(cosets, x)
+                if enumerate_first:
+                    assert cosets.enumerate(x) == sorted(expected)
+                assert cosets.contains(x) == (x in expected)
+
 
 class TestPathInvariants:
     @COMMON
