@@ -48,24 +48,23 @@ def moran_matrix(ifs: GraphIFS, t) -> MoranMatrix:
     t = _to_mpf(t)
     if t < 0:
         raise ValueError("t must be >= 0")
-    return _moran_at(ifs, _moran_terms(ifs), t)
+    return _moran(ifs)(t)
 
 
-def _moran_terms(ifs: GraphIFS) -> list[tuple[int, int, mpf]]:
-    """(row, column, ratio in working precision) of each edge, in edge
-    order: the part of A(t) that does not depend on t."""
+def _moran(ifs: GraphIFS):
+    """t -> A(t), with the vertex index and the edge ratios in working
+    precision made once, for a solve that builds A(t) at many t."""
     index = {v: i for i, v in enumerate(ifs.vertices)}
-    return [(index[e.src], index[e.dst], _to_mpf(e.map.ratio))
-            for e in ifs.edges]
+    terms = [(index[e.src], index[e.dst], _to_mpf(e.map.ratio))
+             for e in ifs.edges]
 
+    def at(t: mpf) -> MoranMatrix:
+        rows = [[mpf(0)] * len(index) for _ in index]
+        for i, j, r in terms:
+            rows[i][j] += r ** t
+        return MoranMatrix(tuple(ifs.vertices), tuple(tuple(r) for r in rows))
 
-def _moran_at(ifs: GraphIFS, terms, t: mpf) -> MoranMatrix:
-    """A(t) from the _moran_terms of ifs."""
-    n = len(ifs.vertices)
-    rows = [[mpf(0)] * n for _ in range(n)]
-    for i, j, r in terms:
-        rows[i][j] += r ** t
-    return MoranMatrix(tuple(ifs.vertices), tuple(tuple(r) for r in rows))
+    return at
 
 
 def _below(m: MoranMatrix, lam) -> bool:
@@ -123,14 +122,13 @@ def hausdorff_dimension(ifs: GraphIFS, tol: float = 1e-12) -> DimensionResult:
     tol = _to_mpf(tol)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    terms = _moran_terms(ifs)  # once per solve, not once per step
-    if _below(_moran_at(ifs, terms, mpf(0)), 1):
+    a = _moran(ifs)
+    if _below(a(mpf(0)), 1):
         raise NumericError("rho(A(0)) < 1: graph violates out-degree >= 2")
-    if not _below(_moran_at(ifs, terms, mpf(1)), 1):
+    if not _below(a(mpf(1)), 1):
         raise NumericError("rho(A(1)) >= 1: level-1 intervals overfill [0,1]")
     lo, hi, iterations = _bisect(
-        lambda t: not _below(_moran_at(ifs, terms, t), 1), mpf(0), mpf(1),
-        tol)
+        lambda t: not _below(a(t), 1), mpf(0), mpf(1), tol)
     return DimensionResult((lo + hi) / 2, (lo, hi), iterations)
 
 

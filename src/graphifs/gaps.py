@@ -10,7 +10,6 @@ finite union of multiplicative-semigroup cosets.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -110,9 +109,8 @@ class GapCosets:
     """A finite union of cosets coeff * <generators> of multiplicative
     semigroups (the empty product 1 is always included, not stored).
 
-    Each object walks its products once per new lowest threshold: the
-    sorted members at or above the lowest threshold asked so far are kept
-    outside the fields (so ==, hash and repr ignore them), and every
+    The members at or above the lowest threshold walked so far are kept
+    outside the fields (==, hash and repr ignore them), and every
     `enumerate` or `contains` at or above it reads them."""
 
     cosets: tuple[tuple[Fraction, tuple[Fraction, ...]], ...]
@@ -158,13 +156,13 @@ class GapCosets:
             members |= seen
         return members
 
-    def _members(self, threshold: Fraction) -> list[Fraction]:
-        """The kept sorted members, which hold every member >= threshold;
-        a threshold below the kept one walks once and replaces them (a
-        walk that hits the cap keeps nothing)."""
+    def _members(self, threshold: Fraction) -> set[Fraction]:
+        """The kept members, which hold every member >= threshold; a
+        threshold below the kept one walks anew and replaces them, and a
+        walk that hits the cap keeps nothing."""
         floor, members = vars(self).get("_kept", (None, None))
         if floor is None or threshold < floor:
-            members = sorted(self._walk(threshold))
+            members = self._walk(threshold)
             object.__setattr__(self, "_kept", (threshold, members))
         return members
 
@@ -173,8 +171,7 @@ class GapCosets:
         threshold = as_rational(threshold)
         if threshold <= ZERO:
             raise ValueError("threshold must be positive")
-        members = self._members(threshold)
-        return members[bisect_left(members, threshold):]
+        return sorted(x for x in self._members(threshold) if x >= threshold)
 
     def contains(self, x) -> bool:
         """Exact membership test: every member >= x is reached by walking
@@ -183,11 +180,7 @@ class GapCosets:
         only a query below every earlier threshold walks, and it walks
         every product >= x, a member or not."""
         x = as_rational(x)
-        if x <= ZERO:
-            return False
-        members = self._members(x)
-        i = bisect_left(members, x)
-        return i < len(members) and members[i] == x
+        return x > ZERO and x in self._members(x)
 
 
 def gap_length_cosets(params: DoubleLoopParams) -> tuple[GapCosets, GapCosets]:

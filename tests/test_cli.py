@@ -79,7 +79,7 @@ class TestDim:
     def test_zero_tol_is_usage_error(self, capsys, monkeypatch):
         def unreachable(*_args):
             raise AssertionError("bisection started with tol 0")
-        monkeypatch.setattr(dimension, "_moran_terms", unreachable)
+        monkeypatch.setattr(dimension, "_moran", unreachable)
         assert main(["dim", GOLDEN, "--tol", "0"]) == 2
         out, err = capsys.readouterr()
         assert out == ""

@@ -106,13 +106,13 @@ class TestHausdorffDimension:
 
     def test_ratios_converted_once_per_solve(self, golden_ifs, monkeypatch):
         solves = []
-        real_terms = dimension._moran_terms
+        real_moran = dimension._moran
 
-        def counted_terms(ifs):
+        def counted_moran(ifs):
             solves.append(ifs)
-            return real_terms(ifs)
+            return real_moran(ifs)
 
-        monkeypatch.setattr(dimension, "_moran_terms", counted_terms)
+        monkeypatch.setattr(dimension, "_moran", counted_moran)
         result = hausdorff_dimension(golden_ifs)
         assert result.iterations == 40
         assert solves == [golden_ifs]
@@ -164,7 +164,7 @@ class TestTolerance:
 
     @pytest.mark.parametrize("tol", [0, 0.0, -1e-12, -1, float("nan")])
     def test_hausdorff_dimension_rejects(self, golden_ifs, monkeypatch, tol):
-        monkeypatch.setattr(dimension, "_moran_terms", _unreachable)
+        monkeypatch.setattr(dimension, "_moran", _unreachable)
         with pytest.raises(ValueError, match="tol must be positive"):
             hausdorff_dimension(golden_ifs, tol=tol)
 
