@@ -216,45 +216,45 @@ def endpoint_witnesses(ifs: GraphIFS, u: str, depth: int
     (model.endpoint_fixed_check), sorted by (point, path length, edge ids,
     endpoint) and deduplicated by point.
 
-    An iterative depth-first walk composes each path map one edge at a
-    time as integers (A, B) meaning x -> (A x + B) / D^length.  It visits
-    same-length paths in edge-id order, so the first path of a given
-    length to reach a point is the one the sort key prefers."""
+    Each point keeps the first witness it meets in _witness_nodes, the
+    one place that tie rule lives: shortest path, then edge-id order,
+    endpoint 0 before 1."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     _check_path_cap(ifs, u, depth)
     members = ifs.fixed_endpoints
+    best: dict[int, tuple[Path, Fraction]] = {}  # point * D^depth -> witness
+    for at, edges, ends in _witness_nodes(ifs, u, depth, lambda ends: True):
+        for endpoint, member, point in zip((ZERO, ONE), members[at], ends):
+            if member and point not in best:
+                best[point] = (Path(edges), endpoint)
+    top = ifs.ladder.scale ** depth
+    return [(Fraction(point, top), *best[point]) for point in sorted(best)]
+
+
+def _witness_nodes(ifs: GraphIFS, u: str, depth: int, keep):
+    """(t(p), p's edge ids, (S_p(0), S_p(1)) as integers over D^depth) for
+    each path p of length 1..depth from u: shorter paths first, paths of
+    one length in edge-id order.  A node whose pair fails `keep` is
+    dropped with every node below it.
+
+    Each path map is composed one edge at a time as integers (A, B)
+    meaning x -> (A x + B) / D^length, D the ladder's scale."""
     scale, maps = ifs.ladder.scale, ifs.ladder.maps
-    lift = [scale ** (depth - j) for j in range(depth + 1)]
-    # point * D^depth -> (path length, path as nested (edge id, parent)
-    # links, endpoint)
-    best: dict[int, tuple[int, tuple, Fraction]] = {}
-    stack: list[tuple[str, int, int, int, Optional[tuple]]] = [
-        (u, 0, 1, 0, None)]
-    while stack:
-        at, j, a, b, link = stack.pop()
-        if j:
-            points = (b * lift[j], (a + b) * lift[j])
-            for endpoint, member, point in zip((ZERO, ONE), members[at],
-                                               points):
-                if member and (point not in best or j < best[point][0]):
-                    best[point] = (j, link, endpoint)
-        if j < depth:
-            for e in reversed(ifs.out_edges(at)):
+    level = [(u, (), 1, 0)]
+    for j in range(1, depth + 1):
+        lift = scale ** (depth - j)
+        nodes = []
+        for at, edges, a, b in level:
+            for e in ifs.out_edges(at):
                 c, o = maps[e.id]
-                stack.append((e.dst, j + 1, a * c, a * o + b * scale,
-                              (e.id, link)))
-    top = scale ** depth
-    out: list[tuple[Fraction, Path, Fraction]] = []
-    for point in sorted(best):
-        _j, link, endpoint = best[point]
-        edges: list[str] = []
-        while link is not None:
-            edge_id, link = link
-            edges.append(edge_id)
-        out.append((Fraction(point, top), Path(tuple(reversed(edges))),
-                    endpoint))
-    return out
+                ca, cb = a * c, a * o + b * scale
+                ends = (cb * lift, (ca + cb) * lift)
+                if keep(ends):
+                    yield e.dst, edges + (e.id,), ends
+                    if j < depth:
+                        nodes.append((e.dst, edges + (e.id,), ca, cb))
+        level = nodes
 
 
 @dataclass(frozen=True)
@@ -283,24 +283,27 @@ def first_refutation(ifs: GraphIFS, u: str, v: str, depth: int,
     least level m = 1..depth that has one; None when there is none.
 
     No witness list is built.  For each m, a best-first search pops
-    path-tree nodes, the integer maps (A, B) of endpoint_witnesses, in
+    path-tree nodes, the integer maps (A, B) of _witness_nodes, in
     order of the low end of their hull S_p([0,1]) over D^depth.  It skips
     every node whose closed hull meets no open gap and stops once no node
     left starts below the best point found; a child's hull lies in its
     parent's, since the ladder rejects a hull outside [0,1] when it builds
-    level 1 for every vertex.  A descent along the hulls
-    that hold that point then picks its path as endpoint_witnesses does:
-    shortest, then in edge-id order, endpoint 0 before 1."""
+    level 1 for every vertex.  Its path then comes from _witness_nodes,
+    pruned to the hulls that hold that point: the first node that maps a
+    member endpoint onto it gives the witness endpoint_witnesses keeps.
+    _witness_nodes is the one place that tie rule lives (shortest, then
+    edge-id order, endpoint 0 before 1)."""
     from heapq import heappop, heappush  # loaded by a search, not on import
     if depth < 0:
         raise ValueError("depth must be >= 0")
     _check_path_cap(ifs, u, depth)
+    _check_path_cap(ifs, v, 0)  # an unknown v raises at every depth
     ladder = ifs.ladder
     scale = ladder.scale
     top = scale ** depth
     lift = [scale ** (depth - j) for j in range(depth + 1)]
     members = ifs.fixed_endpoints
-    out = {w: [(e.id, e.dst, *ladder.maps[e.id]) for e in ifs.out_edges(w)]
+    out = {w: [(e.dst, *ladder.maps[e.id]) for e in ifs.out_edges(w)]
            for w in ifs.vertices}
     for m in range(1, depth + 1):
         gaps = [(lo * lift[m], hi * lift[m]) for lo, hi in ladder.gaps(v, m)]
@@ -321,7 +324,7 @@ def first_refutation(ifs: GraphIFS, u: str, v: str, depth: int,
                             best = point
             if j < depth:
                 j += 1
-                for _id, dst, c, o in out[at]:
+                for dst, c, o in out[at]:
                     ca, cb = a * c, a * o + b * scale
                     lo, hi = cb * lift[j], (ca + cb) * lift[j]
                     if ca < 0:
@@ -330,36 +333,18 @@ def first_refutation(ifs: GraphIFS, u: str, v: str, depth: int,
                     if lo < best and i < len(gaps) and los[i] < hi:
                         heappush(heap, (lo, j, dst, ca, cb))
         if best < top:
-            path, endpoint = _preferred_path(out, members, u, best, lift,
-                                             scale)
+            nodes = _witness_nodes(ifs, u, depth,
+                                   lambda ends: min(ends) <= best <= max(ends))
+            path, endpoint = next(
+                (Path(edges), end) for at, edges, ends in nodes
+                for end, member, point in zip((ZERO, ONE), members[at], ends)
+                if member and point == best)
             i = bisect.bisect_right(los, best) - 1
             return SubsetRefutation(
                 Fraction(best, top), path, endpoint,
                 (Fraction(los[i], top), Fraction(his[i], top)),
                 (len(path), m), reflected)
     return None
-
-
-def _preferred_path(out, members, u: str, x: int, lift: list[int],
-                    scale: int) -> tuple[Path, Fraction]:
-    """The (path, endpoint) that endpoint_witnesses keeps for its point x
-    over D^depth, found by descending through the nodes whose closed hull
-    holds x, one path length at a time in edge-id order."""
-    level = [(u, 1, 0, ())]
-    for lift_j in lift[1:]:
-        nodes = []
-        for at, a, b, edges in level:
-            for edge_id, dst, c, o in out[at]:
-                ca, cb = a * c, a * o + b * scale
-                ends = (cb * lift_j, (ca + cb) * lift_j)
-                if min(ends) <= x <= max(ends):
-                    for endpoint, member, point in zip((ZERO, ONE),
-                                                       members[dst], ends):
-                        if member and point == x:
-                            return Path(edges + (edge_id,)), endpoint
-                    nodes.append((dst, ca, cb, edges + (edge_id,)))
-        level = nodes
-    raise ValueError(f"{x} is no witness point")
 
 
 def refute_subset(ifs: GraphIFS, u: str, v: str, depth: int = 8,

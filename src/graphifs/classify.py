@@ -47,8 +47,6 @@ from .model import (
     Path,
     Similarity,
     graph_digest,
-    is_simple_cycle,
-    is_simple_path,
     path_vertices,
     simple_cycles,
     simple_path,
@@ -372,13 +370,15 @@ def classify_measure_condition(ifs: GraphIFS, u: str, depth: int = 8,
 
 def _replay_witness(ifs: GraphIFS, u: str, w: DetachedCycleWitness) -> bool:
     try:
-        if not (is_simple_cycle(ifs, w.cycle) and is_simple_path(ifs, w.path)):
-            return False
         verts_c = path_vertices(ifs, w.cycle)
         verts_p = path_vertices(ifs, w.path)
     except (ValueError, GraphStructureError):
         return False
-    return (u not in verts_c and verts_p[0] == u and verts_p[-1] == w.w
+    # a simple cycle repeats only its first vertex, a simple path none
+    return (verts_c[0] == verts_c[-1]
+            and len(set(verts_c)) == len(verts_c) - 1
+            and len(set(verts_p)) == len(verts_p)
+            and u not in verts_c and verts_p[0] == u and verts_p[-1] == w.w
             and w.w in verts_c
             and set(w.vprime) == set(verts_c) | set(verts_p))
 

@@ -236,16 +236,6 @@ def path_similarity(ifs: GraphIFS, path: Path) -> Similarity:
     return sim
 
 
-def is_simple_path(ifs: GraphIFS, path: Path) -> bool:
-    verts = path_vertices(ifs, path)
-    return len(set(verts)) == len(path.edges) + 1
-
-
-def is_simple_cycle(ifs: GraphIFS, path: Path) -> bool:
-    verts = path_vertices(ifs, path)
-    return verts[0] == verts[-1] and len(set(verts)) == len(path.edges)
-
-
 # ---------------------------------------------------------------------------
 # validation
 

@@ -8,9 +8,15 @@ must be referenced by some code of the package or of the tests outside
 its own definition.  A private module-level function or constant, or a
 private method, must be read by package code that is itself used.
 Anything else is dead code.
+
+Every function whose calls the benchmark's per-layer metrics count stays a
+public function of its layer, so that a traced benchmark run finds it.
 """
 
 import ast
+import importlib
+import inspect
+import json
 from pathlib import Path
 
 import graphifs
@@ -124,3 +130,25 @@ def test_every_private_name_is_used():
             reached |= _names(node) - {private[node][1]}
     unused = sorted(q for node, (q, _n) in private.items() if node not in live)
     assert unused == [], f"private names nothing uses: {unused}"
+
+
+def test_every_benchmark_traced_function_is_public():
+    """Each per-layer metric `<layer>.<func>.calls` of BENCHMARK.json names
+    a public function defined in graphifs.<layer> (for `GapCosets.<name>`,
+    a method of that class): a traced run raises when one is missing."""
+    spec = json.loads((TESTS_DIR.parent / "BENCHMARK.json").read_text(
+        encoding="utf-8"))
+    traced = [metric["name"].split(".")[:-1] for metric in spec["per_layer"]
+              if metric["name"].endswith(".calls")]
+    missing = []
+    for layer, *names in traced:
+        module = importlib.import_module(f"graphifs.{layer}")
+        obj = module
+        for name in names:
+            obj = getattr(obj, name, None)
+        if (any(name.startswith("_") for name in names)
+                or not inspect.isfunction(obj)
+                or obj.__module__ != module.__name__):
+            missing.append(".".join([layer, *names]))
+    assert traced and missing == [], (
+        f"traced functions no longer public: {missing}")

@@ -103,8 +103,9 @@ class TestLevelSets:
         lambda ifs: level_k_set(ifs, "z", 0),
         lambda ifs: level_k_set(ifs, "z", 2),
         lambda ifs: refute_subset(ifs, "u", "z"),
+        lambda ifs: refute_subset(ifs, "u", "z", 0),
         lambda ifs: model.path_count(ifs, "z", 3),
-    ], ids=["level0", "level2", "refute", "path_count"])
+    ], ids=["level0", "level2", "refute", "refute-depth0", "path_count"])
     def test_unknown_vertex_rejected(self, golden_ifs, call):
         with pytest.raises(GraphStructureError,
                            match="unknown vertex 'z'"):

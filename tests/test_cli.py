@@ -247,6 +247,9 @@ class TestVerifyCertificate:
     @pytest.mark.parametrize("part, key, value, err", [
         # not consecutive
         ("cycle_witness", "cycle", ["e3", "e1"], "FAILED to replay"),
+        # consecutive and ending where they should, but repeating a vertex
+        ("cycle_witness", "cycle", ["e3", "e3"], "FAILED to replay"),
+        ("cycle_witness", "path", ["e1", "e2"], "FAILED to replay"),
         # unknown edge ids
         ("cycle_witness", "cycle", ["e9"], "FAILED to replay"),
         ("cycle_witness", "path", ["e9"], "FAILED to replay"),
