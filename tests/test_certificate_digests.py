@@ -3,7 +3,8 @@
 Each case names the branch it reaches and the sha256 of its canonical
 certificate JSON, so a change to either decider that alters any field of
 any certificate (including flags such as `reflected` and
-`minimal_edges_asserted`) fails here.
+`minimal_edges_asserted`) fails here.  Each case also reads its JSON back
+and writes it again, so the decoder meets every branch's layout too.
 
 Not reachable from `specs/` or `graphifs.families`, hence not pinned: the
 "condition (1) unmet and rewrite failed" branch of p2q and of p2t.  When
@@ -19,6 +20,7 @@ import pytest
 from graphifs import (
     DoubleLoopParams,
     Verdict,
+    certificate_from_json,
     certificate_to_json,
     classify_gap_condition,
     classify_measure_condition,
@@ -126,3 +128,4 @@ def test_certificate_bytes_pinned(option, system, vertex, depth, reflected,
         assert cert.unknown_reason.startswith(reason)
     text = certificate_to_json(cert)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    assert certificate_to_json(certificate_from_json(text)) == text
