@@ -29,6 +29,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+from mpmath import mp, mpf
+
 from .attractor import (
     SubsetRefutation,
     components_equal,
@@ -346,6 +348,19 @@ def _unit_measure(ifs: GraphIFS, vprime
     return result, None
 
 
+def _num(x) -> str:
+    """A measure number as a certificate records it: 30 significant
+    digits."""
+    return mp.nstr(mpf(x), 30)
+
+
+def _recorded(m: MeasureResult) -> tuple:
+    """What a certificate records of a measure result."""
+    return (m.cond1.status, m.cond1.warning, m.cond2.status, m.cond2.warning,
+            *(x if x is None else _num(x)
+              for x in (m.s, m.cond1.value, m.cond2.value, m.h_u, m.h_v)))
+
+
 def classify_measure_condition(ifs: GraphIFS, u: str, depth: int = 8,
                                minimal_edges_asserted: bool = False,
                                reflected: bool = False) -> Certificate:
@@ -417,7 +432,10 @@ def replay_certificate(ifs: GraphIFS, cert: Certificate) -> bool:
                 or not fresh.ok):
             return False
     elif cert.theorem == "p2t":
-        if cert.measure is None or _unit_measure(ifs, w.vprime)[1] is not None:
+        fresh, unmet = _unit_measure(ifs, w.vprime)
+        if (cert.minimal_edges_asserted is not True or unmet is not None
+                or cert.measure is None
+                or _recorded(cert.measure) != _recorded(fresh)):
             return False
     else:
         return False

@@ -16,23 +16,32 @@ denominator is 1), never as floats.  A system document looks like
 Edge direction follows the graph: "from" is the edge's initial vertex and
 "to" its terminal vertex.  The attached map runs the *opposite* way — it
 sends the unit-interval copy at "to" into the copy at "from".
+
+A certificate is written from its dataclass fields: each object's keys are
+its field names, and reading checks the type of every field.  Two layouts
+differ: a `Path` is written as its edge-id list, and each
+(target_vertex, SubsetRefutation) pair as the refutation's object plus a
+"target_vertex" key.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import functools
 import json
+import typing
+from dataclasses import MISSING
+from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .attractor import SubsetRefutation
-from .classify import Certificate, DetachedCycleWitness, Verdict
+from .classify import Certificate, _num
 from .errors import SpecValidationError
-from .gaps import Condition2Report
-from .measure import ConditionCheck, ConditionStatus, MeasureResult
 from .model import (
     Edge,
     GraphIFS,
-    Path,
     Similarity,
     format_rational,
     parse_rational,
@@ -42,13 +51,6 @@ from .model import (
 
 # ---------------------------------------------------------------------------
 # system documents
-
-def _flag(d: dict, key: str) -> bool:
-    """A JSON boolean field, false when missing."""
-    if not isinstance(flag := d.get(key, False), bool):
-        raise ValueError(f"{key!r} must be true or false, got {flag!r}")
-    return flag
-
 
 def load_spec(text: str) -> GraphIFS:
     """Parse and validate a system document; raises SpecValidationError
@@ -85,7 +87,7 @@ def load_spec(text: str) -> GraphIFS:
             issues.append(f"{where}: bad rational: {exc}")
             continue
         try:
-            reflect = _flag(e, "reflect")
+            reflect = _object([("reflect", _codec(bool)[1], False)], bool)(e)
             edges.append(Edge(eid, src, dst, Similarity(ratio, offset, reflect)))
         except ValueError as exc:
             issues.append(f"{where} (id {eid!r}): {exc}")
@@ -124,130 +126,96 @@ def dump_spec(ifs: GraphIFS) -> str:
 # ---------------------------------------------------------------------------
 # certificates
 
-def _similarity_to_doc(s: Similarity) -> dict:
-    return {"ratio": format_rational(s.ratio),
-            "offset": format_rational(s.offset),
-            "reflect": s.reflect}
+def _only(kind: type, what: str, then):
+    """A decoder that hands x to `then` when its type is exactly kind and
+    raises TypeError otherwise."""
+    def decode(x):
+        if type(x) is not kind:
+            raise TypeError(f"must be {what}, got {x!r}")
+        return then(x)
+    return decode
 
 
-def _similarity_from_doc(d: dict) -> Similarity:
-    return Similarity(parse_rational(d["ratio"]), parse_rational(d["offset"]),
-                      _flag(d, "reflect"))
+def _object(plan: list, build):
+    """A decoder of a JSON object into build(*values), one value per
+    (key, decode, default) of plan.  A missing key gives its default, or a
+    KeyError when it has none.  A type error inside becomes a ValueError
+    naming the innermost key."""
+    def decode(d):
+        args = []
+        for key, dec, default in plan:
+            try:
+                args.append(dec(d[key]) if key in d or default is MISSING
+                            else default)
+            except TypeError as exc:
+                raise ValueError(f"{key!r} {exc}") from None
+        return build(*args)
+    return _only(dict, "an object", decode)
 
 
-def _refutation_to_doc(v: str, r: SubsetRefutation) -> dict:
-    return {
-        "target_vertex": v,
-        "witness_point": format_rational(r.witness_point),
-        "witness_path": list(r.witness_path.edges),
-        "endpoint": format_rational(r.endpoint),
-        "gap": [format_rational(r.gap[0]), format_rational(r.gap[1])],
-        "depths": list(r.depths),
-        "reflected": r.reflected,
-    }
+_SCALARS = {
+    Fraction: (format_rational,
+               _only(str, "a rational string", parse_rational)),
+    mpf: (_num, _only(str, "a decimal string", mpf)),
+    str: (str, _only(str, "a string", str)),
+    int: (int, _only(int, "an integer", int)),
+    bool: (bool, _only(bool, "true or false", bool)),
+}
 
 
-def _pair(d: dict, key: str, parse) -> tuple:
-    items = d[key]
-    if not isinstance(items, list) or len(items) != 2:
-        raise ValueError(f"{key!r} must be a list of 2 entries, got {items!r}")
-    return parse(items[0]), parse(items[1])
+@functools.cache
+def _codec(hint) -> tuple:
+    """(encode, decode) between values of type `hint` and their JSON form,
+    built once per type from dataclass fields and their type hints."""
+    if hint in _SCALARS:
+        return _SCALARS[hint]
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:  # Optional[X]
+        enc, dec = _codec(args[0])
+        return (lambda x: None if x is None else enc(x),
+                lambda x: None if x is None else dec(x))
+    if hint == tuple[str, SubsetRefutation]:
+        enc, dec = _codec(SubsetRefutation)
+        target = _object([("target_vertex", _codec(str)[1], MISSING)], str)
+        return (lambda pair: {"target_vertex": pair[0], **enc(pair[1])},
+                lambda d: (target(d), dec(d)))
+    if origin is tuple and args[-1] is Ellipsis:
+        enc, dec = _codec(args[0])
+        return (lambda xs: [enc(x) for x in xs],
+                _only(list, "a list", lambda xs: tuple(map(dec, xs))))
+    if origin is tuple:
+        encs, decs = zip(*map(_codec, args))
 
-
-def _refutation_from_doc(d: dict) -> tuple[str, SubsetRefutation]:
-    return d["target_vertex"], SubsetRefutation(
-        parse_rational(d["witness_point"]),
-        Path(tuple(d["witness_path"])),
-        parse_rational(d["endpoint"]),
-        _pair(d, "gap", parse_rational),
-        _pair(d, "depths", int),
-        _flag(d, "reflected"),
-    )
-
-
-def _num(x: mpf) -> str:
-    return mp.nstr(mpf(x), 30)
-
-
-def _measure_to_doc(m: MeasureResult) -> dict:
-    def cond(c: ConditionCheck) -> dict:
-        return {"status": c.status.value, "value": _num(c.value),
-                "warning": c.warning}
-
-    return {
-        "s": _num(m.s),
-        "cond1": cond(m.cond1),
-        "cond2": cond(m.cond2),
-        "h_u": None if m.h_u is None else _num(m.h_u),
-        "h_v": None if m.h_v is None else _num(m.h_v),
-    }
-
-
-def _measure_from_doc(d: dict) -> MeasureResult:
-    def cond(c: dict) -> ConditionCheck:
-        return ConditionCheck(ConditionStatus(c["status"]), mpf(c["value"]),
-                              bool(c.get("warning", False)))
-
-    return MeasureResult(
-        mpf(d["s"]), cond(d["cond1"]), cond(d["cond2"]),
-        None if d["h_u"] is None else mpf(d["h_u"]),
-        None if d["h_v"] is None else mpf(d["h_v"]),
-    )
-
-
-def _condition2_to_doc(r: Condition2Report) -> dict:
-    return {
-        "u": r.u,
-        "max_gap_u": format_rational(r.max_gap_u),
-        "comparisons": [[v, format_rational(m), ok]
-                        for v, m, ok in r.comparisons],
-        "level1_gaps_uniform": r.level1_gaps_uniform,
-    }
-
-
-def _condition2_from_doc(d: dict) -> Condition2Report:
-    return Condition2Report(
-        d["u"], parse_rational(d["max_gap_u"]),
-        tuple((v, parse_rational(m), bool(ok))
-              for v, m, ok in d["comparisons"]),
-        d.get("level1_gaps_uniform"),
-    )
-
-
-def _witness_to_doc(w: DetachedCycleWitness) -> dict:
-    return {"w": w.w, "cycle": list(w.cycle.edges),
-            "path": list(w.path.edges), "vprime": list(w.vprime)}
-
-
-def _witness_from_doc(d: dict) -> DetachedCycleWitness:
-    return DetachedCycleWitness(d["w"], Path(tuple(d["cycle"])),
-                                Path(tuple(d["path"])), tuple(d["vprime"]))
+        def decode_fixed(xs):
+            if len(xs) != len(decs):
+                raise TypeError(
+                    f"must be a list of {len(decs)} entries, got {xs!r}")
+            return tuple([dec(x) for dec, x in zip(decs, xs)])
+        return (lambda xs: [enc(x) for enc, x in zip(encs, xs)],
+                _only(list, f"a list of {len(decs)} entries", decode_fixed))
+    if issubclass(hint, enum.Enum):
+        return lambda x: x.value, hint
+    hints = typing.get_type_hints(hint)
+    plan = []
+    for f in dataclasses.fields(hint):
+        default = f.default
+        if typing.get_origin(hints[f.name]) is typing.Union:  # Optional
+            default = None if default is MISSING else default
+        plan.append((f.name, *_codec(hints[f.name]), default))
+    if len(plan) == 1:  # written as its one field
+        ((name, enc, dec, _),) = plan
+        return lambda x: enc(getattr(x, name)), lambda x: hint(dec(x))
+    return (lambda x: {name: enc(getattr(x, name))
+                       for name, enc, _, _ in plan},
+            _object([(name, dec, default)
+                     for name, _, dec, default in plan], hint))
 
 
 def certificate_to_json(cert: Certificate) -> str:
     """Canonical JSON form of a certificate (sorted keys, rational strings,
     path edge-id lists)."""
-    doc = {
-        "subject_digest": cert.subject_digest,
-        "vertex": cert.vertex,
-        "verdict": cert.verdict.value,
-        "theorem": cert.theorem,
-        "cycle_witness": (None if cert.cycle_witness is None
-                          else _witness_to_doc(cert.cycle_witness)),
-        "condition2": (None if cert.condition2 is None
-                       else _condition2_to_doc(cert.condition2)),
-        "refutations": [_refutation_to_doc(v, r)
-                        for v, r in cert.refutations],
-        "measure": (None if cert.measure is None
-                    else _measure_to_doc(cert.measure)),
-        "maps": (None if cert.maps is None
-                 else [_similarity_to_doc(s) for s in cert.maps]),
-        "reflected": cert.reflected,
-        "minimal_edges_asserted": cert.minimal_edges_asserted,
-        "unknown_reason": cert.unknown_reason,
-        "notes": list(cert.notes),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_codec(Certificate)[0](cert), indent=2,
+                      sort_keys=True) + "\n"
 
 
 def certificate_from_json(text: str) -> Certificate:
@@ -256,25 +224,6 @@ def certificate_from_json(text: str) -> Certificate:
     except json.JSONDecodeError as exc:
         raise SpecValidationError(f"invalid certificate JSON: {exc}") from exc
     try:
-        return Certificate(
-            subject_digest=doc["subject_digest"],
-            vertex=doc["vertex"],
-            verdict=Verdict(doc["verdict"]),
-            theorem=doc["theorem"],
-            cycle_witness=(None if doc.get("cycle_witness") is None
-                           else _witness_from_doc(doc["cycle_witness"])),
-            condition2=(None if doc.get("condition2") is None
-                        else _condition2_from_doc(doc["condition2"])),
-            refutations=tuple(_refutation_from_doc(d)
-                              for d in doc.get("refutations", [])),
-            measure=(None if doc.get("measure") is None
-                     else _measure_from_doc(doc["measure"])),
-            maps=(None if doc.get("maps") is None
-                  else tuple(_similarity_from_doc(d) for d in doc["maps"])),
-            reflected=_flag(doc, "reflected"),
-            minimal_edges_asserted=doc.get("minimal_edges_asserted"),
-            unknown_reason=doc.get("unknown_reason"),
-            notes=tuple(doc.get("notes", ())),
-        )
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        return _codec(Certificate)[1](doc)
+    except (KeyError, ValueError, TypeError) as exc:
         raise SpecValidationError(f"malformed certificate: {exc}") from exc

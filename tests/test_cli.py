@@ -276,6 +276,30 @@ class TestVerifyCertificate:
         assert main(["verify-certificate", GOLDEN, str(cert_path)]) == 1
         assert err in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edits", [
+        # the minimal-edge-count hypothesis is no longer asserted
+        {"minimal_edges_asserted": False},
+        {"minimal_edges_asserted": None},
+        # measure evidence that the system does not give
+        {"measure/s": "0.1"},
+        {"measure/cond1/status": "Fails", "measure/h_v": "0.5"},
+    ], ids=["asserted-false", "asserted-null", "measure-s", "measure-cond1"])
+    def test_tampered_p2t_certificate_fails(self, tmp_path, capsys, edits):
+        assert main(["classify", GOLDEN, "--vertex", "u", "--theorem", "p2t",
+                     "--assert-minimal-edges"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == Verdict.NOT_STANDARD.value
+        for path, value in edits.items():
+            *parents, key = path.split("/")
+            target = doc
+            for part in parents:
+                target = target[part]
+            target[key] = value
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(doc))
+        assert main(["verify-certificate", GOLDEN, str(cert_path)]) == 1
+        assert "FAILED to replay" in capsys.readouterr().err
+
     def test_deep_target_level_hits_the_cap_at_once(self, tmp_path, capsys):
         assert main(["classify", GOLDEN, "--vertex", "u"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -187,6 +187,31 @@ class TestCertificates:
                            match=f"'{key}' must be true or false"):
             certificate_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("theorem, path, value", [
+        ("p2q", "condition2/comparisons/0/2", "false"),
+        ("p2q", "condition2/level1_gaps_uniform", "no"),
+        ("p2q", "refutations/0/depths", ["8", 1]),
+        ("p2q", "notes", "abc"),
+        ("p2q", "unknown_reason", 7),
+        ("p2t", "measure/cond1/warning", "false"),
+        ("p2t", "minimal_edges_asserted", "yes"),
+        ("p2t", "minimal_edges_asserted", 1),
+    ])
+    def test_fields_are_type_checked(self, golden_ifs, theorem, path, value):
+        cert = (classify_gap_condition(golden_ifs, "u") if theorem == "p2q"
+                else classify_measure_condition(golden_ifs, "u",
+                                                minimal_edges_asserted=True))
+        doc = json.loads(certificate_to_json(cert))
+        *parents, last = [int(k) if k.isdigit() else k
+                          for k in path.split("/")]
+        holder = doc
+        for key in parents:
+            holder = holder[key]
+        holder[last] = value
+        with pytest.raises(SpecValidationError,
+                           match="malformed certificate"):
+            certificate_from_json(json.dumps(doc))
+
 
 class TestRendering:
     def test_rect_counts(self, golden_ifs):
