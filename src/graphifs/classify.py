@@ -427,9 +427,7 @@ def replay_certificate(ifs: GraphIFS, cert: Certificate) -> bool:
             fresh = condition2_check(ifs, cert.vertex, w.vprime)
         except UnsupportedFeatureError:
             return False
-        if (fresh.max_gap_u != cert.condition2.max_gap_u
-                or fresh.comparisons != cert.condition2.comparisons
-                or not fresh.ok):
+        if fresh != cert.condition2 or not fresh.ok:
             return False
     elif cert.theorem == "p2t":
         fresh, unmet = _unit_measure(ifs, w.vprime)

@@ -263,6 +263,9 @@ class TestVerifyCertificate:
         ("refutation", "gap", ["1/2"], "error: malformed certificate"),
         ("refutation", "witness_point", "1/0",
          "error: malformed certificate: zero denominator in '1/0'"),
+        # condition (2) evidence that the system does not give
+        ("condition2", "u", "v", "FAILED to replay"),
+        ("condition2", "level1_gaps_uniform", False, "FAILED to replay"),
     ])
     def test_tampered_certificate_fails(self, tmp_path, capsys,
                                         part, key, value, err):
