@@ -17,11 +17,10 @@ Edge direction follows the graph: "from" is the edge's initial vertex and
 "to" its terminal vertex.  The attached map runs the *opposite* way — it
 sends the unit-interval copy at "to" into the copy at "from".
 
-A certificate is written from its dataclass fields: each object's keys are
-its field names, and reading checks the type of every field.  Two layouts
-differ: a `Path` is written as its edge-id list, and each
-(target_vertex, SubsetRefutation) pair as the refutation's object plus a
-"target_vertex" key.
+A certificate is written from its dataclass fields, one key per field
+name, and reading checks the type of every field.  A `Path` is written as
+its edge-id list, and each (target_vertex, SubsetRefutation) pair as the
+refutation's object plus a "target_vertex" key.
 """
 
 from __future__ import annotations
@@ -51,6 +50,13 @@ from .model import (
 
 # ---------------------------------------------------------------------------
 # system documents
+
+def _flag(d: dict, key: str) -> bool:
+    """A JSON boolean field, false when missing."""
+    if not isinstance(flag := d.get(key, False), bool):
+        raise ValueError(f"{key!r} must be true or false, got {flag!r}")
+    return flag
+
 
 def load_spec(text: str) -> GraphIFS:
     """Parse and validate a system document; raises SpecValidationError
@@ -87,7 +93,7 @@ def load_spec(text: str) -> GraphIFS:
             issues.append(f"{where}: bad rational: {exc}")
             continue
         try:
-            reflect = _object([("reflect", _codec(bool)[1], False)], bool)(e)
+            reflect = _flag(e, "reflect")
             edges.append(Edge(eid, src, dst, Similarity(ratio, offset, reflect)))
         except ValueError as exc:
             issues.append(f"{where} (id {eid!r}): {exc}")
