@@ -63,7 +63,7 @@ def load_spec(text: str) -> GraphIFS:
     listing every problem found."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecValidationError(f"invalid JSON: {exc}") from exc
     issues: list[str] = []
     if not isinstance(doc, dict):
@@ -227,7 +227,7 @@ def certificate_to_json(cert: Certificate) -> str:
 def certificate_from_json(text: str) -> Certificate:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecValidationError(f"invalid certificate JSON: {exc}") from exc
     try:
         return _codec(Certificate)[1](doc)

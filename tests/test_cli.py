@@ -68,6 +68,18 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "verify-certificate"])
+    def test_deeply_nested_document(self, tmp_path, capsys, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        argv = ([command, str(deep)] if command == "validate"
+                else [command, GOLDEN, str(deep)])
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "JSON" in err
+        assert "Traceback" not in err
+
 
 class TestDim:
     def test_golden(self, capsys):

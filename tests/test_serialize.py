@@ -80,6 +80,10 @@ class TestSpecDocuments:
         with pytest.raises(SpecValidationError):
             load_spec("{not json")
 
+    def test_deeply_nested_json_rejected(self):
+        with pytest.raises(SpecValidationError, match="^invalid JSON: "):
+            load_spec("[" * 100000)
+
     def test_structural_failure_reported(self):
         doc = {
             "vertices": ["u", "v"],
@@ -151,6 +155,11 @@ class TestCertificates:
             certificate_from_json("{}")
         with pytest.raises(SpecValidationError):
             certificate_from_json("{nope")
+
+    def test_deeply_nested_json_rejected(self):
+        with pytest.raises(SpecValidationError,
+                           match="^invalid certificate JSON: "):
+            certificate_from_json("[" * 100000)
 
     @pytest.mark.parametrize("key, value", [
         ("gap", ["1/2"]),
