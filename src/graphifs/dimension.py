@@ -4,19 +4,29 @@ The dimension s is the unique t with spectral radius rho(A(t)) = 1, where
 A(t) is the nonnegative matrix whose (u,v) entry sums r_e^t over the edges
 u -> v.  rho is strictly decreasing in t, rho(A(0)) >= 2 (out-degree >= 2)
 and rho(A(1)) < 1 (level-1 total length < 1 under the separation
-condition), so bisection on [0,1] always converges.  Each step decides
-rho(A(t)) < 1 without computing rho: for nonnegative A, rho(A) < lam exactly
-when lam*I - A is a nonsingular M-matrix, that is when its elimination
-meets only positive pivots (Berman & Plemmons, ch. 6, condition A1).  For
-the two-vertex double-loop family the same s is also the root of the 2x2
-characteristic equation, which serves as an independent cross-check.
+condition), so s lies in [0, 1], and a bracket [lo, hi] holds s exactly
+when rho(A(lo)) >= 1 > rho(A(hi)).  That test needs no rho: for
+nonnegative A, rho(A) < lam exactly when lam*I - A is a nonsingular
+M-matrix, that is when its Gaussian elimination without row exchanges
+meets only positive pivots (Berman & Plemmons, ch. 6, condition A1).
+
+The solver steps in 40-digit mpf.  Each step builds A(t) once and
+eliminates I - A(t) once: the pivot test decides which end of the
+bracket moves, and the product of the pivots, det(I - A(t)), proposes the
+next t by the Illinois rule (a modified regula falsi), which needs about
+ten steps to 1e-12 where halving needs forty.  The two ends of the final
+bracket are then proven by the same elimination in mpmath.iv interval
+arithmetic with outward rounding, so a returned bracket holds s for
+certain.  For the two-vertex double-loop family the same s is also the
+root of the 2x2 characteristic equation, which serves as an independent
+cross-check and is solved by plain halving.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpf
+from mpmath import iv, mp, mpf
 
 from .errors import NumericError
 from .families import DoubleLoopParams
@@ -48,53 +58,110 @@ def moran_matrix(ifs: GraphIFS, t) -> MoranMatrix:
     t = _to_mpf(t)
     if t < 0:
         raise ValueError("t must be >= 0")
-    return _moran(ifs)(t)
+    return _moran(ifs)[0](t)
 
 
 def _moran(ifs: GraphIFS):
-    """t -> A(t), with the vertex index and the edge ratios in working
-    precision made once, for a solve that builds A(t) at many t."""
+    """(at, enclose) for a solve that builds A(t) at many t, with the
+    vertex index and the edge ratios in working precision made once:
+    at(t) is A(t) in mpf, and enclose(*ts) gives A(t) for each t in iv.mpf
+    intervals, at the current iv precision, that hold the exact entries."""
     index = {v: i for i, v in enumerate(ifs.vertices)}
-    terms = [(index[e.src], index[e.dst], _to_mpf(e.map.ratio))
-             for e in ifs.edges]
+    cells = [(index[e.src], index[e.dst]) for e in ifs.edges]
+    ratios = [_to_mpf(e.map.ratio) for e in ifs.edges]
 
-    def at(t: mpf) -> MoranMatrix:
-        rows = [[mpf(0)] * len(index) for _ in index]
-        for i, j, r in terms:
-            rows[i][j] += r ** t
+    def build(powers, zero) -> MoranMatrix:
+        rows = [[zero] * len(index) for _ in index]
+        for (i, j), power in zip(cells, powers):
+            rows[i][j] += power
         return MoranMatrix(tuple(ifs.vertices), tuple(tuple(r) for r in rows))
 
-    return at
+    def at(t: mpf) -> MoranMatrix:
+        return build([r ** t for r in ratios], mpf(0))
+
+    def enclose(*ts: mpf) -> list[MoranMatrix]:
+        logs = [iv.log(iv.mpf(e.map.ratio.numerator) / e.map.ratio.denominator)
+                for e in ifs.edges]
+        return [build([iv.exp(iv.mpf(t) * log) for log in logs], iv.mpf(0))
+                for t in ts]
+
+    return at, enclose
 
 
-def _below(m: MoranMatrix, lam) -> bool:
-    """Whether rho(m) < lam: Gaussian elimination of lam*I - m without
-    pivoting, which fails at the first pivot <= 0."""
+def _pivots(m: MoranMatrix, lam):
+    """Yield the pivots of lam*I - m under Gaussian elimination without
+    row exchanges, in mpf or in iv.mpf as the entries are.  A reader
+    must stop at a pivot that is or may be 0, which the next step would
+    divide by."""
     rows = [[(lam if i == j else 0) - x for j, x in enumerate(row)]
             for i, row in enumerate(m.entries)]
     for k, pivot_row in enumerate(rows):
         pivot = pivot_row[k]
-        if pivot <= 0:
-            return False
+        yield pivot
         for row in rows[k + 1:]:
             factor = row[k] / pivot
             for j in range(k + 1, m.n):
                 row[j] -= factor * pivot_row[j]
+
+
+def _below(m: MoranMatrix, lam):
+    """Whether rho(m) < lam: True when every pivot of lam*I - m is
+    positive, False at the first pivot <= 0.  On iv.mpf entries True and
+    False are proofs, and None means a pivot interval straddles 0."""
+    for pivot in _pivots(m, lam):
+        if not pivot > 0:
+            return False if pivot <= 0 else None
     return True
 
 
-def _bisect(at_or_below, lo, hi, tol):
-    """Halve [lo, hi] until it is at most tol wide, keeping at_or_below
-    true at lo and false at hi; returns (lo, hi, iterations).  Raises
-    ValueError when a step cannot shrink the bracket, which happens once
-    it is one unit of working precision wide and still wider than tol."""
-    iterations = 0
+def _at_or_above_one(m: MoranMatrix):
+    """(rho(m) >= 1, det(I - m)) from one elimination: the pivot test and
+    the product of the pivots.  det is None when a pivot is 0, where an
+    elimination without row exchanges cannot go on."""
+    below, det = True, mpf(1)
+    for pivot in _pivots(m, 1):
+        if not pivot:
+            return True, None
+        below = below and pivot > 0
+        det *= pivot
+    return not below, det
+
+
+def _bracket(decide, lo, hi, tol, f_lo=None, f_hi=None):
+    """Shrink [lo, hi] until it is at most tol wide, keeping the
+    predicate of decide true at lo and false at hi; returns (lo, hi,
+    iterations).  decide(x) returns (predicate at x, f(x)) for an f that
+    is negative at lo and positive at hi near the root, or None in place
+    of f(x); f_lo and f_hi are f at the starting ends.
+
+    When f(lo) < 0 < f(hi), a step tries the Illinois point: the root of
+    the chord through both ends, where each step that keeps the same end
+    as the step before halves that end's f.  The point is kept at least tol/2 inside
+    the bracket, so that an end already within rounding of the root ends
+    the solve one step later.  Every other step halves the bracket.  The
+    predicate alone decides which end moves.  Raises ValueError when a
+    step cannot shrink the bracket, which happens once it is one unit of
+    working precision wide and still wider than tol."""
+    iterations, kept = 0, None
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        bracket = (mid, hi) if at_or_below(mid) else (lo, mid)
+        if f_lo is not None and f_hi is not None and f_lo < 0 < f_hi:
+            chord = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+            chord = min(max(chord, lo + tol / 2), hi - tol / 2)
+            if lo < chord < hi:
+                mid = chord
+        holds, f_mid = decide(mid)
+        bracket = (mid, hi) if holds else (lo, mid)
         if bracket == (lo, hi):
             raise ValueError("tol is below the working precision")
-        lo, hi = bracket
+        if holds:
+            if kept == "hi" and f_hi is not None:
+                f_hi /= 2
+            lo, f_lo, kept = mid, f_mid, "hi"
+        else:
+            if kept == "lo" and f_lo is not None:
+                f_lo /= 2
+            hi, f_hi, kept = mid, f_mid, "lo"
         iterations += 1
     return lo, hi, iterations
 
@@ -105,30 +172,67 @@ def spectral_radius(m: MoranMatrix) -> mpf:
     of the final bracket is returned, so an exact root stays exact."""
     top = max(sum(row) for row in m.entries)
     tol = mpf(10) ** (-(mp.dps - 5)) * max(1, top)
-    return _bisect(lambda lam: not _below(m, lam), mpf(0), top, tol)[1]
+    return _bracket(lambda lam: (not _below(m, lam), None),
+                    mpf(0), top, tol)[1]
 
 
 @dataclass(frozen=True)
 class DimensionResult:
-    """Bisection output: the dimension estimate and its final bracket."""
+    """Solver output: the dimension estimate, its proven bracket and the
+    number of Illinois steps taken."""
 
     s: mpf
     bracket: tuple[mpf, mpf]
     iterations: int
 
 
+def _prove(enclose, lo: mpf, hi: mpf, tol: mpf) -> tuple[mpf, mpf]:
+    """[lo, hi], or a wider bracket still at most tol wide, with
+    rho(A(lo)) >= 1 and rho(A(hi)) < 1 proven by interval elimination.
+
+    An end within working precision of s, as at a dyadic s that a step
+    hits exactly, has a pivot interval that straddles 0; such an end moves
+    out by a quarter of the room left under tol and is proven again.
+    Raises NumericError when that fails too.  iv runs 10 digits above
+    mp.dps, since the ends can sit one unit of working precision from s,
+    and its precision is restored afterwards."""
+    pad = (tol - (hi - lo)) / 4
+    prec = iv.prec
+    iv.dps = mp.dps + 10
+    try:
+        proofs = [_below(m, 1) for m in enclose(lo, hi)]
+        if proofs != [False, True] and pad > 0:
+            lo -= 0 if proofs[0] is False else pad
+            hi += 0 if proofs[1] is True else pad
+            proofs = [_below(m, 1) for m in enclose(lo, hi)]
+    finally:
+        iv.prec = prec
+    if proofs != [False, True]:
+        raise NumericError(f"could not prove that [{lo}, {hi}] brackets s")
+    return lo, hi
+
+
 def hausdorff_dimension(ifs: GraphIFS, tol: float = 1e-12) -> DimensionResult:
-    """Solve rho(A(t)) = 1 by bisection on [0, 1]."""
+    """Solve rho(A(t)) = 1 on [0, 1] by Illinois steps on det(I - A(t)),
+    each decided by the pivot test, and prove the final bracket by
+    interval elimination; raises NumericError when the proof fails, so a
+    returned bracket always holds s."""
     tol = _to_mpf(tol)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    a = _moran(ifs)
-    if _below(a(mpf(0)), 1):
+    at, enclose = _moran(ifs)
+
+    def decide(t):
+        return _at_or_above_one(at(t))
+
+    above, f_lo = decide(mpf(0))
+    if not above:
         raise NumericError("rho(A(0)) < 1: graph violates out-degree >= 2")
-    if not _below(a(mpf(1)), 1):
+    above, f_hi = decide(mpf(1))
+    if above:
         raise NumericError("rho(A(1)) >= 1: level-1 intervals overfill [0,1]")
-    lo, hi, iterations = _bisect(
-        lambda t: not _below(a(t), 1), mpf(0), mpf(1), tol)
+    lo, hi, iterations = _bracket(decide, mpf(0), mpf(1), tol, f_lo, f_hi)
+    lo, hi = _prove(enclose, lo, hi, tol)
     return DimensionResult((lo + hi) / 2, (lo, hi), iterations)
 
 
@@ -148,5 +252,5 @@ def double_loop_char_root(params: DoubleLoopParams,
 
     if not (f(0) < 0 < f(1)):
         raise NumericError("characteristic equation lost its sign change")
-    lo, hi, _ = _bisect(lambda t: f(t) < 0, mpf(0), mpf(1), tol)
+    lo, hi, _ = _bracket(lambda t: (f(t) < 0, None), mpf(0), mpf(1), tol)
     return (lo + hi) / 2

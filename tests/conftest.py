@@ -1,5 +1,6 @@
 """Shared fixtures and randomized instance generators."""
 
+import importlib.util
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +19,19 @@ from graphifs import (
 )
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+
+
+def _load_gen():
+    """The benchmark's seeded system generator, `perfbench/gen.py`,
+    loaded by path, so the tests draw the systems the benchmark times."""
+    path = SPEC_DIR.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gen = _load_gen()
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from graphifs import (
 )
 from graphifs import dimension
 from graphifs.dimension import MoranMatrix
-from conftest import random_double_loop_params
+from conftest import gen, random_double_loop_params
 
 F = Fraction
 
@@ -77,11 +77,12 @@ class TestSpectralRadius:
 
 
 class TestHausdorffDimension:
-    def test_golden(self, golden_ifs):
-        result = hausdorff_dimension(golden_ifs)
-        assert abs(result.s - GOLDEN_S) < 1e-9
+    @pytest.mark.parametrize("tol", [1e-12, 1e-30, 1e-39])
+    def test_golden(self, golden_ifs, tol):
+        result = hausdorff_dimension(golden_ifs, tol)
+        assert abs(result.s - GOLDEN_S) <= tol
         lo, hi = result.bracket
-        assert hi - lo <= 1e-12
+        assert hi - lo <= tol
 
     def test_half_dimension_instance(self):
         p = DoubleLoopParams(F(1, 4), F(1, 2), F(1, 4),
@@ -114,8 +115,52 @@ class TestHausdorffDimension:
 
         monkeypatch.setattr(dimension, "_moran", counted_moran)
         result = hausdorff_dimension(golden_ifs)
-        assert result.iterations == 40
+        assert result.iterations <= 12
         assert solves == [golden_ifs]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_generated_systems_proven_in_few_steps(self, n):
+        rng = random.Random(f"dimension-{n}")
+        for _ in range(5):
+            ifs = gen.draw_cssc(rng, n)
+            at, enclose = dimension._moran(ifs)
+            result = hausdorff_dimension(ifs)
+            assert result.iterations <= 12
+            lo, hi = result.bracket
+            assert hi - lo <= 1e-12
+            iv_prec = mpmath.iv.prec
+            mpmath.iv.dps = mpmath.mp.dps + 10
+            try:
+                proofs = [dimension._below(m, 1) for m in enclose(lo, hi)]
+            finally:
+                mpmath.iv.prec = iv_prec
+            assert proofs == [False, True]
+
+    def test_exact_dyadic_root_is_proven(self):
+        # s = 1/2 exactly: the first step lands on the root itself, whose
+        # last pivot is 0, so the end is moved off it before the proof.
+        p = DoubleLoopParams(F(1, 4), F(1, 2), F(1, 4),
+                             F(1, 4), F(1, 2), F(1, 4))
+        lo, hi = hausdorff_dimension(double_loop_ifs(p)).bracket
+        assert lo < mpmath.mpf(1) / 2 < hi
+        assert hi - lo <= 1e-12
+
+    @pytest.mark.parametrize("which", [0, -1])
+    def test_unproven_bracket_raises(self, golden_ifs, monkeypatch, which):
+        # An interval elimination whose first or last pivot straddles 0
+        # proves neither end, so no bracket may come back.
+        real_pivots = dimension._pivots
+
+        def straddling(m, lam):
+            if not isinstance(m.entries[0][0], mpmath.iv.mpf):
+                return real_pivots(m, lam)
+            pivots = list(real_pivots(m, lam))
+            pivots[which] = mpmath.iv.mpf([-1, 1])
+            return iter(pivots)
+
+        monkeypatch.setattr(dimension, "_pivots", straddling)
+        with pytest.raises(NumericError, match="could not prove"):
+            hausdorff_dimension(golden_ifs)
 
 
 class TestCharacteristicRoot:

@@ -21,6 +21,7 @@ from graphifs import (
     classify_gap_condition,
     cross_refutation_empty,
     cssc_check,
+    double_loop_char_root,
     double_loop_ifs,
     dump_spec,
     format_rational,
@@ -341,7 +342,7 @@ def reference_spectral_radius(m):
 
 
 def reference_dimension_bracket(ifs, tol=1e-12):
-    """hausdorff_dimension's bisection with each step decided by the
+    """Bisection of [0, 1] to tol with each step decided by the
     reference power iteration."""
     lo, hi, iterations = mpmath.mpf(0), mpmath.mpf(1), 0
     while hi - lo > tol:
@@ -636,8 +637,20 @@ class TestDimensionInvariants:
     def test_dimension_matches_power_iteration_bisection(self, name):
         ifs = load_spec((SPEC_DIR / f"{name}.json").read_text())
         result = hausdorff_dimension(ifs)
-        assert (result.bracket, result.iterations) == \
-            reference_dimension_bracket(ifs)
+        lo, hi = result.bracket
+        assert hi - lo <= 1e-12 and result.iterations <= 12
+        assert reference_spectral_radius(moran_matrix(ifs, lo)) >= 1
+        assert reference_spectral_radius(moran_matrix(ifs, hi)) < 1
+        (ref_lo, ref_hi), _ = reference_dimension_bracket(ifs)
+        assert max(lo, ref_lo) <= min(hi, ref_hi)
+
+    @COMMON
+    @given(double_loop_params())
+    def test_bracket_holds_characteristic_root(self, params):
+        tol = 1e-12
+        lo, hi = hausdorff_dimension(double_loop_ifs(params), tol).bracket
+        root = double_loop_char_root(params, tol)
+        assert lo - tol <= root <= hi + tol
 
 
 class TestCertificateInvariants:
