@@ -72,13 +72,13 @@ CASES = [
       "--max-j", "4", "--max-k", "4"], 0,
      "5fdb01cadcaf5baf78543e6d91066b132c712aa803dde52366d109489b7d5238"),
     ("dim-gap-spanning", ["dim", _spec("gap_spanning")], 0,
-     "aa454c9f1022ed5e716a82cdf639647133a873e6727f9161788059824fe0ec34"),
+     "b7089f35ae168ae3b1cf665131db37acac9eb06982ea7ee8b4dd8897be2c6293"),
     ("dim-golden", ["dim", _spec("golden_ratio")], 0,
-     "7e8459e4a412dc8e0f9567680111f5402ea6323dc5a9914a86cec57823dc4654"),
+     "3a96b0637995091406f642bf08c344cdd33251354115ed02e4ff7478934de56c"),
     ("dim-nested", ["dim", _spec("nested_components")], 0,
-     "251cb0cb3690ba692b686e4d8d9c883bf741f56af20e8b0750a1e3e8e3166a98"),
+     "4e2d0a7b67355518adf24bfc85462d7f4620de513ad9427d5e3f065eb8d6b117"),
     ("dim-one-loop", ["dim", _spec("one_loop")], 0,
-     "7e8459e4a412dc8e0f9567680111f5402ea6323dc5a9914a86cec57823dc4654"),
+     "b2d5ad3ec36b4128c555e829f94bfee4edd7d1bef3a1f6f372f589a0958497e4"),
     ("measure-golden", ["measure", _spec("golden_ratio")], 0,
      "33c0f60af4dee0739bd6ede79309187a9af73b82a9cb83e284e8af7fedf4a384"),
     ("classify-golden-u",
