@@ -15,7 +15,7 @@ eliminates I - A(t) once: the pivot test decides which end of the
 bracket moves, and the product of the pivots, det(I - A(t)), proposes the
 next t by the Illinois rule (a modified regula falsi), which needs about
 ten steps to 1e-12 where halving needs forty.  The two ends of the final
-bracket are then proven by the same elimination in mpmath.iv interval
+bracket are then proven by the same elimination in mpmath interval
 arithmetic with outward rounding, so a returned bracket holds s for
 certain.  For the two-vertex double-loop family the same s is also the
 root of the 2x2 characteristic equation, which serves as an independent
@@ -26,13 +26,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import iv, mp, mpf
+from mpmath import mp, mpf
+from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import NumericError
 from .families import DoubleLoopParams
 from .model import GraphIFS
 
 mp.dps = 40
+
+#: The interval arithmetic of the bracket proofs: a context of its own, so
+#: that setting its precision leaves a caller's mpmath.iv alone.
+_IV = MPIntervalContext()
 
 
 def _to_mpf(x) -> mpf:
@@ -64,8 +69,8 @@ def moran_matrix(ifs: GraphIFS, t) -> MoranMatrix:
 def _moran(ifs: GraphIFS):
     """(at, enclose) for a solve that builds A(t) at many t, with the
     vertex index and the edge ratios in working precision made once:
-    at(t) is A(t) in mpf, and enclose(*ts) gives A(t) for each t in iv.mpf
-    intervals, at the current iv precision, that hold the exact entries."""
+    at(t) is A(t) in mpf, and enclose(*ts) gives A(t) for each t in _IV
+    intervals, at _IV's current precision, that hold the exact entries."""
     index = {v: i for i, v in enumerate(ifs.vertices)}
     cells = [(index[e.src], index[e.dst]) for e in ifs.edges]
     ratios = [_to_mpf(e.map.ratio) for e in ifs.edges]
@@ -80,9 +85,9 @@ def _moran(ifs: GraphIFS):
         return build([r ** t for r in ratios], mpf(0))
 
     def enclose(*ts: mpf) -> list[MoranMatrix]:
-        logs = [iv.log(iv.mpf(e.map.ratio.numerator) / e.map.ratio.denominator)
+        logs = [_IV.log(_IV.mpf(e.map.ratio.numerator) / e.map.ratio.denominator)
                 for e in ifs.edges]
-        return [build([iv.exp(iv.mpf(t) * log) for log in logs], iv.mpf(0))
+        return [build([_IV.exp(_IV.mpf(t) * log) for log in logs], _IV.mpf(0))
                 for t in ts]
 
     return at, enclose
@@ -90,7 +95,7 @@ def _moran(ifs: GraphIFS):
 
 def _pivots(m: MoranMatrix, lam):
     """Yield the pivots of lam*I - m under Gaussian elimination without
-    row exchanges, in mpf or in iv.mpf as the entries are.  A reader
+    row exchanges, in mpf or in intervals as the entries are.  A reader
     must stop at a pivot that is or may be 0, which the next step would
     divide by."""
     rows = [[(lam if i == j else 0) - x for j, x in enumerate(row)]
@@ -106,8 +111,8 @@ def _pivots(m: MoranMatrix, lam):
 
 def _below(m: MoranMatrix, lam):
     """Whether rho(m) < lam: True when every pivot of lam*I - m is
-    positive, False at the first pivot <= 0.  On iv.mpf entries True and
-    False are proofs, and None means a pivot interval straddles 0."""
+    positive, False at the first pivot <= 0.  On interval entries True
+    and False are proofs, and None means a pivot interval straddles 0."""
     for pivot in _pivots(m, lam):
         if not pivot > 0:
             return False if pivot <= 0 else None
@@ -193,20 +198,16 @@ def _prove(enclose, lo: mpf, hi: mpf, tol: mpf) -> tuple[mpf, mpf]:
     An end within working precision of s, as at a dyadic s that a step
     hits exactly, has a pivot interval that straddles 0; such an end moves
     out by a quarter of the room left under tol and is proven again.
-    Raises NumericError when that fails too.  iv runs 10 digits above
-    mp.dps, since the ends can sit one unit of working precision from s,
-    and its precision is restored afterwards."""
+    Raises NumericError when that fails too.  The intervals carry 10
+    digits beyond mp.dps, since the ends can sit one unit of working
+    precision from s."""
     pad = (tol - (hi - lo)) / 4
-    prec = iv.prec
-    iv.dps = mp.dps + 10
-    try:
+    _IV.dps = mp.dps + 10
+    proofs = [_below(m, 1) for m in enclose(lo, hi)]
+    if proofs != [False, True] and pad > 0:
+        lo -= 0 if proofs[0] is False else pad
+        hi += 0 if proofs[1] is True else pad
         proofs = [_below(m, 1) for m in enclose(lo, hi)]
-        if proofs != [False, True] and pad > 0:
-            lo -= 0 if proofs[0] is False else pad
-            hi += 0 if proofs[1] is True else pad
-            proofs = [_below(m, 1) for m in enclose(lo, hi)]
-    finally:
-        iv.prec = prec
     if proofs != [False, True]:
         raise NumericError(f"could not prove that [{lo}, {hi}] brackets s")
     return lo, hi

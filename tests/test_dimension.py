@@ -123,17 +123,13 @@ class TestHausdorffDimension:
         rng = random.Random(f"dimension-{n}")
         for _ in range(5):
             ifs = gen.draw_cssc(rng, n)
-            at, enclose = dimension._moran(ifs)
             result = hausdorff_dimension(ifs)
             assert result.iterations <= 12
             lo, hi = result.bracket
             assert hi - lo <= 1e-12
-            iv_prec = mpmath.iv.prec
-            mpmath.iv.dps = mpmath.mp.dps + 10
-            try:
-                proofs = [dimension._below(m, 1) for m in enclose(lo, hi)]
-            finally:
-                mpmath.iv.prec = iv_prec
+            # re-prove at the precision the solve left the proof context at
+            enclose = dimension._moran(ifs)[1]
+            proofs = [dimension._below(m, 1) for m in enclose(lo, hi)]
             assert proofs == [False, True]
 
     def test_exact_dyadic_root_is_proven(self):
@@ -152,10 +148,10 @@ class TestHausdorffDimension:
         real_pivots = dimension._pivots
 
         def straddling(m, lam):
-            if not isinstance(m.entries[0][0], mpmath.iv.mpf):
+            if not isinstance(m.entries[0][0], dimension._IV.mpf):
                 return real_pivots(m, lam)
             pivots = list(real_pivots(m, lam))
-            pivots[which] = mpmath.iv.mpf([-1, 1])
+            pivots[which] = dimension._IV.mpf([-1, 1])
             return iter(pivots)
 
         monkeypatch.setattr(dimension, "_pivots", straddling)
