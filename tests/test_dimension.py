@@ -85,10 +85,15 @@ class TestHausdorffDimension:
         assert hi - lo <= tol
 
     def test_half_dimension_instance(self):
+        # s = 1/2 exactly: the first step lands on the root itself, whose
+        # last pivot is 0, so the end is moved off it before the proof.
         p = DoubleLoopParams(F(1, 4), F(1, 2), F(1, 4),
                              F(1, 4), F(1, 2), F(1, 4))
         result = hausdorff_dimension(double_loop_ifs(p))
         assert abs(result.s - mpmath.mpf(1) / 2) < 1e-9
+        lo, hi = result.bracket
+        assert lo < mpmath.mpf(1) / 2 < hi
+        assert hi - lo <= 1e-12
 
     def test_spanning_system_self_consistent(self, spanning_pair):
         ifs, _s = spanning_pair
@@ -131,15 +136,6 @@ class TestHausdorffDimension:
             enclose = dimension._moran(ifs)[1]
             proofs = [dimension._below(m, 1) for m in enclose(lo, hi)]
             assert proofs == [False, True]
-
-    def test_exact_dyadic_root_is_proven(self):
-        # s = 1/2 exactly: the first step lands on the root itself, whose
-        # last pivot is 0, so the end is moved off it before the proof.
-        p = DoubleLoopParams(F(1, 4), F(1, 2), F(1, 4),
-                             F(1, 4), F(1, 2), F(1, 4))
-        lo, hi = hausdorff_dimension(double_loop_ifs(p)).bracket
-        assert lo < mpmath.mpf(1) / 2 < hi
-        assert hi - lo <= 1e-12
 
     @pytest.mark.parametrize("which", [0, -1])
     def test_unproven_bracket_raises(self, golden_ifs, monkeypatch, which):
