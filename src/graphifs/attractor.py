@@ -216,31 +216,17 @@ def endpoint_witnesses(ifs: GraphIFS, u: str, depth: int
     (model.endpoint_fixed_check), sorted by (point, path length, edge ids,
     endpoint) and deduplicated by point.
 
-    Each point keeps the first witness it meets in _witness_nodes, the
-    one place that tie rule lives: shortest path, then edge-id order,
-    endpoint 0 before 1."""
+    The path tree is walked breadth first, shorter paths first and paths
+    of one length in edge-id order, so each point keeps the first witness
+    it meets: shortest path, then edge-id order, endpoint 0 before 1.  Each
+    path map is composed one edge at a time as integers (A, B) meaning
+    x -> (A x + B) / D^length, D the ladder's scale."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     _check_path_cap(ifs, u, depth)
+    scale, maps = ifs.ladder.scale, ifs.ladder.maps
     members = ifs.fixed_endpoints
     best: dict[int, tuple[Path, Fraction]] = {}  # point * D^depth -> witness
-    for at, edges, ends in _witness_nodes(ifs, u, depth, lambda ends: True):
-        for endpoint, member, point in zip((ZERO, ONE), members[at], ends):
-            if member and point not in best:
-                best[point] = (Path(edges), endpoint)
-    top = ifs.ladder.scale ** depth
-    return [(Fraction(point, top), *best[point]) for point in sorted(best)]
-
-
-def _witness_nodes(ifs: GraphIFS, u: str, depth: int, keep):
-    """(t(p), p's edge ids, (S_p(0), S_p(1)) as integers over D^depth) for
-    each path p of length 1..depth from u: shorter paths first, paths of
-    one length in edge-id order.  A node whose pair fails `keep` is
-    dropped with every node below it.
-
-    Each path map is composed one edge at a time as integers (A, B)
-    meaning x -> (A x + B) / D^length, D the ladder's scale."""
-    scale, maps = ifs.ladder.scale, ifs.ladder.maps
     level = [(u, (), 1, 0)]
     for j in range(1, depth + 1):
         lift = scale ** (depth - j)
@@ -249,12 +235,17 @@ def _witness_nodes(ifs: GraphIFS, u: str, depth: int, keep):
             for e in ifs.out_edges(at):
                 c, o = maps[e.id]
                 ca, cb = a * c, a * o + b * scale
-                ends = (cb * lift, (ca + cb) * lift)
-                if keep(ends):
-                    yield e.dst, edges + (e.id,), ends
-                    if j < depth:
-                        nodes.append((e.dst, edges + (e.id,), ca, cb))
+                path = edges + (e.id,)
+                for endpoint, member, point in zip(
+                        (ZERO, ONE), members[e.dst],
+                        (cb * lift, (ca + cb) * lift)):
+                    if member and point not in best:
+                        best[point] = (Path(path), endpoint)
+                if j < depth:
+                    nodes.append((e.dst, path, ca, cb))
         level = nodes
+    top = scale ** depth
+    return [(Fraction(point, top), *best[point]) for point in sorted(best)]
 
 
 @dataclass(frozen=True)
@@ -275,25 +266,27 @@ class SubsetRefutation:
     reflected: bool = False
 
 
-def first_refutation(ifs: GraphIFS, u: str, v: str, depth: int,
-                     reflected: bool = False) -> Optional[SubsetRefutation]:
-    """The least witness point of endpoint_witnesses(ifs, u, depth) that
-    lies strictly inside a gap of F_v^m (of R(F_v^m) when `reflected`,
+def refute_subset(ifs: GraphIFS, u: str, v: str, depth: int = 8,
+                  reflected: bool = False) -> Optional[SubsetRefutation]:
+    """Proof that F_u is not a subset of F_v (of R(F_v) when `reflected`):
+    the least point of endpoint_witnesses(ifs, u, depth), with the witness
+    it keeps there, that lies strictly inside a gap of F_v^m (of R(F_v^m),
     whose gaps are those of F_v^m reflected, (1 - hi, 1 - lo)), for the
-    least level m = 1..depth that has one; None when there is none.
+    least level m = 1..depth that has one.  None means no proof was found
+    at this depth, not that containment holds.
 
     No witness list is built.  For each m, a best-first search pops
-    path-tree nodes, the integer maps (A, B) of _witness_nodes, in
-    order of the low end of their hull S_p([0,1]) over D^depth.  It skips
-    every node whose closed hull meets no open gap and stops once no node
-    left starts below the best point found; a child's hull lies in its
-    parent's, since the ladder rejects a hull outside [0,1] when it builds
-    level 1 for every vertex.  Its path then comes from _witness_nodes,
-    pruned to the hulls that hold that point: the first node that maps a
-    member endpoint onto it gives the witness endpoint_witnesses keeps.
-    _witness_nodes is the one place that tie rule lives (shortest, then
-    edge-id order, endpoint 0 before 1)."""
+    path-tree nodes, the integer maps (A, B) of endpoint_witnesses, keyed
+    by (low end of their hull S_p([0,1]) over D^depth, length, edge ids).
+    It skips every node whose closed hull meets no open gap and stops once
+    no node left is keyed below the best (point, length, edge ids,
+    endpoint) found; a child's hull lies in its parent's, since the ladder
+    rejects a hull outside [0,1] when it builds level 1 for every vertex.
+    So every node that maps a member endpoint onto the best point is
+    popped, and the key carries the tie rule of endpoint_witnesses."""
     from heapq import heappop, heappush  # loaded by a search, not on import
+    if u == v:
+        raise ValueError("refute_subset requires distinct vertices")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     _check_path_cap(ifs, u, depth)
@@ -303,7 +296,7 @@ def first_refutation(ifs: GraphIFS, u: str, v: str, depth: int,
     top = scale ** depth
     lift = [scale ** (depth - j) for j in range(depth + 1)]
     members = ifs.fixed_endpoints
-    out = {w: [(e.dst, *ladder.maps[e.id]) for e in ifs.out_edges(w)]
+    out = {w: [(e.id, e.dst, *ladder.maps[e.id]) for e in ifs.out_edges(w)]
            for w in ifs.vertices}
     for m in range(1, depth + 1):
         gaps = [(lo * lift[m], hi * lift[m]) for lo, hi in ladder.gaps(v, m)]
@@ -311,50 +304,43 @@ def first_refutation(ifs: GraphIFS, u: str, v: str, depth: int,
             gaps = [(top - hi, top - lo) for lo, hi in reversed(gaps)]
         los = [lo for lo, _hi in gaps]
         his = [hi for _lo, hi in gaps]
-        best = top  # no point strictly inside a gap reaches 1
-        heap = [(0, 0, u, 1, 0)]  # (hull low end, length, vertex, A, B)
-        while heap and heap[0][0] < best:
-            _lo, j, at, a, b = heappop(heap)
+        # (point, length, edge ids, endpoint): no point strictly inside a
+        # gap reaches 1, and (top,) sorts after every key that starts at top
+        best = (top,)
+        # (hull low end, length, edge ids, vertex, A, B)
+        heap = [(0, 0, (), u, 1, 0)]
+        while heap and (heap[0][0] < best[0] or heap[0][0] == best[0]
+                        and heap[0][1:3] < best[1:3]):
+            _lo, j, edges, at, a, b = heappop(heap)
             if j:
-                for member, point in zip(members[at],
-                                         (b * lift[j], (a + b) * lift[j])):
-                    if member and point < best:
+                ends = (b * lift[j], (a + b) * lift[j])
+                for end, member, point in zip((ZERO, ONE), members[at], ends):
+                    if member and (point < best[0] or point == best[0]
+                                   and (j, edges, end) < best[1:]):
                         i = bisect.bisect_right(los, point) - 1
                         if i >= 0 and los[i] < point < his[i]:
-                            best = point
+                            best = (point, j, edges, end)
             if j < depth:
                 j += 1
-                for dst, c, o in out[at]:
+                for eid, dst, c, o in out[at]:
                     ca, cb = a * c, a * o + b * scale
                     lo, hi = cb * lift[j], (ca + cb) * lift[j]
                     if ca < 0:
                         lo, hi = hi, lo
+                    path = edges + (eid,)
                     i = bisect.bisect_right(his, lo)  # first gap past lo
-                    if lo < best and i < len(gaps) and los[i] < hi:
-                        heappush(heap, (lo, j, dst, ca, cb))
-        if best < top:
-            nodes = _witness_nodes(ifs, u, depth,
-                                   lambda ends: min(ends) <= best <= max(ends))
-            path, endpoint = next(
-                (Path(edges), end) for at, edges, ends in nodes
-                for end, member, point in zip((ZERO, ONE), members[at], ends)
-                if member and point == best)
-            i = bisect.bisect_right(los, best) - 1
+                    if ((lo < best[0] or lo == best[0]
+                         and (j, path) < best[1:3])
+                            and i < len(gaps) and los[i] < hi):
+                        heappush(heap, (lo, j, path, dst, ca, cb))
+        if best[0] < top:
+            point, j, edges, end = best
+            i = bisect.bisect_right(los, point) - 1
             return SubsetRefutation(
-                Fraction(best, top), path, endpoint,
+                Fraction(point, top), Path(edges), end,
                 (Fraction(los[i], top), Fraction(his[i], top)),
-                (len(path), m), reflected)
+                (j, m), reflected)
     return None
-
-
-def refute_subset(ifs: GraphIFS, u: str, v: str, depth: int = 8,
-                  reflected: bool = False) -> Optional[SubsetRefutation]:
-    """Search for proof that F_u is not a subset of F_v (of R(F_v) when
-    `reflected`) with first_refutation.  None means no proof was found
-    at this depth, not that containment holds."""
-    if u == v:
-        raise ValueError("refute_subset requires distinct vertices")
-    return first_refutation(ifs, u, v, depth, reflected)
 
 
 def replay_refutation(ifs: GraphIFS, u: str, v: str,

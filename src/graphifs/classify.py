@@ -35,8 +35,8 @@ from .attractor import (
     SubsetRefutation,
     components_equal,
     endpoint_witnesses,
-    first_refutation,
     level_k_set,
+    refute_subset,
     replay_refutation,
 )
 from .errors import GraphStructureError, RewriteError, UnsupportedFeatureError
@@ -261,7 +261,7 @@ def _condition3(ifs: GraphIFS, u: str, vprime, depth: int, reflected: bool):
             continue
         variants = (False, True) if reflected else (False,)
         for refl in variants:
-            r = first_refutation(ifs, u, v, depth, refl)
+            r = refute_subset(ifs, u, v, depth, refl)
             if r is None:
                 kind = "reflection of component" if refl else "component"
                 return refs, (f"containment of component {u!r} in {kind} "

@@ -121,12 +121,13 @@ def _below(m: MoranMatrix, lam):
 
 def _at_or_above_one(m: MoranMatrix):
     """(rho(m) >= 1, det(I - m)) from one elimination: the pivot test and
-    the product of the pivots.  det is None when a pivot is 0, where an
-    elimination without row exchanges cannot go on."""
+    the product of the pivots.  det is 0 when the last pivot is 0 and every
+    other one positive, so that I - m is a singular M-matrix and rho(m) = 1;
+    it is None at any other pivot 0, where the elimination cannot go on."""
     below, det = True, mpf(1)
-    for pivot in _pivots(m, 1):
+    for k, pivot in enumerate(_pivots(m, 1)):
         if not pivot:
-            return True, None
+            return True, (mpf(0) if below and k == m.n - 1 else None)
         below = below and pivot > 0
         det *= pivot
     return not below, det
@@ -137,7 +138,8 @@ def _bracket(decide, lo, hi, tol, f_lo=None, f_hi=None):
     predicate of decide true at lo and false at hi; returns (lo, hi,
     iterations).  decide(x) returns (predicate at x, f(x)) for an f that
     is negative at lo and positive at hi near the root, or None in place
-    of f(x); f_lo and f_hi are f at the starting ends.
+    of f(x); f_lo and f_hi are f at the starting ends.  A step with
+    f(x) = 0 ends the solve with lo = hi = x.
 
     When f(lo) < 0 < f(hi), a step tries the Illinois point: the root of
     the chord through both ends, where each step that keeps the same end
@@ -156,6 +158,8 @@ def _bracket(decide, lo, hi, tol, f_lo=None, f_hi=None):
             if lo < chord < hi:
                 mid = chord
         holds, f_mid = decide(mid)
+        if f_mid == 0:  # mid is the root itself
+            return mid, mid, iterations + 1
         bracket = (mid, hi) if holds else (lo, mid)
         if bracket == (lo, hi):
             raise ValueError("tol is below the working precision")

@@ -241,6 +241,21 @@ class TestRefuteSubset:
                 r.gap) == expected
         assert r.depths == (len(expected[1]), 1)
 
+    def test_preferred_witness_past_a_lower_hull(self):
+        # 1/2 = S_e1(0) = S_e2(1): the hull of e2 starts lower, at 0, but
+        # e1 comes first in edge-id order, so the search must go on to the
+        # hull that starts at 1/2 itself
+        ifs = GraphIFS(("u", "v"), (
+            Edge("e1", "u", "u", Similarity(F(1, 2), F(1, 2))),
+            Edge("e2", "u", "u", Similarity(F(1, 2), F(0))),
+            Edge("e3", "v", "v", Similarity(F(1, 3), F(0))),
+            Edge("e4", "v", "v", Similarity(F(1, 3), F(2, 3))),
+        ))
+        r = refute_subset(ifs, "u", "v", depth=2)
+        assert (r.witness_point, r.witness_path.edges, r.endpoint,
+                r.gap, r.depths) == (F(1, 2), ("e1",), F(0),
+                                     (F(1, 3), F(2, 3)), (1, 1))
+
     def test_non_member_endpoint_is_no_witness(self, twin_ifs):
         for u, v in (("u", "v"), ("v", "u")):
             assert refute_subset(twin_ifs, u, v, depth=6) is None

@@ -21,17 +21,33 @@ from graphifs import (
     no_loop_ifs,
     path_similarity,
     paths_from,
+    refute_subset,
     replay_certificate,
     rewrite_to_standard,
     single_loop_ifs,
     validate_graph,
 )
+from graphifs import classify
 from graphifs.attractor import SubsetRefutation, replay_refutation
 from graphifs.classify import Certificate, standard_ifs_from_maps
 from graphifs.gaps import Condition2Report
 from graphifs.model import Path
 
 F = Fraction
+
+
+@pytest.fixture
+def popped(monkeypatch):
+    """The heap entries taken by each heapq.heappop call, in order."""
+    entries = []
+    real_heappop = heapq.heappop
+
+    def counted_heappop(heap):
+        entries.append(heap[0])
+        return real_heappop(heap)
+
+    monkeypatch.setattr(heapq, "heappop", counted_heappop)
+    return entries
 
 
 class TestDetachedCycle:
@@ -208,22 +224,41 @@ class TestRewrite:
         maps = (Similarity(F(1, 9), F(2, 9)), Similarity(F(1, 3), F(2, 3)))
         assert not cross_refutation_empty(cantor, "w", maps, depth=1)
 
-    def test_condition3_search_visits_nine_nodes(self, golden_ifs,
-                                                 monkeypatch):
+    def test_condition3_search_visits_nine_nodes(self, golden_ifs, popped):
         # the refutation of golden u in v at depth 8 lies on a path of
         # length 8; the search pops 9 of the 511 path-tree nodes
-        popped = []
-        real_heappop = heapq.heappop
-
-        def counted_heappop(heap):
-            popped.append(heap[0])
-            return real_heappop(heap)
-
-        monkeypatch.setattr(heapq, "heappop", counted_heappop)
         cert = classify_gap_condition(golden_ifs, "u", 8)
         assert cert.verdict is Verdict.NOT_STANDARD
         assert [r.depths for _v, r in cert.refutations] == [(8, 1)]
         assert len(popped) == 9
+
+    @pytest.mark.parametrize("fixture, u, v, reflected, pops", [
+        ("golden_ifs", "u", "v", False, 9),
+        ("golden_ifs", "v", "u", False, 3),
+        ("golden_ifs", "v", "u", True, 5),
+        ("nested_ifs", "v", "u", False, 2),
+    ])
+    def test_refutation_search_pop_counts(self, fixture, u, v, reflected,
+                                          pops, request, popped):
+        # the v -> u witnesses map endpoint 0 onto the low end of their
+        # hull; popping every node whose low end equals the best point
+        # would pop the whole chain of hulls anchored there
+        ifs = request.getfixturevalue(fixture)
+        assert refute_subset(ifs, u, v, 8, reflected) is not None
+        assert len(popped) == pops
+
+    def test_deciders_search_through_refute_subset(self, golden_ifs,
+                                                   monkeypatch):
+        calls = []
+
+        def counted(ifs, u, v, depth, reflected):
+            calls.append((v, reflected))
+            return refute_subset(ifs, u, v, depth, reflected)
+
+        monkeypatch.setattr(classify, "refute_subset", counted)
+        cert = classify_gap_condition(golden_ifs, "u", 8, reflected=True)
+        assert len(cert.refutations) == 2
+        assert calls == [("v", False), ("v", True)]
 
 
 class TestReplayRejectsTampering:

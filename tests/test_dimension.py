@@ -84,16 +84,19 @@ class TestHausdorffDimension:
         lo, hi = result.bracket
         assert hi - lo <= tol
 
-    def test_half_dimension_instance(self):
+    @pytest.mark.parametrize("tol", [1e-12, 1e-30])
+    def test_half_dimension_instance(self, tol):
         # s = 1/2 exactly: the first step lands on the root itself, whose
-        # last pivot is 0, so the end is moved off it before the proof.
+        # last pivot is 0, so the solve ends there and the proof moves
+        # both ends off it, instead of halving down to tol.
         p = DoubleLoopParams(F(1, 4), F(1, 2), F(1, 4),
                              F(1, 4), F(1, 2), F(1, 4))
-        result = hausdorff_dimension(double_loop_ifs(p))
+        result = hausdorff_dimension(double_loop_ifs(p), tol)
         assert abs(result.s - mpmath.mpf(1) / 2) < 1e-9
         lo, hi = result.bracket
         assert lo < mpmath.mpf(1) / 2 < hi
-        assert hi - lo <= 1e-12
+        assert hi - lo <= tol
+        assert result.iterations <= 12
 
     def test_spanning_system_self_consistent(self, spanning_pair):
         ifs, _s = spanning_pair
