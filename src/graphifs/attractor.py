@@ -327,12 +327,11 @@ def refute_subset(ifs: GraphIFS, u: str, v: str, depth: int = 8,
                     lo, hi = cb * lift[j], (ca + cb) * lift[j]
                     if ca < 0:
                         lo, hi = hi, lo
-                    path = edges + (eid,)
                     i = bisect.bisect_right(his, lo)  # first gap past lo
-                    if ((lo < best[0] or lo == best[0]
-                         and (j, path) < best[1:3])
-                            and i < len(gaps) and los[i] < hi):
-                        heappush(heap, (lo, j, path, dst, ca, cb))
+                    if i < len(gaps) and los[i] < hi and (
+                            lo < best[0] or lo == best[0]
+                            and (j, edges + (eid,)) < best[1:3]):
+                        heappush(heap, (lo, j, edges + (eid,), dst, ca, cb))
         if best[0] < top:
             point, j, edges, end = best
             i = bisect.bisect_right(los, point) - 1
