@@ -20,6 +20,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
+import mpmath
 from mpmath import mpf
 
 from .dimension import _to_mpf, double_loop_char_root
@@ -57,16 +58,26 @@ def _classify(value: mpf, bound: mpf, upper: bool, eps: mpf) -> ConditionCheck:
     return ConditionCheck(ConditionStatus.FAILS, value)
 
 
+def _eps(eps) -> mpf:
+    """eps in working precision; an eps of 0 or below, NaN or infinite
+    would classify every value against nothing."""
+    eps = _to_mpf(eps)
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    if not mpmath.isfinite(eps):
+        raise ValueError("eps must be finite")
+    return eps
+
+
 def measure_conditions(params: DoubleLoopParams, s,
                        eps: float = 1e-9) -> tuple[ConditionCheck, ConditionCheck]:
     """Evaluate and classify the two measure-formula conditions at s."""
     s = _to_mpf(s)
-    eps = _to_mpf(eps)
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    eps = _eps(eps)
     a, b = _to_mpf(params.a), _to_mpf(params.b)
-    value1 = (1 - a**s) / b**s
-    value2 = (1 - b) * (1 - a**s) / (b * a**s)
+    a_s = a**s
+    value1 = (1 - a_s) / b**s
+    value2 = (1 - b) * (1 - a_s) / (b * a_s)
     return (_classify(value1, mpf(1), upper=True, eps=eps),
             _classify(value2, mpf(1), upper=False, eps=eps))
 
@@ -86,7 +97,12 @@ class MeasureResult:
 def component_measures(params: DoubleLoopParams, tol: float = 1e-12,
                        eps: float = 1e-9) -> MeasureResult:
     """Dimension plus, when the conditions allow, exact-form measures
-    H^s(F_u) = 1 and H^s(F_v) = (1 - a^s)/b^s."""
+    H^s(F_u) = 1 and H^s(F_v) = (1 - a^s)/b^s.  Raises ValueError,
+    before the solve, when eps is not a finite positive number or tol is
+    at least eps: an s known only to within eps or worse cannot place a
+    condition value within eps of its bound."""
+    if _to_mpf(tol) >= _eps(eps):
+        raise ValueError("tol must be below eps")
     s = double_loop_char_root(params, tol)
     cond1, cond2 = measure_conditions(params, s, eps)
     h_u = h_v = None

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from graphifs import (
     DoubleLoopParams,
@@ -82,6 +83,20 @@ def random_double_loop_params(rng: random.Random,
         q = rng.randint(4, max_denominator)
         i = rng.randint(1, q - 2)
         j = rng.randint(i + 1, q - 1)
+        return Fraction(i, q), Fraction(j - i, q), Fraction(q - j, q)
+
+    a, g_u, b = row()
+    c, g_v, d = row()
+    return DoubleLoopParams(a, g_u, b, c, g_v, d)
+
+
+@st.composite
+def double_loop_params(draw, max_denominator=64):
+    """The hypothesis strategy of random_double_loop_params."""
+    def row():
+        q = draw(st.integers(4, max_denominator))
+        i = draw(st.integers(1, q - 2))
+        j = draw(st.integers(i + 1, q - 1))
         return Fraction(i, q), Fraction(j - i, q), Fraction(q - j, q)
 
     a, g_u, b = row()

@@ -37,8 +37,8 @@ def deadline(seconds):
 
 @pytest.fixture
 def bisection_steps_bounded(monkeypatch):
-    """Let every bracketing loop, halving or Illinois, evaluate its
-    predicate at most 1,000 times."""
+    """Let every bracketing loop, halving or Illinois, fenced or not,
+    evaluate its predicate at most 1,000 times."""
     bracket = dimension._bracket
 
     def bounded(decide, *args):
@@ -120,6 +120,15 @@ class TestDim:
         iterations = int(out.split("iterations = ")[1])
         assert 0 < iterations <= 12
 
+    def test_measure_tol_near_working_precision_still_answers(
+            self, capsys, bisection_steps_bounded):
+        # the fence's deepest case: about 30 of the 130 halving steps
+        # fall inside it and evaluate f
+        assert main(["measure", GOLDEN, "--tol", "1e-39"]) == 0
+        out = capsys.readouterr().out
+        assert "s = 0.694241913630" in out
+        assert "H^s(F_u) = 1.0" in out
+
 
 class TestGaps:
     def test_golden_u(self, capsys):
@@ -193,6 +202,21 @@ class TestMeasure:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"{option[2:]} must be positive" in err
+
+    @pytest.mark.parametrize("tol", ["inf", "2", "1e-9"])
+    def test_tol_not_below_eps_is_usage_error(self, capsys, tol):
+        # at tol inf or 2 no step was taken, and s = 1/2 was reported
+        assert main(["measure", GOLDEN, "--tol", tol]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "tol must be below eps" in err
+
+    def test_infinite_eps_is_usage_error(self, capsys):
+        # every condition read HoldsAtBoundary, and a measure was printed
+        assert main(["measure", GOLDEN, "--eps", "inf"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "eps must be finite" in err
 
     def test_golden(self, capsys):
         assert main(["measure", GOLDEN]) == 0

@@ -1,10 +1,12 @@
 """Moran matrix, spectral radius, dimension solvers."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphifs import (
     DoubleLoopParams,
@@ -18,7 +20,7 @@ from graphifs import (
 )
 from graphifs import dimension
 from graphifs.dimension import MoranMatrix
-from conftest import gen, random_double_loop_params
+from conftest import double_loop_params, gen, random_double_loop_params
 
 F = Fraction
 
@@ -184,6 +186,101 @@ class TestCharacteristicRoot:
             s1 = hausdorff_dimension(double_loop_ifs(params)).s
             s2 = double_loop_char_root(params)
             assert abs(s1 - s2) <= 2e-12
+
+
+def reference_char_root(params, tol):
+    """double_loop_char_root before the fence: halve [0, 1] on the sign of
+    f, evaluating f at every step."""
+    a, b, c, d = (dimension._to_mpf(r)
+                  for r in (params.a, params.b, params.c, params.d))
+
+    def f(t):
+        return (a**t - 1) * (c**t - 1) - (b**t) * (d**t)
+
+    assert f(0) < 0 < f(1)
+    lo, hi, _ = dimension._bracket(lambda t: (f(t) < 0, None), mpmath.mpf(0),
+                                   mpmath.mpf(1), dimension._to_mpf(tol))
+    return (lo + hi) / 2
+
+
+TOLS = [1e-12, 1e-30, 1e-39]
+HALF = DoubleLoopParams(F(1, 4), F(1, 2), F(1, 4), F(1, 4), F(1, 2), F(1, 4))
+
+
+@pytest.fixture
+def powers(monkeypatch):
+    """A list that grows by one at each mpf power: f takes four, and the
+    estimate behind the fence takes none."""
+    calls, power = [], mpmath.mpf.__pow__
+
+    def counted(x, y):
+        calls.append(y)
+        return power(x, y)
+
+    monkeypatch.setattr(mpmath.mpf, "__pow__", counted)
+    return calls
+
+
+class TestFencedHalving:
+    """The fence answers the halving's steps far from the root without f,
+    and the root must come out as the mpf that halving on f alone gives."""
+
+    @pytest.mark.parametrize("tol", TOLS)
+    @pytest.mark.parametrize("max_denominator", [64, 10**12])
+    def test_matches_reference_on_seeded_loops(self, tol, max_denominator):
+        rng = random.Random(f"fence-{max_denominator}")
+        for _ in range(8):
+            params = random_double_loop_params(rng, max_denominator)
+            assert (double_loop_char_root(params, tol)
+                    == reference_char_root(params, tol))
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_matches_reference_near_the_edges(self, tol):
+        # rows with a ratio or the gap within 2 * 10^-12 of 1: a^t - 1
+        # cancels, or b^t d^t is tiny, and f can be ill-conditioned
+        q = 10**12
+        rows = [(F(q - 2, q), F(1, q), F(1, q)),
+                (F(1, q), F(1, q), F(q - 2, q)),
+                (F(1, q), F(q - 2, q), F(1, q))]
+        for u, v in itertools.product(rows, repeat=2):
+            params = DoubleLoopParams(*u, *v)
+            assert (double_loop_char_root(params, tol)
+                    == reference_char_root(params, tol))
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.one_of(double_loop_params(), double_loop_params(10**12)),
+           st.sampled_from(TOLS))
+    def test_matches_reference(self, params, tol):
+        assert double_loop_char_root(params, tol) == reference_char_root(params, tol)
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_exact_root_at_half(self, tol):
+        # every ratio 1/4: f(1/2) = (1/2 - 1)^2 - 1/4 is exactly 0
+        half = mpmath.mpf(1) / 2
+        quarter = mpmath.mpf(1) / 4
+        assert (quarter**half - 1) ** 2 - quarter**half * quarter**half == 0
+        assert double_loop_char_root(HALF, tol) == reference_char_root(HALF, tol)
+
+    def test_golden_evaluates_f_four_times(self, golden_params, powers):
+        reference_char_root(golden_params, 1e-12)
+        assert len(powers) == 4 * 42
+        powers.clear()
+        double_loop_char_root(golden_params, 1e-12)
+        assert len(powers) <= 4 * 4
+
+    @pytest.mark.parametrize("offset", ["0.25", "-0.25", "1e-20", "-1e-20"])
+    def test_far_estimate_drops_fence(self, golden_params, powers,
+                                      monkeypatch, offset):
+        estimate = dimension._char_root_estimate
+
+        def far(*ratios):
+            return estimate(*ratios) + mpmath.mpf(offset)
+
+        monkeypatch.setattr(dimension, "_char_root_estimate", far)
+        root = double_loop_char_root(golden_params, 1e-12)
+        # f(0), f(1), one or two fence checks and every one of 40 steps
+        assert len(powers) >= 4 * 43
+        assert root == reference_char_root(golden_params, 1e-12)
 
 
 def _unreachable(*_args):

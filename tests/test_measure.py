@@ -13,6 +13,7 @@ from graphifs import (
     double_loop_char_root,
     measure_conditions,
 )
+from graphifs import measure
 from graphifs.dimension import _to_mpf
 from conftest import random_double_loop_params
 
@@ -71,6 +72,21 @@ class TestConditions:
         for eps in (0, float("nan")):
             with pytest.raises(ValueError, match="eps must be positive"):
                 measure_conditions(golden_params, F(1, 2), eps=eps)
+
+    @pytest.mark.parametrize("eps", [float("inf"), float("-inf")])
+    def test_eps_must_be_finite(self, golden_params, eps):
+        # an infinite eps classifies every value HoldsAtBoundary or Fails
+        with pytest.raises(ValueError, match=r"eps must be (finite|positive)"):
+            measure_conditions(golden_params, F(1, 2), eps=eps)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 2, float("inf")])
+    def test_tol_must_be_below_eps(self, golden_params, monkeypatch, tol):
+        # no s is solved for: at tol inf it would be the first midpoint 1/2
+        def unreachable(*_args):
+            raise AssertionError("solved for s")
+        monkeypatch.setattr(measure, "double_loop_char_root", unreachable)
+        with pytest.raises(ValueError, match="tol must be below eps"):
+            component_measures(golden_params, tol=tol, eps=1e-9)
 
 
 class TestMeasureValues:

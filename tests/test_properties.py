@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphifs import (
-    DoubleLoopParams,
     GraphIFS,
     Edge,
     Path,
@@ -51,24 +50,11 @@ from graphifs.attractor import (
 from graphifs import render
 from graphifs.classify import _condition3, standard_ifs_from_maps
 from graphifs.spanning import SpanningParams, SpanningHit
-from conftest import SPEC_DIR, random_small_graph
+from conftest import SPEC_DIR, double_loop_params, random_small_graph
 
 F = Fraction
 
 COMMON = settings(max_examples=200, derandomize=True, deadline=None)
-
-
-@st.composite
-def double_loop_params(draw, max_denominator=64):
-    def row():
-        q = draw(st.integers(4, max_denominator))
-        i = draw(st.integers(1, q - 2))
-        j = draw(st.integers(i + 1, q - 1))
-        return F(i, q), F(j - i, q), F(q - j, q)
-
-    a, g_u, b = row()
-    c, g_v, d = row()
-    return DoubleLoopParams(a, g_u, b, c, g_v, d)
 
 
 @st.composite
