@@ -304,7 +304,8 @@ def double_loop_char_root(params: DoubleLoopParams,
     if not (f(0) < 0 < f(1)):
         raise NumericError("characteristic equation lost its sign change")
     estimate = _char_root_estimate(a, b, c, d)
-    delta, margin = mpmath.ldexp(1, 36 - mp.prec), mpmath.ldexp(1, 16 - mp.prec)
+    delta = mpmath.ldexp(1, 36 - mp.prec)
+    margin = mpmath.ldexp(1, 16 - mp.prec)
     low, high = estimate - delta, estimate + delta
     if not (0 < low and f(low) < -margin and f(high) > margin):
         low, high = mpf(0), mpf(1)

@@ -99,8 +99,8 @@ def component_measures(params: DoubleLoopParams, tol: float = 1e-12,
     """Dimension plus, when the conditions allow, exact-form measures
     H^s(F_u) = 1 and H^s(F_v) = (1 - a^s)/b^s.  Raises ValueError,
     before the solve, when eps is not a finite positive number or tol is
-    at least eps: an s known only to within eps or worse cannot place a
-    condition value within eps of its bound."""
+    at least eps: an s solved only to eps or coarser is too coarse for
+    comparisons within eps."""
     if _to_mpf(tol) >= _eps(eps):
         raise ValueError("tol must be below eps")
     s = double_loop_char_root(params, tol)

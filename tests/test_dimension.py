@@ -251,7 +251,8 @@ class TestFencedHalving:
     @given(st.one_of(double_loop_params(), double_loop_params(10**12)),
            st.sampled_from(TOLS))
     def test_matches_reference(self, params, tol):
-        assert double_loop_char_root(params, tol) == reference_char_root(params, tol)
+        assert (double_loop_char_root(params, tol)
+                == reference_char_root(params, tol))
 
     @pytest.mark.parametrize("tol", TOLS)
     def test_exact_root_at_half(self, tol):
@@ -259,7 +260,8 @@ class TestFencedHalving:
         half = mpmath.mpf(1) / 2
         quarter = mpmath.mpf(1) / 4
         assert (quarter**half - 1) ** 2 - quarter**half * quarter**half == 0
-        assert double_loop_char_root(HALF, tol) == reference_char_root(HALF, tol)
+        assert (double_loop_char_root(HALF, tol)
+                == reference_char_root(HALF, tol))
 
     def test_golden_evaluates_f_four_times(self, golden_params, powers):
         reference_char_root(golden_params, 1e-12)
