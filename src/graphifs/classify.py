@@ -144,32 +144,20 @@ def classify_distinct_components(params: DoubleLoopParams
 # ---------------------------------------------------------------------------
 # standard-IFS rewrite
 
-def _find_injection(ifs: GraphIFS, u: str, w: str) -> Optional[dict[str, str]]:
-    """An injection phi from out-edges of u into out-edges of w preserving
-    both the similarity and the target vertex, as edge-id pairs."""
-    u_edges = ifs.out_edges(u)
-    w_edges = ifs.out_edges(w)
-    if len(u_edges) > len(w_edges):
-        return None
-
-    def match(i: int, used: set[str], acc: dict[str, str]
-              ) -> Optional[dict[str, str]]:
-        if i == len(u_edges):
-            return dict(acc)
-        e = u_edges[i]
-        for f in w_edges:
-            if f.id in used or f.dst != e.dst or f.map != e.map:
-                continue
-            used.add(f.id)
-            acc[e.id] = f.id
-            found = match(i + 1, used, acc)
-            if found is not None:
-                return found
-            used.remove(f.id)
-            del acc[e.id]
-        return None
-
-    return match(0, set(), {})
+def _unmatched(ifs: GraphIFS, u: str, w: str) -> Optional[list[Edge]]:
+    """The out-edges of w left over once each out-edge of u, in order, takes
+    the first free out-edge of w with its similarity and target; None when
+    one finds none.  Edges of equal (similarity, target) are
+    interchangeable, so that happens only when w has fewer edges of some
+    (similarity, target) than u, that is when no injection exists."""
+    free = list(ifs.out_edges(w))
+    for e in ifs.out_edges(u):
+        match = next((f for f in free if f.dst == e.dst and f.map == e.map),
+                     None)
+        if match is None:
+            return None
+        free.remove(match)
+    return free
 
 
 def rewrite_to_standard(ifs: GraphIFS, u: str) -> tuple[Similarity, ...]:
@@ -198,16 +186,12 @@ def rewrite_to_standard(ifs: GraphIFS, u: str) -> tuple[Similarity, ...]:
             if w == u:
                 nxt.append((sim, w))
                 continue
-            phi = _find_injection(ifs, u, w)
-            if phi is not None:
-                matched = set(phi.values())
-                nxt.append((sim, u))
-                for f in ifs.out_edges(w):
-                    if f.id not in matched:
-                        nxt.append((sim.compose(f.map), f.dst))
+            left = _unmatched(ifs, u, w)
+            if left is None:
+                left = ifs.out_edges(w)
             else:
-                for f in ifs.out_edges(w):
-                    nxt.append((sim.compose(f.map), f.dst))
+                nxt.append((sim, u))
+            nxt.extend((sim.compose(f.map), f.dst) for f in left)
         terms = nxt
     maps: list[Similarity] = []
     for sim, _w in terms:

@@ -201,6 +201,18 @@ class DimensionResult:
     iterations: int
 
 
+def _tol(tol) -> mpf:
+    """tol in working precision, checked before any work: a solve that
+    starts from [0, 1] takes no step at a tol of 1 or above, and none at a
+    NaN tol, and never ends at a tol of 0 or below."""
+    tol = _to_mpf(tol)
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if tol >= 1:
+        raise ValueError("tol must be below 1")
+    return tol
+
+
 def _prove(enclose, lo: mpf, hi: mpf, tol: mpf) -> tuple[mpf, mpf]:
     """[lo, hi], or a wider bracket still at most tol wide, with
     rho(A(lo)) >= 1 and rho(A(hi)) < 1 proven by interval elimination.
@@ -228,9 +240,7 @@ def hausdorff_dimension(ifs: GraphIFS, tol: float = 1e-12) -> DimensionResult:
     each decided by the pivot test, and prove the final bracket by
     interval elimination; raises NumericError when the proof fails, so a
     returned bracket always holds s."""
-    tol = _to_mpf(tol)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    tol = _tol(tol)
     at, enclose = _moran(ifs)
 
     def decide(t):
@@ -249,30 +259,23 @@ def hausdorff_dimension(ifs: GraphIFS, tol: float = 1e-12) -> DimensionResult:
 
 def _char_root_estimate(a, b, c, d) -> mpf:
     """An estimate of the root of f(t) = (a^t - 1)(c^t - 1) - (bd)^t near
-    working precision: Newton steps on f written as exp(t log r), with the
-    three logs taken once, first in floats until a step moves t by at most
-    1e-15 (a step that would leave the bracket [lo, hi] halves it
-    instead), then two in mpf from there."""
-    logs = [mpmath.log(r) for r in (a, c, b * d)]
-
-    def newton(t, exp, la, lc, lbd):
-        """(t - f(t)/f'(t), f(t)), or t - f(t)/f'(t) = None when f'(t)
-        is 0 in floats, where exp(t log r) can underflow."""
-        ea, ec, ebd = exp(t * la), exp(t * lc), exp(t * lbd)
-        slope = la * ea * (ec - 1) + lc * ec * (ea - 1) - lbd * ebd
-        value = (ea - 1) * (ec - 1) - ebd
-        return (t - value / slope if slope else None), value
-
-    floats, lo, hi, t = [float(log) for log in logs], 0.0, 1.0, 0.5
-    for _ in range(100):
-        step, value = newton(t, math.exp, *floats)
-        lo, hi = (t, hi) if value < 0 else (lo, t)
-        if step is not None and abs(step - t) <= 1e-15:
-            break
-        t = step if step is not None and lo < step < hi else (lo + hi) / 2
+    working precision, with f written as exp(t log r) and the three logs
+    taken once: halving [0, 1] in floats on the sign of f until the
+    bracket stops shrinking, then two Newton steps in mpf (f' > 0 on
+    [0, inf), as double_loop_char_root says)."""
+    logs = la, lc, lbd = [mpmath.log(r) for r in (a, c, b * d)]
+    fa, fc, fbd = (float(log) for log in logs)
+    lo, hi = 0.0, 1.0
+    while lo < (t := (lo + hi) / 2) < hi:
+        if math.expm1(t * fa) * math.expm1(t * fc) < math.exp(t * fbd):
+            lo = t
+        else:
+            hi = t
     t = mpf(t)
     for _ in range(2):
-        t = newton(t, mpmath.exp, *logs)[0]
+        ea, ec, ebd = (mpmath.exp(t * log) for log in logs)
+        t -= (((ea - 1) * (ec - 1) - ebd)
+              / (la * ea * (ec - 1) + lc * ec * (ea - 1) - lbd * ebd))
     return t
 
 
@@ -292,9 +295,7 @@ def double_loop_char_root(params: DoubleLoopParams,
     evaluates f only strictly between l and h: 4 evaluations of f in place
     of 42 on golden at tol 1e-12, with the same steps and the same root.
     When a check fails the fence is [0, 1] and every step evaluates f."""
-    tol = _to_mpf(tol)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    tol = _tol(tol)
     a, b = _to_mpf(params.a), _to_mpf(params.b)
     c, d = _to_mpf(params.c), _to_mpf(params.d)
 

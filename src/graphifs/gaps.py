@@ -54,9 +54,10 @@ def max_gap(ifs: GraphIFS, u: str) -> Fraction:
 
     Computed as the least fixed point of
         M_u = max(max G_u^1, max over out-edges e of r_e * M_{t(e)}),
-    iterated from M_u = max G_u^1.  Improvements routed through L or more
-    edges are impossible once r_max^L drops below the smallest level-1 gap,
-    which bounds the number of iterations.  Requires disjoint closed
+    iterated |V| - 1 times from M_u = max G_u^1.  That is enough: M_u is
+    the largest r_p * max G_{t(p)}^1 over paths p from u, and every ratio
+    is below 1, so cutting a cycle out of p only raises r_p; the best p is
+    simple and has at most |V| - 1 edges.  Requires disjoint closed
     level-1 hulls at every vertex (see cssc_check) and 0 and 1 in every
     component (see model.endpoint_fixed_check): a missing endpoint
     widens gaps beyond the level-1 gaps that the recursion scales.
@@ -85,22 +86,10 @@ def _max_gaps(ifs: GraphIFS) -> tuple[dict[str, list[Fraction]],
                     f"is no point of component {v!r}")
     level1 = _level1_gap_lengths(ifs)
     m = {v: max(level1[v]) for v in ifs.vertices}
-    r_max = max(e.map.ratio for e in ifs.edges)
-    g_min = min(min(level1[v]) for v in ifs.vertices)
-    bound = 1
-    scale = r_max
-    while scale >= g_min:
-        scale *= r_max
-        bound += 1
-    for _ in range(bound + 1):
-        nxt = {
-            v: max(max(level1[v]),
-                   max(e.map.ratio * m[e.dst] for e in ifs.out_edges(v)))
-            for v in ifs.vertices
-        }
-        if nxt == m:
-            break
-        m = nxt
+    for _ in range(len(ifs.vertices) - 1):
+        m = {v: max(max(level1[v]),
+                    max(e.map.ratio * m[e.dst] for e in ifs.out_edges(v)))
+             for v in ifs.vertices}
     return level1, m
 
 

@@ -258,9 +258,10 @@ def _reachable(ifs: GraphIFS, start: str, edges: Iterable[Edge]) -> set[str]:
 def validate_graph(ifs: GraphIFS) -> ValidationReport:
     """Check the structural invariants of a directed-graph IFS.
 
-    Reported: strong connectivity, out-degree >= 2 at every vertex, edge
-    ratio range, and containment of every level-1 hull in [0, 1].
-    Malformed edge references raise GraphStructureError at construction.
+    Reported: strong connectivity, out-degree >= 2 at every vertex, and
+    containment of every level-1 hull in [0, 1].  Malformed edge references
+    raise GraphStructureError at construction, and a ratio outside (0, 1)
+    a ValueError in Similarity.
     """
     issues = []
     if not ifs.vertices:
@@ -271,8 +272,6 @@ def validate_graph(ifs: GraphIFS) -> ValidationReport:
         if deg < 2:
             issues.append(f"vertex {v!r} has out-degree {deg}, need >= 2")
     for e in ifs.edges:
-        if not (ZERO < e.map.ratio < ONE):
-            issues.append(f"edge {e.id!r} ratio {e.map.ratio} outside (0,1)")
         lo, hi = e.map.hull()
         if lo < ZERO or hi > ONE:
             issues.append(

@@ -92,6 +92,9 @@ def load_spec(text: str) -> GraphIFS:
         except ValueError as exc:
             issues.append(f"{where}: bad rational: {exc}")
             continue
+        if not isinstance(eid, str):
+            issues.append(f"{where}: 'id' must be a string")
+            continue
         try:
             reflect = _flag(e, "reflect")
             edges.append(Edge(eid, src, dst, Similarity(ratio, offset, reflect)))

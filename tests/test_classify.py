@@ -5,9 +5,12 @@ import heapq
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphifs import (
     DoubleLoopParams,
+    Edge,
+    GraphIFS,
     RewriteError,
     Similarity,
     Verdict,
@@ -259,6 +262,121 @@ class TestRewrite:
         cert = classify_gap_condition(golden_ifs, "u", 8, reflected=True)
         assert len(cert.refutations) == 2
         assert calls == [("v", False), ("v", True)]
+
+
+def reference_injection(ifs, u, w):
+    """The backtracking matcher that first-fit replaced: an injection from
+    the out-edges of u into those of w preserving similarity and target,
+    as edge-id pairs, or None.  It tries every assignment before it fails,
+    so a failure over n interchangeable edges costs about e * n! nodes."""
+    u_edges = ifs.out_edges(u)
+    w_edges = ifs.out_edges(w)
+    if len(u_edges) > len(w_edges):
+        return None
+
+    def match(i, used, acc):
+        if i == len(u_edges):
+            return dict(acc)
+        e = u_edges[i]
+        for f in w_edges:
+            if f.id in used or f.dst != e.dst or f.map != e.map:
+                continue
+            used.add(f.id)
+            acc[e.id] = f.id
+            found = match(i + 1, used, acc)
+            if found is not None:
+                return found
+            used.remove(f.id)
+            del acc[e.id]
+        return None
+
+    return match(0, set(), {})
+
+
+def reference_unmatched(ifs, u, w):
+    """classify._unmatched read off the reference injection."""
+    phi = reference_injection(ifs, u, w)
+    if phi is None:
+        return None
+    return [f for f in ifs.out_edges(w) if f.id not in phi.values()]
+
+
+def rewrite_outcome(ifs, u):
+    """The maps of rewrite_to_standard, or the message of its RewriteError."""
+    try:
+        return rewrite_to_standard(ifs, u)
+    except RewriteError as exc:
+        return str(exc)
+
+
+def reference_rewrite_outcome(ifs, u):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "_unmatched", reference_unmatched)
+        return rewrite_outcome(ifs, u)
+
+
+QUARTER_MAPS = (Similarity(F(1, 4), F(0)), Similarity(F(1, 4), F(3, 4)),
+                Similarity(F(1, 2), F(1, 4)))
+
+
+@st.composite
+def repeated_edge_systems(draw):
+    """Two or three vertices, each with 2-4 out-edges drawn from three
+    maps and every target, so that equal (similarity, target) edges
+    recur."""
+    vertices = tuple(f"v{i}" for i in range(draw(st.integers(2, 3))))
+    edges = []
+    for v in vertices:
+        for _ in range(draw(st.integers(2, 4))):
+            edges.append(Edge(f"e{len(edges) + 1:02d}", v,
+                              draw(st.sampled_from(vertices)),
+                              draw(st.sampled_from(QUARTER_MAPS))))
+    return GraphIFS(vertices, tuple(edges))
+
+
+def duplicated_edge_system(n):
+    """u keeps x/4 at u n times over and sends x/4 + 3/4 to w; w sends x/4
+    to u n times over and x/8 + 7/8 to u.  u's last edge finds no match at
+    w, after the backtracking matcher has tried about e * n! assignments
+    of the duplicates; F_u is then the attractor of x/4, x/16 + 3/4 and
+    x/32 + 31/32."""
+    quarter = Similarity(F(1, 4), F(0))
+    return GraphIFS(("u", "w"), (
+        *(Edge(f"a{i:02d}", "u", "u", quarter) for i in range(n)),
+        Edge("b", "u", "w", Similarity(F(1, 4), F(3, 4))),
+        *(Edge(f"c{i:02d}", "w", "u", quarter) for i in range(n)),
+        Edge("d", "w", "u", Similarity(F(1, 8), F(7, 8)))))
+
+
+class TestFirstFitRewrite:
+    """First-fit matching takes the place of the backtracking search: it
+    must give the same leftover edges, and so the same maps or the same
+    RewriteError."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(repeated_edge_systems())
+    def test_matches_backtracking(self, ifs):
+        for u in ifs.vertices:
+            for w in ifs.vertices:
+                assert (classify._unmatched(ifs, u, w)
+                        == reference_unmatched(ifs, u, w))
+            assert rewrite_outcome(ifs, u) == reference_rewrite_outcome(ifs, u)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_duplicated_edges_match_backtracking(self, n):
+        ifs = duplicated_edge_system(n)
+        assert reference_injection(ifs, "u", "w") is None
+        assert (rewrite_to_standard(ifs, "u")
+                == reference_rewrite_outcome(ifs, "u"))
+
+    def test_ten_duplicated_edges(self):
+        # the backtracking matcher took seconds here, and it gives these
+        # same maps for every n
+        maps = rewrite_to_standard(duplicated_edge_system(10), "u")
+        assert maps == (Similarity(F(1, 4), F(0)),
+                        Similarity(F(1, 16), F(3, 4)),
+                        Similarity(F(1, 32), F(31, 32)))
+        assert maps == reference_rewrite_outcome(duplicated_edge_system(6), "u")
 
 
 class TestReplayRejectsTampering:

@@ -69,6 +69,20 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_string_edge_id(self, tmp_path, capsys):
+        # ids 1-4 passed validate, but a certificate records them as the
+        # strings "1"-"4", which its replay then could not find
+        doc = json.loads((SPEC_DIR / "golden_ratio.json").read_text())
+        for i, edge in enumerate(doc["edges"], 1):
+            edge["id"] = i
+        spec = tmp_path / "int_ids.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["validate", str(spec)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "edges[0]: 'id' must be a string" in err
+        assert "edges[3]: 'id' must be a string" in err
+
     @pytest.mark.parametrize("command", ["validate", "verify-certificate"])
     def test_deeply_nested_document(self, tmp_path, capsys, command):
         deep = tmp_path / "deep.json"
@@ -103,6 +117,14 @@ class TestDim:
         out, err = capsys.readouterr()
         assert out == ""
         assert "tol must be positive" in err
+
+    @pytest.mark.parametrize("tol", ["inf", "2", "1"])
+    def test_tol_from_one_is_usage_error(self, capsys, tol):
+        # no step was taken, and s = 0.5 was printed with exit 0
+        assert main(["dim", GOLDEN, "--tol", tol]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "tol must be below 1" in err
 
     @pytest.mark.parametrize("command", ["dim", "measure"])
     def test_tol_below_working_precision_is_usage_error(
@@ -210,6 +232,14 @@ class TestMeasure:
         out, err = capsys.readouterr()
         assert out == ""
         assert "tol must be below eps" in err
+
+    @pytest.mark.parametrize("tol", ["1", "2", "4.5"])
+    def test_tol_from_one_is_usage_error(self, capsys, tol):
+        # below an eps of 5, but a solve from [0, 1] would take no step
+        assert main(["measure", GOLDEN, "--tol", tol, "--eps", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "tol must be below 1" in err
 
     def test_infinite_eps_is_usage_error(self, capsys):
         # every condition read HoldsAtBoundary, and a measure was printed

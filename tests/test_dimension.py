@@ -297,9 +297,10 @@ class _UnreadParams:
 
 
 class TestTolerance:
-    """A non-positive tol can never end a bisection and a NaN tol ends it
-    before its first step, so both are rejected before any work; these
-    tests fail at once, not by hanging, if the check goes missing."""
+    """A non-positive tol can never end a bisection, and a NaN tol or one of
+    1 or more ends it before its first step, so all are rejected before any
+    work; these tests fail at once, not by hanging, if the check goes
+    missing."""
 
     @pytest.mark.parametrize("tol", [0, 0.0, -1e-12, -1, float("nan")])
     def test_hausdorff_dimension_rejects(self, golden_ifs, monkeypatch, tol):
@@ -311,6 +312,26 @@ class TestTolerance:
     def test_char_root_rejects(self, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
             double_loop_char_root(_UnreadParams(), tol=tol)
+
+    # a tol of 1 or more ends the solve before its first step, and s was
+    # reported as 1/2, the midpoint of [0, 1]
+    @pytest.mark.parametrize("tol", [1, 1.0, 2, F(3, 2), float("inf")])
+    def test_hausdorff_dimension_rejects_tol_from_one(self, golden_ifs,
+                                                      monkeypatch, tol):
+        monkeypatch.setattr(dimension, "_moran", _unreachable)
+        with pytest.raises(ValueError, match="tol must be below 1"):
+            hausdorff_dimension(golden_ifs, tol=tol)
+
+    @pytest.mark.parametrize("tol", [1, 1.0, 2, F(3, 2), float("inf")])
+    def test_char_root_rejects_tol_from_one(self, tol):
+        with pytest.raises(ValueError, match="tol must be below 1"):
+            double_loop_char_root(_UnreadParams(), tol=tol)
+
+    def test_tol_just_below_one_takes_a_step(self, golden_ifs, golden_params):
+        result = hausdorff_dimension(golden_ifs, tol=0.99)
+        assert result.iterations >= 1
+        assert result.bracket[0] <= GOLDEN_S <= result.bracket[1]
+        assert abs(double_loop_char_root(golden_params, 0.99) - GOLDEN_S) <= 0.5
 
 
 class TestBracketing:

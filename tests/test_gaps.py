@@ -32,7 +32,7 @@ from graphifs import (
 )
 from graphifs import attractor, gaps, model
 from graphifs.cli import main
-from conftest import SPEC_DIR, random_double_loop_params
+from conftest import SPEC_DIR, gen, random_double_loop_params
 
 F = Fraction
 
@@ -105,6 +105,71 @@ class TestMaxGap:
         with pytest.raises(UnsupportedFeatureError,
                            match="0 is no point of component 'u'"):
             max_gap(twin_ifs, "v")
+
+
+def reference_max_gaps(ifs):
+    """max G_v of every vertex v by the recursion of max_gap, iterated
+    from the level-1 maxima until it stops changing, with no bound on the
+    number of rounds."""
+    level1 = {v: [length for _gap, length in level_k_gaps(ifs, v, 1)]
+              for v in ifs.vertices}
+    m = {v: max(level1[v]) for v in ifs.vertices}
+    while True:
+        nxt = {v: max(max(level1[v]),
+                      max(e.map.ratio * m[e.dst] for e in ifs.out_edges(v)))
+               for v in ifs.vertices}
+        if nxt == m:
+            return m
+        m = nxt
+
+
+def cycle_of_four():
+    """v0 -> v1 -> v2 -> v3 -> v0, two edges per step, one fixing 0 and
+    one fixing 1.  v0, v1 and v2 map by ratio 49/100, leaving a level-1
+    gap of 1/50; v3 maps by 1/8, leaving 3/4.  So max G_v0 is
+    (49/100)^3 * 3/4, reached only through the 3-edge chain to v3."""
+    edges = []
+    for i in range(4):
+        v, t = f"v{i}", f"v{(i + 1) % 4}"
+        r = F(1, 8) if i == 3 else F(49, 100)
+        edges += [Edge(f"e{2 * i + 1}", v, t, Similarity(r, F(0))),
+                  Edge(f"e{2 * i + 2}", v, t, Similarity(r, 1 - r))]
+    return GraphIFS(tuple(f"v{i}" for i in range(4)), tuple(edges))
+
+
+class TestMaxGapRounds:
+    """max_gap iterates |V| - 1 rounds: a path that repeats a vertex is
+    beaten by the same path with its cycle cut out, so the best path is
+    simple."""
+
+    def test_ratio_near_one(self):
+        # the former bound ran until (9999/10000)^L fell below the gap
+        # 1/20000, about 99,000 exact powers
+        p = DoubleLoopParams(F(9999, 10000), F(1, 20000), F(1, 20000),
+                             F(1, 2), F(1, 4), F(1, 4))
+        ifs = double_loop_ifs(p)
+        assert (max_gap(ifs, "u"), max_gap(ifs, "v")) == max_gap_closed_form(p)
+        assert max_gap(ifs, "u") == F(1, 20000)
+
+    def test_three_edge_chain(self):
+        ifs = cycle_of_four()
+        expected = F(49, 100) ** 3 * F(3, 4)
+        assert max_gap(ifs, "v0") == expected
+        assert ({v: max_gap(ifs, v) for v in ifs.vertices}
+                == reference_max_gaps(ifs))
+        # a gap of F_v0^k is a gap of F_v0; the longest first shows at
+        # level 4, one level below the 3-edge chain
+        level3, level4 = (max(length for _gap, length
+                              in level_k_gaps(ifs, "v0", k)) for k in (3, 4))
+        assert level3 < level4 == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_generated_systems(self, n):
+        rng = random.Random(f"max-gap-{n}")
+        for _ in range(5):
+            ifs = gen.draw_cssc(rng, n)
+            assert ({v: max_gap(ifs, v) for v in ifs.vertices}
+                    == reference_max_gaps(ifs))
 
 
 class TestGapCosets:
