@@ -315,7 +315,7 @@ def reference_rewrite_outcome(ifs, u):
         return rewrite_outcome(ifs, u)
 
 
-QUARTER_MAPS = (Similarity(F(1, 4), F(0)), Similarity(F(1, 4), F(3, 4)),
+SHARED_MAPS = (Similarity(F(1, 4), F(0)), Similarity(F(1, 4), F(3, 4)),
                 Similarity(F(1, 2), F(1, 4)))
 
 
@@ -330,7 +330,7 @@ def repeated_edge_systems(draw):
         for _ in range(draw(st.integers(2, 4))):
             edges.append(Edge(f"e{len(edges) + 1:02d}", v,
                               draw(st.sampled_from(vertices)),
-                              draw(st.sampled_from(QUARTER_MAPS))))
+                              draw(st.sampled_from(SHARED_MAPS))))
     return GraphIFS(vertices, tuple(edges))
 
 

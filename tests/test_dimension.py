@@ -331,7 +331,8 @@ class TestTolerance:
         result = hausdorff_dimension(golden_ifs, tol=0.99)
         assert result.iterations >= 1
         assert result.bracket[0] <= GOLDEN_S <= result.bracket[1]
-        assert abs(double_loop_char_root(golden_params, 0.99) - GOLDEN_S) <= 0.5
+        s = double_loop_char_root(golden_params, 0.99)
+        assert abs(s - GOLDEN_S) <= 0.99 / 2
 
 
 class TestBracketing:
