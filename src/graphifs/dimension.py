@@ -17,13 +17,11 @@ next t by the Illinois rule (a modified regula falsi), which needs about
 ten steps to 1e-12 where halving needs forty.  The two ends of the final
 bracket are then proven by the same elimination in mpmath interval
 arithmetic with outward rounding, so a returned bracket holds s for
-certain.  For the two-vertex double-loop family the same s is also the
-root of the 2x2 characteristic equation, which serves as an independent
-cross-check.  It is solved by halving on the sign of the characteristic
-function f, where a fence around a Newton estimate of the root answers
-the steps that lie far from it, so that f is evaluated only at the few
-steps inside the fence; the steps and the root are those of halving on f
-alone.
+certain.  The Perron root of a single matrix is found by the same steps
+on det(lam*I - A).  For the two-vertex double-loop family the same s is
+also the root of the 2x2 characteristic equation f(t) = 0, which serves
+as an independent cross-check; it is solved by the same steps on f,
+started from a float estimate of the root.
 """
 
 from __future__ import annotations
@@ -125,13 +123,14 @@ def _below(m: MoranMatrix, lam):
     return True
 
 
-def _at_or_above_one(m: MoranMatrix):
-    """(rho(m) >= 1, det(I - m)) from one elimination: the pivot test and
-    the product of the pivots.  det is 0 when the last pivot is 0 and every
-    other one positive, so that I - m is a singular M-matrix and rho(m) = 1;
-    it is None at any other pivot 0, where the elimination cannot go on."""
+def _at_or_above(m: MoranMatrix, lam):
+    """(rho(m) >= lam, det(lam*I - m)) from one elimination: the pivot
+    test and the product of the pivots.  det is 0 when the last pivot is 0
+    and every other one positive, so that lam*I - m is a singular M-matrix
+    and rho(m) = lam; it is None at any other pivot 0, where the
+    elimination cannot go on."""
     below, det = True, mpf(1)
-    for k, pivot in enumerate(_pivots(m, 1)):
+    for k, pivot in enumerate(_pivots(m, lam)):
         if not pivot:
             return True, (mpf(0) if below and k == m.n - 1 else None)
         below = below and pivot > 0
@@ -139,13 +138,13 @@ def _at_or_above_one(m: MoranMatrix):
     return not below, det
 
 
-def _bracket(decide, lo, hi, tol, f_lo=None, f_hi=None):
+def _bracket(decide, lo, hi, tol, f_lo, f_hi):
     """Shrink [lo, hi] until it is at most tol wide, keeping the
     predicate of decide true at lo and false at hi; returns (lo, hi,
     iterations).  decide(x) returns (predicate at x, f(x)) for an f that
     is negative at lo and positive at hi near the root, or None in place
-    of f(x); f_lo and f_hi are f at the starting ends.  A step with
-    f(x) = 0 ends the solve with lo = hi = x.
+    of f(x); f_lo and f_hi are f at the starting ends, or None.  A step
+    with f(x) = 0 ends the solve with lo = hi = x.
 
     When f(lo) < 0 < f(hi), a step tries the Illinois point: the root of
     the chord through both ends, where each step that keeps the same end
@@ -182,13 +181,19 @@ def _bracket(decide, lo, hi, tol, f_lo=None, f_hi=None):
 
 
 def spectral_radius(m: MoranMatrix) -> mpf:
-    """Perron root of a nonnegative matrix: bisection on lam over
-    [0, largest row sum] with the pivot test for rho(m) < lam.  The upper end
-    of the final bracket is returned, so an exact root stays exact."""
+    """Perron root of a nonnegative matrix: Illinois steps on
+    det(lam*I - m) over [0, largest row sum], each decided by the pivot
+    test for rho(m) >= lam.  rho(m) never exceeds the largest row sum, so
+    it is that sum when the test holds there; otherwise the upper end of
+    the final bracket is returned, so an exact root stays exact."""
     top = max(sum(row) for row in m.entries)
+    at_top, f_hi = _at_or_above(m, top)
+    if at_top:
+        return top
     tol = mpf(10) ** (-(mp.dps - 5)) * max(1, top)
-    return _bracket(lambda lam: (not _below(m, lam), None),
-                    mpf(0), top, tol)[1]
+    f_lo = _at_or_above(m, mpf(0))[1]
+    return _bracket(lambda lam: _at_or_above(m, lam),
+                    mpf(0), top, tol, f_lo, f_hi)[1]
 
 
 @dataclass(frozen=True)
@@ -244,7 +249,7 @@ def hausdorff_dimension(ifs: GraphIFS, tol: float = 1e-12) -> DimensionResult:
     at, enclose = _moran(ifs)
 
     def decide(t):
-        return _at_or_above_one(at(t))
+        return _at_or_above(at(t), 1)
 
     above, f_lo = decide(mpf(0))
     if not above:
@@ -257,25 +262,18 @@ def hausdorff_dimension(ifs: GraphIFS, tol: float = 1e-12) -> DimensionResult:
     return DimensionResult((lo + hi) / 2, (lo, hi), iterations)
 
 
-def _char_root_estimate(a, b, c, d) -> mpf:
-    """An estimate of the root of f(t) = (a^t - 1)(c^t - 1) - (bd)^t near
-    working precision, with f written as exp(t log r) and the three logs
-    taken once: halving [0, 1] in floats on the sign of f until the
-    bracket stops shrinking, then two Newton steps in mpf (f' > 0 on
-    [0, inf), as double_loop_char_root says)."""
-    logs = la, lc, lbd = [mpmath.log(r) for r in (a, c, b * d)]
-    fa, fc, fbd = (float(log) for log in logs)
+def _char_root_estimate(a, b, c, d) -> float:
+    """The root of f(t) = (a^t - 1)(c^t - 1) - (bd)^t to float precision,
+    with f written as exp(t log r) and the three logs taken once in mpf:
+    halving [0, 1] in floats on the sign of f until the bracket stops
+    shrinking."""
+    fa, fc, fbd = (float(mpmath.log(r)) for r in (a, c, b * d))
     lo, hi = 0.0, 1.0
     while lo < (t := (lo + hi) / 2) < hi:
         if math.expm1(t * fa) * math.expm1(t * fc) < math.exp(t * fbd):
             lo = t
         else:
             hi = t
-    t = mpf(t)
-    for _ in range(2):
-        ea, ec, ebd = (mpmath.exp(t * log) for log in logs)
-        t -= (((ea - 1) * (ec - 1) - ebd)
-              / (la * ea * (ec - 1) + lc * ec * (ea - 1) - lbd * ebd))
     return t
 
 
@@ -283,18 +281,12 @@ def double_loop_char_root(params: DoubleLoopParams,
                           tol: float = 1e-12) -> mpf:
     """Dimension of the double-loop family as the root on (0,1) of
     f(t) = (a^t - 1)(c^t - 1) - b^t d^t, which satisfies f(0) = -1 and
-    f(1) = g_u*g_v + g_u*d + b*g_v > 0, by halving [0, 1] on the sign of f.
+    f(1) = g_u*g_v + g_u*d + b*g_v > 0, by Illinois steps on f.
 
     f rises strictly on [0, inf): (1 - a^t)(1 - c^t) does not fall and
-    (bd)^t falls.  Its terms are at most 1 there, so rounding moves the
-    computed f by a few units of 2^-prec, and a computed |f| above
-    2^(16-prec) has the true sign.  So when 0 < l, f(l) < -2^(16-prec)
-    and f(h) > 2^(16-prec) at l, h = e -+ 2^(36-prec) around an estimate
-    e of the root (2^-100 and 2^-120 at 40 digits), every t in [0, l] has
-    a computed f < 0 and every t >= h a computed f > 0.  The halving then
-    evaluates f only strictly between l and h: 4 evaluations of f in place
-    of 42 on golden at tol 1e-12, with the same steps and the same root.
-    When a check fails the fence is [0, 1] and every step evaluates f."""
+    (bd)^t falls.  The steps start from a float estimate of the root
+    widened by 2^-40 on each side, when f changes sign across it, and
+    from [0, 1] otherwise; f is evaluated at every end they keep."""
     tol = _tol(tol)
     a, b = _to_mpf(params.a), _to_mpf(params.b)
     c, d = _to_mpf(params.c), _to_mpf(params.d)
@@ -302,17 +294,16 @@ def double_loop_char_root(params: DoubleLoopParams,
     def f(t):
         return (a**t - 1) * (c**t - 1) - (b**t) * (d**t)
 
-    if not (f(0) < 0 < f(1)):
-        raise NumericError("characteristic equation lost its sign change")
-    estimate = _char_root_estimate(a, b, c, d)
-    delta = mpmath.ldexp(1, 36 - mp.prec)
-    margin = mpmath.ldexp(1, 16 - mp.prec)
-    low, high = estimate - delta, estimate + delta
-    if not (0 < low and f(low) < -margin and f(high) > margin):
-        low, high = mpf(0), mpf(1)
-
     def decide(t):
-        return (t <= low or (t < high and f(t) < 0)), None
+        value = f(t)
+        return value < 0, value
 
-    lo, hi, _ = _bracket(decide, mpf(0), mpf(1), tol)
+    estimate = _char_root_estimate(a, b, c, d)
+    lo, hi = mpf(max(estimate - 2**-40, 0)), mpf(min(estimate + 2**-40, 1))
+    f_lo, f_hi = f(lo), f(hi)
+    if not f_lo < 0 < f_hi:
+        lo, hi, f_lo, f_hi = mpf(0), mpf(1), f(0), f(1)
+        if not f_lo < 0 < f_hi:
+            raise NumericError("characteristic equation lost its sign change")
+    lo, hi, _ = _bracket(decide, lo, hi, tol, f_lo, f_hi)
     return (lo + hi) / 2

@@ -37,8 +37,8 @@ def deadline(seconds):
 
 @pytest.fixture
 def bisection_steps_bounded(monkeypatch):
-    """Let every bracketing loop, halving or Illinois, fenced or not,
-    evaluate its predicate at most 1,000 times."""
+    """Let every bracketing loop, halving or Illinois, evaluate its
+    predicate at most 1,000 times."""
     bracket = dimension._bracket
 
     def bounded(decide, *args):
@@ -144,8 +144,7 @@ class TestDim:
 
     def test_measure_tol_near_working_precision_still_answers(
             self, capsys, bisection_steps_bounded):
-        # the fence's deepest case: about 30 of the 130 halving steps
-        # fall inside it and evaluate f
+        # the char root's Illinois steps at their deepest tol
         assert main(["measure", GOLDEN, "--tol", "1e-39"]) == 0
         out = capsys.readouterr().out
         assert "s = 0.694241913630" in out
