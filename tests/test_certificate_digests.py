@@ -88,19 +88,19 @@ CASES = [
      "9b45e0f32c64eef5310f34c07325f125520ad07a9adabe7c6a9c008ee2fa2143"),
     ("t-measure-fails-u", "p2t", "double:measure-fails", "u", 8, False, True,
      ("p2t", Verdict.UNKNOWN, "measure-formula conditions fail"),
-     "34d21a17301f873d49bec2678eaadcc7e9f692a2cb3c3fb5e8ad10e613b3c676"),
+     "b38556c54310fba152c1716f2b5a1e19fbec37afec76f5d6d475fbe7a5795047"),
     ("t-off-unit-u-refl", "p2t", "double:off-unit", "u", 8, True, True,
      ("p2t", Verdict.UNKNOWN, "unit measure required"),
-     "1c226f37d04323211a81bebe580414738e4233b70015924b25b74f65496c4b94"),
+     "810889d4e8e5c91148ef81c74cfbbb2d78df4218a0a93a2fa406e7007ea73326"),
     ("t-cond3-golden-u-d2-refl", "p2t", "double:golden", "u", 2, True, True,
      ("p2t", Verdict.UNKNOWN, "condition (3)"),
-     "784f9a69b46f1d6140ffa7141114a8af970bcd841c3f9dcefc00c4a3f33c19d1"),
+     "064ee01d8cb3f3f303a46b8d435a754076dbc5afd6a7c0d0158a985e348749b2"),
     ("t-proof-golden-u", "p2t", "golden_ratio.json", "u", 8, False, True,
      ("p2t", Verdict.NOT_STANDARD, None),
-     "f61faebb415646d2aa155ed6c987111e5ede70dd2d78053549e03a238fb22b26"),
+     "d7c8c87d683248af59be3b9dfbc2227f1f0475a34522af1c3784514901016b65"),
     ("t-proof-golden-v-refl", "p2t", "golden_ratio.json", "v", 8, True, True,
      ("p2t", Verdict.NOT_STANDARD, None),
-     "623eda2dec652fc2f60ca6afe8fba87537306140e705fbf851d447191da340da"),
+     "f8025cff29725fcb9261d6df4c2f8b9c6822c62855ac65e0b53b4ef403083164"),
     ("t-rewrite-noloop-u-refl", "p2t", "noloop:golden", "u", 8, True, True,
      ("p2nv1", Verdict.STANDARD, None),
      "e9e7ba7bef082a52891f0958d549e6a4cb6e81172e6810996fed55b35e34eb0b"),

@@ -80,7 +80,7 @@ CASES = [
     ("dim-one-loop", ["dim", _spec("one_loop")], 0,
      "b2d5ad3ec36b4128c555e829f94bfee4edd7d1bef3a1f6f372f589a0958497e4"),
     ("measure-golden", ["measure", _spec("golden_ratio")], 0,
-     "33c0f60af4dee0739bd6ede79309187a9af73b82a9cb83e284e8af7fedf4a384"),
+     "eb1f07827082a1cc92ab926ff1c2381a30db519ea1cca984726d4da74ac0fb1e"),
     ("classify-golden-u",
      ["classify", _spec("golden_ratio"), "--vertex", "u", "--depth", "10"], 0,
      "f1a2692347dd59f19bb418d17412c600ff21c15fd664b7e9c75702a90712bb53"),
