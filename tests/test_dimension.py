@@ -166,6 +166,11 @@ class TestCharacteristicRoot:
         assert abs(root - GOLDEN_S) < 2e-12
         assert abs(root - hausdorff_dimension(golden_ifs).s) <= 2e-12
 
+    @pytest.mark.parametrize("tol", [1e-12, 1e-30])
+    def test_golden_within_half_tol(self, golden_params, tol):
+        root = double_loop_char_root(golden_params, tol)
+        assert abs(root - GOLDEN_S) <= tol / 2
+
     def test_half(self):
         p = DoubleLoopParams(F(1, 4), F(1, 2), F(1, 4),
                              F(1, 4), F(1, 2), F(1, 4))
