@@ -10,18 +10,23 @@ nonnegative A, rho(A) < lam exactly when lam*I - A is a nonsingular
 M-matrix, that is when its Gaussian elimination without row exchanges
 meets only positive pivots (Berman & Plemmons, ch. 6, condition A1).
 
-The solver steps in 40-digit mpf.  Each step builds A(t) once and
-eliminates I - A(t) once: the pivot test decides which end of the
-bracket moves, and the product of the pivots, det(I - A(t)), proposes the
-next t by the Illinois rule (a modified regula falsi), which needs about
-ten steps to 1e-12 where halving needs forty.  The two ends of the final
-bracket are then proven by the same elimination in mpmath interval
-arithmetic with outward rounding, so a returned bracket holds s for
-certain.  The Perron root of a single matrix is found by the same steps
-on det(lam*I - A).  For the two-vertex double-loop family the same s is
-also the root of the 2x2 characteristic equation f(t) = 0, which serves
-as an independent cross-check; it is solved by the same steps on f,
-started from a float estimate of the root.
+The solver first locates s in floats: it halves [0, 1] on the pivot test
+of I - A(t) with float entries exp(t log r), the logs taken in mpf.  The
+float root widened by 2^-40 on each side is the start bracket when the
+pivot test in 40-digit mpf confirms that it holds s, and [0, 1] is the
+start otherwise.  From there the solver steps in mpf.  Each step builds
+A(t) once and eliminates I - A(t) once: the pivot test decides which end
+of the bracket moves, and the product of the pivots, det(I - A(t)),
+proposes the next t by the Illinois rule (a modified regula falsi), which
+needs one step from the float start to 1e-12, and about ten from [0, 1].
+The two ends of the final bracket are then proven by the same elimination
+in mpmath interval arithmetic with outward rounding, so a returned
+bracket holds s for certain.  The Perron root of a single matrix is found
+by the same steps on det(lam*I - A).  For the two-vertex double-loop
+family the same s is also the root of the 2x2 characteristic equation
+f(t) = 0, which serves as an independent cross-check; it is solved by the
+same steps on f, started from a float root of f found by the same
+halving.
 """
 
 from __future__ import annotations
@@ -71,10 +76,12 @@ def moran_matrix(ifs: GraphIFS, t) -> MoranMatrix:
 
 
 def _moran(ifs: GraphIFS):
-    """(at, enclose) for a solve that builds A(t) at many t, with the
-    vertex index and the edge ratios in working precision made once:
-    at(t) is A(t) in mpf, and enclose(*ts) gives A(t) for each t in _IV
-    intervals, at _IV's current precision, that hold the exact entries."""
+    """(at, enclose, estimate) for a solve that builds A(t) at many t, with
+    the vertex index and the edge ratios in working precision made once:
+    at(t) is A(t) in mpf, enclose(*ts) gives A(t) for each t in _IV
+    intervals, at _IV's current precision, that hold the exact entries,
+    and estimate() is where the pivot test of I - A(t) in floats
+    exp(t log r), the logs taken in mpf, turns, found by _float_root."""
     index = {v: i for i, v in enumerate(ifs.vertices)}
     cells = [(index[e.src], index[e.dst]) for e in ifs.edges]
     ratios = [_to_mpf(e.map.ratio) for e in ifs.edges]
@@ -94,12 +101,17 @@ def _moran(ifs: GraphIFS):
         return [build([_IV.exp(_IV.mpf(t) * log) for log in logs], _IV.mpf(0))
                 for t in ts]
 
-    return at, enclose
+    def estimate() -> float:
+        logs = [float(mpmath.log(r)) for r in ratios]
+        return _float_root(lambda t: not _below(
+            build([math.exp(t * log) for log in logs], 0.0), 1.0))
+
+    return at, enclose, estimate
 
 
 def _pivots(m: MoranMatrix, lam):
     """Yield the pivots of lam*I - m under Gaussian elimination without
-    row exchanges, in mpf or in intervals as the entries are.  A reader
+    row exchanges, in floats, mpf or intervals as the entries are.  A reader
     must stop at a pivot that is or may be 0, which the next step would
     divide by."""
     rows = [[(lam if i == j else 0) - x for j, x in enumerate(row)]
@@ -199,7 +211,7 @@ def spectral_radius(m: MoranMatrix) -> mpf:
 @dataclass(frozen=True)
 class DimensionResult:
     """Solver output: the dimension estimate, its proven bracket and the
-    number of Illinois steps taken."""
+    number of Illinois steps taken from the start bracket."""
 
     s: mpf
     bracket: tuple[mpf, mpf]
@@ -241,40 +253,52 @@ def _prove(enclose, lo: mpf, hi: mpf, tol: mpf) -> tuple[mpf, mpf]:
 
 
 def hausdorff_dimension(ifs: GraphIFS, tol: float = 1e-12) -> DimensionResult:
-    """Solve rho(A(t)) = 1 on [0, 1] by Illinois steps on det(I - A(t)),
-    each decided by the pivot test, and prove the final bracket by
-    interval elimination; raises NumericError when the proof fails, so a
-    returned bracket always holds s."""
+    """Solve rho(A(t)) = 1 by Illinois steps on det(I - A(t)), each
+    decided by the pivot test, and prove the final bracket by interval
+    elimination; raises NumericError when the proof fails, so a returned
+    bracket always holds s.  The steps start from the float estimate of s
+    widened by 2^-40 on each side when the pivot test in working
+    precision confirms that it holds s, and from [0, 1] otherwise."""
     tol = _tol(tol)
-    at, enclose = _moran(ifs)
+    at, enclose, estimate = _moran(ifs)
 
     def decide(t):
         return _at_or_above(at(t), 1)
 
-    above, f_lo = decide(mpf(0))
-    if not above:
-        raise NumericError("rho(A(0)) < 1: graph violates out-degree >= 2")
-    above, f_hi = decide(mpf(1))
-    if above:
-        raise NumericError("rho(A(1)) >= 1: level-1 intervals overfill [0,1]")
-    lo, hi, iterations = _bracket(decide, mpf(0), mpf(1), tol, f_lo, f_hi)
+    e = estimate()
+    lo, hi = mpf(max(e - 2**-40, 0)), mpf(min(e + 2**-40, 1))
+    (above, f_lo), (above_hi, f_hi) = decide(lo), decide(hi)
+    if not above or above_hi:
+        lo, hi = mpf(0), mpf(1)
+        (above, f_lo), (above_hi, f_hi) = decide(lo), decide(hi)
+        if not above:
+            raise NumericError("rho(A(0)) < 1: graph violates out-degree >= 2")
+        if above_hi:
+            raise NumericError("rho(A(1)) >= 1: level-1 intervals overfill [0,1]")
+    lo, hi, iterations = _bracket(decide, lo, hi, tol, f_lo, f_hi)
     lo, hi = _prove(enclose, lo, hi, tol)
     return DimensionResult((lo + hi) / 2, (lo, hi), iterations)
 
 
-def _char_root_estimate(a, b, c, d) -> float:
-    """The root of f(t) = (a^t - 1)(c^t - 1) - (bd)^t to float precision,
-    with f written as exp(t log r) and the three logs taken once in mpf:
-    halving [0, 1] in floats on the sign of f until the bracket stops
+def _float_root(holds) -> float:
+    """The t in [0, 1] where holds(t) turns from true to false, to float
+    precision: halving [0, 1] on holds until the bracket stops
     shrinking."""
-    fa, fc, fbd = (float(mpmath.log(r)) for r in (a, c, b * d))
     lo, hi = 0.0, 1.0
     while lo < (t := (lo + hi) / 2) < hi:
-        if math.expm1(t * fa) * math.expm1(t * fc) < math.exp(t * fbd):
+        if holds(t):
             lo = t
         else:
             hi = t
     return t
+
+
+def _char_root_estimate(a, b, c, d) -> float:
+    """The root of f(t) = (a^t - 1)(c^t - 1) - (bd)^t to float precision,
+    with f written as exp(t log r) and the three logs taken once in mpf."""
+    fa, fc, fbd = (float(mpmath.log(r)) for r in (a, c, b * d))
+    return _float_root(
+        lambda t: math.expm1(t * fa) * math.expm1(t * fc) < math.exp(t * fbd))
 
 
 def double_loop_char_root(params: DoubleLoopParams,

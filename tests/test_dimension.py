@@ -10,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from graphifs import (
     DoubleLoopParams,
+    Edge,
+    GraphIFS,
     NumericError,
+    Similarity,
     double_loop_char_root,
     double_loop_ifs,
     hausdorff_dimension,
@@ -78,6 +81,16 @@ class TestSpectralRadius:
         assert abs(rho - 1) < 1e-9
 
 
+def proven(ifs, bracket):
+    """Whether interval elimination proves both ends of bracket."""
+    enclose = dimension._moran(ifs)[1]
+    return [dimension._below(m, 1) for m in enclose(*bracket)] == [False, True]
+
+
+def overlap(first, second):
+    return max(first[0], second[0]) <= min(first[1], second[1])
+
+
 class TestHausdorffDimension:
     @pytest.mark.parametrize("tol", [1e-12, 1e-30, 1e-39])
     def test_golden(self, golden_ifs, tol):
@@ -138,9 +151,7 @@ class TestHausdorffDimension:
             lo, hi = result.bracket
             assert hi - lo <= 1e-12
             # re-prove at the precision the solve left the proof context at
-            enclose = dimension._moran(ifs)[1]
-            proofs = [dimension._below(m, 1) for m in enclose(lo, hi)]
-            assert proofs == [False, True]
+            assert proven(ifs, result.bracket)
 
     @pytest.mark.parametrize("which", [0, -1])
     def test_unproven_bracket_raises(self, golden_ifs, monkeypatch, which):
@@ -158,6 +169,82 @@ class TestHausdorffDimension:
         monkeypatch.setattr(dimension, "_pivots", straddling)
         with pytest.raises(NumericError, match="could not prove"):
             hausdorff_dimension(golden_ifs)
+
+
+class TestFloatStart:
+    """The Illinois steps start from the float estimate of s widened by
+    2^-40 on each side, kept only when the mpf pivot test confirms that
+    it holds s, and from [0, 1] otherwise."""
+
+    def test_golden_builds_three_matrices(self, golden_ifs, monkeypatch):
+        # the two ends of the start bracket and one Illinois step, where a
+        # solve from [0, 1] builds 11
+        calls, real = [], dimension._at_or_above
+
+        def counted(m, lam):
+            calls.append(m)
+            return real(m, lam)
+
+        monkeypatch.setattr(dimension, "_at_or_above", counted)
+        result = hausdorff_dimension(golden_ifs, 1e-12)
+        assert len(calls) <= 3
+        assert result.iterations == 1
+
+    @pytest.mark.parametrize("offset", ["0.25", "-0.25", "1e-13", "-1e-13",
+                                        "1e-20", "-1e-20"])
+    def test_far_estimate_falls_back(self, golden_ifs, monkeypatch, offset):
+        # 0.25 off, the pivot test rejects the start bracket, and the
+        # solve builds A(0) and A(1) for [0, 1]; 1e-13 or 1e-20 off, the
+        # start bracket still holds s
+        expected = hausdorff_dimension(golden_ifs).bracket
+        ts, real_moran, real_root = [], dimension._moran, dimension._float_root
+
+        def recorded(ifs):
+            at, enclose, estimate = real_moran(ifs)
+
+            def at_t(t):
+                ts.append(t)
+                return at(t)
+
+            return at_t, enclose, estimate
+
+        monkeypatch.setattr(dimension, "_moran", recorded)
+        monkeypatch.setattr(dimension, "_float_root",
+                            lambda holds: real_root(holds) + float(offset))
+        result = hausdorff_dimension(golden_ifs)
+        assert (0 in ts and 1 in ts) == (abs(float(offset)) == 0.25)
+        lo, hi = result.bracket
+        assert hi - lo <= 1e-12
+        assert proven(golden_ifs, result.bracket)
+        assert overlap(result.bracket, expected)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-30])
+    def test_near_edge_loop(self, tol):
+        # a = c = 10^-12, b = d = 1 - 2*10^-12: the float pivot test loses
+        # its sign to cancellation near s, and the solve must still come
+        # back with a proven bracket
+        q = 10**12
+        p = DoubleLoopParams(F(1, q), F(1, q), F(q - 2, q),
+                             F(1, q), F(1, q), F(q - 2, q))
+        ifs = double_loop_ifs(p)
+        lo, hi = hausdorff_dimension(ifs, tol).bracket
+        assert hi - lo <= tol
+        assert proven(ifs, (lo, hi))
+
+    def test_nilpotent_at_zero_raises(self):
+        # u -> v and no way back: A(0) is nilpotent, so rho(A(0)) = 0
+        ifs = GraphIFS(("u", "v"),
+                       (Edge("e1", "u", "v", Similarity(F(1, 2), F(0))),))
+        with pytest.raises(NumericError, match=r"rho\(A\(0\)\) < 1"):
+            hausdorff_dimension(ifs)
+
+    def test_overfull_at_one_raises(self):
+        # two 3/4 loops at one vertex: A(1) = 3/2
+        ifs = GraphIFS(("u",),
+                       (Edge("e1", "u", "u", Similarity(F(3, 4), F(0))),
+                        Edge("e2", "u", "u", Similarity(F(3, 4), F(1, 4)))))
+        with pytest.raises(NumericError, match=r"rho\(A\(1\)\) >= 1"):
+            hausdorff_dimension(ifs)
 
 
 class TestCharacteristicRoot:
@@ -349,9 +436,14 @@ class TestTolerance:
             double_loop_char_root(_UnreadParams(), tol=tol)
 
     def test_tol_just_below_one_takes_a_step(self, golden_ifs, golden_params):
+        # the float start bracket is already below tol, so the solve may
+        # take no Illinois step, but it must not report 1/2, the midpoint
+        # of [0, 1]
         result = hausdorff_dimension(golden_ifs, tol=0.99)
-        assert result.iterations >= 1
-        assert result.bracket[0] <= GOLDEN_S <= result.bracket[1]
+        lo, hi = result.bracket
+        assert lo <= GOLDEN_S <= hi
+        assert hi - lo <= 0.99
+        assert result.s != mpmath.mpf(1) / 2
         s = double_loop_char_root(golden_params, 0.99)
         assert abs(s - GOLDEN_S) <= 0.99 / 2
 

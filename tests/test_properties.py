@@ -50,7 +50,7 @@ from graphifs.attractor import (
 from graphifs import render
 from graphifs.classify import _condition3, standard_ifs_from_maps
 from graphifs.spanning import SpanningParams, SpanningHit
-from conftest import SPEC_DIR, double_loop_params, random_small_graph
+from conftest import SPEC_DIR, double_loop_params, gen, random_small_graph
 
 F = Fraction
 
@@ -627,6 +627,15 @@ class TestDimensionInvariants:
         assert hi - lo <= 1e-12 and result.iterations <= 12
         assert reference_spectral_radius(moran_matrix(ifs, lo)) >= 1
         assert reference_spectral_radius(moran_matrix(ifs, hi)) < 1
+        (ref_lo, ref_hi), _ = reference_dimension_bracket(ifs)
+        assert max(lo, ref_lo) <= min(hi, ref_hi)
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(st.integers(2, 4), st.randoms(use_true_random=False))
+    def test_generated_brackets_match_power_iteration_bisection(self, n, rng):
+        ifs = gen.draw_cssc(rng, n)
+        lo, hi = hausdorff_dimension(ifs).bracket
+        assert hi - lo <= 1e-12
         (ref_lo, ref_hi), _ = reference_dimension_bracket(ifs)
         assert max(lo, ref_lo) <= min(hi, ref_hi)
 
