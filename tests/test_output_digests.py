@@ -72,13 +72,13 @@ CASES = [
       "--max-j", "4", "--max-k", "4"], 0,
      "5fdb01cadcaf5baf78543e6d91066b132c712aa803dde52366d109489b7d5238"),
     ("dim-gap-spanning", ["dim", _spec("gap_spanning")], 0,
-     "b7089f35ae168ae3b1cf665131db37acac9eb06982ea7ee8b4dd8897be2c6293"),
+     "90003444f693a40ee7ce5eef391b9815bb6378a7eab47206948389bb505ea527"),
     ("dim-golden", ["dim", _spec("golden_ratio")], 0,
-     "3a96b0637995091406f642bf08c344cdd33251354115ed02e4ff7478934de56c"),
+     "97384d9b111d8c0dd6a30354469f743512414c36f843cba409a3bf304f93b509"),
     ("dim-nested", ["dim", _spec("nested_components")], 0,
-     "4e2d0a7b67355518adf24bfc85462d7f4620de513ad9427d5e3f065eb8d6b117"),
+     "3c5c1c281b99ccbafb1c61dd9ad4b470292d95066ed8912413e8eabd29256939"),
     ("dim-one-loop", ["dim", _spec("one_loop")], 0,
-     "b2d5ad3ec36b4128c555e829f94bfee4edd7d1bef3a1f6f372f589a0958497e4"),
+     "97384d9b111d8c0dd6a30354469f743512414c36f843cba409a3bf304f93b509"),
     ("measure-golden", ["measure", _spec("golden_ratio")], 0,
      "eb1f07827082a1cc92ab926ff1c2381a30db519ea1cca984726d4da74ac0fb1e"),
     ("classify-golden-u",
