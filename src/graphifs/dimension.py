@@ -274,7 +274,8 @@ def hausdorff_dimension(ifs: GraphIFS, tol: float = 1e-12) -> DimensionResult:
         if not above:
             raise NumericError("rho(A(0)) < 1: graph violates out-degree >= 2")
         if above_hi:
-            raise NumericError("rho(A(1)) >= 1: level-1 intervals overfill [0,1]")
+            raise NumericError(
+                "rho(A(1)) >= 1: level-1 intervals overfill [0,1]")
     lo, hi, iterations = _bracket(decide, lo, hi, tol, f_lo, f_hi)
     lo, hi = _prove(enclose, lo, hi, tol)
     return DimensionResult((lo + hi) / 2, (lo, hi), iterations)

@@ -101,9 +101,10 @@ class TestHausdorffDimension:
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-30])
     def test_half_dimension_instance(self, tol):
-        # s = 1/2 exactly: the first step lands on the root itself, whose
-        # last pivot is 0, so the solve ends there and the proof moves
-        # both ends off it, instead of halving down to tol.
+        # s = 1/2 exactly: a step that lands on the root itself, whose
+        # last pivot is 0, ends the solve there (at tol 1e-30 the third
+        # step does), and the proof moves both ends off it, instead of
+        # halving down to tol.
         p = DoubleLoopParams(F(1, 4), F(1, 2), F(1, 4),
                              F(1, 4), F(1, 2), F(1, 4))
         result = hausdorff_dimension(double_loop_ifs(p), tol)
