@@ -267,11 +267,11 @@ def hausdorff_dimension(ifs: GraphIFS, tol: float = 1e-12) -> DimensionResult:
 
     e = estimate()
     lo, hi = mpf(max(e - 2**-40, 0)), mpf(min(e + 2**-40, 1))
-    (above, f_lo), (above_hi, f_hi) = decide(lo), decide(hi)
-    if not above or above_hi:
+    (above_lo, f_lo), (above_hi, f_hi) = decide(lo), decide(hi)
+    if not above_lo or above_hi:
         lo, hi = mpf(0), mpf(1)
-        (above, f_lo), (above_hi, f_hi) = decide(lo), decide(hi)
-        if not above:
+        (above_lo, f_lo), (above_hi, f_hi) = decide(lo), decide(hi)
+        if not above_lo:
             raise NumericError("rho(A(0)) < 1: graph violates out-degree >= 2")
         if above_hi:
             raise NumericError(

@@ -87,10 +87,6 @@ def proven(ifs, bracket):
     return [dimension._below(m, 1) for m in enclose(*bracket)] == [False, True]
 
 
-def overlap(first, second):
-    return max(first[0], second[0]) <= min(first[1], second[1])
-
-
 class TestHausdorffDimension:
     @pytest.mark.parametrize("tol", [1e-12, 1e-30, 1e-39])
     def test_golden(self, golden_ifs, tol):
@@ -217,7 +213,7 @@ class TestFloatStart:
         lo, hi = result.bracket
         assert hi - lo <= 1e-12
         assert proven(golden_ifs, result.bracket)
-        assert overlap(result.bracket, expected)
+        assert max(lo, expected[0]) <= min(hi, expected[1])
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-30])
     def test_near_edge_loop(self, tol):
