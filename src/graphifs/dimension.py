@@ -77,14 +77,17 @@ def moran_matrix(ifs: GraphIFS, t) -> MoranMatrix:
 
 def _moran(ifs: GraphIFS):
     """(at, enclose, estimate) for a solve that builds A(t) at many t, with
-    the vertex index and the edge ratios in working precision made once:
-    at(t) is A(t) in mpf, enclose(*ts) gives A(t) for each t in _IV
-    intervals, at _IV's current precision, that hold the exact entries,
-    and estimate() is where the pivot test of I - A(t) in floats
-    exp(t log r), the logs taken in mpf, turns, found by _float_root."""
+    the vertex index, the edge ratios and their logs in working precision
+    made once: at(t) is A(t) in mpf, with entries exp(t log r), or r^t at
+    an integer t, so that those stay exact; enclose(*ts) gives A(t) for
+    each t in _IV intervals, at _IV's current precision, that hold the
+    exact entries; and estimate() is where the pivot test of I - A(t) in
+    floats exp(t log r) turns, found by Illinois steps on det(I - A(t)) to
+    2^-42, or None when the float test fails at 0 or holds at 1."""
     index = {v: i for i, v in enumerate(ifs.vertices)}
     cells = [(index[e.src], index[e.dst]) for e in ifs.edges]
     ratios = [_to_mpf(e.map.ratio) for e in ifs.edges]
+    logs = [mpmath.log(r) for r in ratios]
 
     def build(powers, zero) -> MoranMatrix:
         rows = [[zero] * len(index) for _ in index]
@@ -93,7 +96,9 @@ def _moran(ifs: GraphIFS):
         return MoranMatrix(tuple(ifs.vertices), tuple(tuple(r) for r in rows))
 
     def at(t: mpf) -> MoranMatrix:
-        return build([r ** t for r in ratios], mpf(0))
+        if mpmath.isint(t):
+            return build([r ** t for r in ratios], mpf(0))
+        return build([mpmath.exp(t * log) for log in logs], mpf(0))
 
     def enclose(*ts: mpf) -> list[MoranMatrix]:
         logs = [_IV.log(_IV.mpf(e.map.ratio.numerator) / e.map.ratio.denominator)
@@ -101,10 +106,18 @@ def _moran(ifs: GraphIFS):
         return [build([_IV.exp(_IV.mpf(t) * log) for log in logs], _IV.mpf(0))
                 for t in ts]
 
-    def estimate() -> float:
-        logs = [float(mpmath.log(r)) for r in ratios]
-        return _float_root(lambda t: not _below(
-            build([math.exp(t * log) for log in logs], 0.0), 1.0))
+    def estimate() -> float | None:
+        floats = [float(log) for log in logs]
+
+        def decide(t):
+            return _at_or_above(
+                build([math.exp(t * log) for log in floats], 0.0), 1.0)
+
+        (above_lo, f_lo), (above_hi, f_hi) = decide(0.0), decide(1.0)
+        if not above_lo or above_hi:
+            return None
+        lo, hi, _ = _bracket(decide, 0.0, 1.0, 2**-42, f_lo, f_hi)
+        return (lo + hi) / 2
 
     return at, enclose, estimate
 
@@ -141,7 +154,7 @@ def _at_or_above(m: MoranMatrix, lam):
     and every other one positive, so that lam*I - m is a singular M-matrix
     and rho(m) = lam; it is None at any other pivot 0, where the
     elimination cannot go on."""
-    below, det = True, mpf(1)
+    below, det = True, 1
     for k, pivot in enumerate(_pivots(m, lam)):
         if not pivot:
             return True, (mpf(0) if below and k == m.n - 1 else None)
@@ -266,9 +279,10 @@ def hausdorff_dimension(ifs: GraphIFS, tol: float = 1e-12) -> DimensionResult:
         return _at_or_above(at(t), 1)
 
     e = estimate()
-    lo, hi = mpf(max(e - 2**-40, 0)), mpf(min(e + 2**-40, 1))
-    (above_lo, f_lo), (above_hi, f_hi) = decide(lo), decide(hi)
-    if not above_lo or above_hi:
+    if e is not None:
+        lo, hi = mpf(max(e - 2**-40, 0)), mpf(min(e + 2**-40, 1))
+        (above_lo, f_lo), (above_hi, f_hi) = decide(lo), decide(hi)
+    if e is None or not above_lo or above_hi:
         lo, hi = mpf(0), mpf(1)
         (above_lo, f_lo), (above_hi, f_hi) = decide(lo), decide(hi)
         if not above_lo:

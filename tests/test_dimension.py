@@ -168,23 +168,32 @@ class TestHausdorffDimension:
             hausdorff_dimension(golden_ifs)
 
 
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The matrices that _at_or_above eliminates, by entry type."""
+    calls = {float: [], mpmath.mpf: []}
+    real = dimension._at_or_above
+
+    def counted(m, lam):
+        calls[type(m.entries[0][0])].append(m)
+        return real(m, lam)
+
+    monkeypatch.setattr(dimension, "_at_or_above", counted)
+    return calls
+
+
 class TestFloatStart:
     """The Illinois steps start from the float estimate of s widened by
     2^-40 on each side, kept only when the mpf pivot test confirms that
     it holds s, and from [0, 1] otherwise."""
 
-    def test_golden_builds_three_matrices(self, golden_ifs, monkeypatch):
+    def test_golden_builds_three_matrices(self, golden_ifs, eliminations):
         # the two ends of the start bracket and one Illinois step, where a
-        # solve from [0, 1] builds 11
-        calls, real = [], dimension._at_or_above
-
-        def counted(m, lam):
-            calls.append(m)
-            return real(m, lam)
-
-        monkeypatch.setattr(dimension, "_at_or_above", counted)
+        # solve from [0, 1] builds 11; the float estimate takes Illinois
+        # steps too, where halving to the last bit took 53
         result = hausdorff_dimension(golden_ifs, 1e-12)
-        assert len(calls) <= 3
+        assert len(eliminations[mpmath.mpf]) <= 3
+        assert len(eliminations[float]) <= 16
         assert result.iterations == 1
 
     @pytest.mark.parametrize("offset", ["0.25", "-0.25", "1e-13", "-1e-13",
@@ -194,7 +203,7 @@ class TestFloatStart:
         # solve builds A(0) and A(1) for [0, 1]; 1e-13 or 1e-20 off, the
         # start bracket still holds s
         expected = hausdorff_dimension(golden_ifs).bracket
-        ts, real_moran, real_root = [], dimension._moran, dimension._float_root
+        ts, real_moran = [], dimension._moran
 
         def recorded(ifs):
             at, enclose, estimate = real_moran(ifs)
@@ -203,11 +212,9 @@ class TestFloatStart:
                 ts.append(t)
                 return at(t)
 
-            return at_t, enclose, estimate
+            return at_t, enclose, lambda: estimate() + float(offset)
 
         monkeypatch.setattr(dimension, "_moran", recorded)
-        monkeypatch.setattr(dimension, "_float_root",
-                            lambda holds: real_root(holds) + float(offset))
         result = hausdorff_dimension(golden_ifs)
         assert (0 in ts and 1 in ts) == (abs(float(offset)) == 0.25)
         lo, hi = result.bracket
@@ -228,12 +235,15 @@ class TestFloatStart:
         assert hi - lo <= tol
         assert proven(ifs, (lo, hi))
 
-    def test_nilpotent_at_zero_raises(self):
-        # u -> v and no way back: A(0) is nilpotent, so rho(A(0)) = 0
+    def test_nilpotent_at_zero_raises(self, eliminations):
+        # u -> v and no way back: A(0) is nilpotent, so rho(A(0)) = 0, and
+        # the float test at 0 sends the solve to [0, 1] at once, where
+        # halving took 1,074 float steps down to 0.0
         ifs = GraphIFS(("u", "v"),
                        (Edge("e1", "u", "v", Similarity(F(1, 2), F(0))),))
         with pytest.raises(NumericError, match=r"rho\(A\(0\)\) < 1"):
             hausdorff_dimension(ifs)
+        assert len(eliminations[float]) <= 2
 
     def test_overfull_at_one_raises(self):
         # two 3/4 loops at one vertex: A(1) = 3/2
