@@ -72,13 +72,13 @@ CASES = [
       "--max-j", "4", "--max-k", "4"], 0,
      "5fdb01cadcaf5baf78543e6d91066b132c712aa803dde52366d109489b7d5238"),
     ("dim-gap-spanning", ["dim", _spec("gap_spanning")], 0,
-     "90003444f693a40ee7ce5eef391b9815bb6378a7eab47206948389bb505ea527"),
+     "ebef6f033867d06998c22bbe5245ec77afd98e9ebd95a8c35cfd57c073736004"),
     ("dim-golden", ["dim", _spec("golden_ratio")], 0,
-     "97384d9b111d8c0dd6a30354469f743512414c36f843cba409a3bf304f93b509"),
+     "8b606bc7da2376484ffbcdead20c0c27072a1d8760ea0d6c48f8745cf51c2b74"),
     ("dim-nested", ["dim", _spec("nested_components")], 0,
-     "3c5c1c281b99ccbafb1c61dd9ad4b470292d95066ed8912413e8eabd29256939"),
+     "54eeb48398ef1e7d8e50995fda5f962d260473f5d35b4741739a9a15c3196960"),
     ("dim-one-loop", ["dim", _spec("one_loop")], 0,
-     "97384d9b111d8c0dd6a30354469f743512414c36f843cba409a3bf304f93b509"),
+     "8b606bc7da2376484ffbcdead20c0c27072a1d8760ea0d6c48f8745cf51c2b74"),
     ("measure-golden", ["measure", _spec("golden_ratio")], 0,
      "eb1f07827082a1cc92ab926ff1c2381a30db519ea1cca984726d4da74ac0fb1e"),
     ("classify-golden-u",
