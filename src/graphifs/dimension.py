@@ -10,23 +10,22 @@ nonnegative A, rho(A) < lam exactly when lam*I - A is a nonsingular
 M-matrix, that is when its Gaussian elimination without row exchanges
 meets only positive pivots (Berman & Plemmons, ch. 6, condition A1).
 
-The solver first locates s in floats: it halves [0, 1] on the pivot test
-of I - A(t) with float entries exp(t log r), the logs taken in mpf.  The
-float root widened by 2^-40 on each side is the start bracket when the
-pivot test in 40-digit mpf confirms that it holds s, and [0, 1] is the
-start otherwise.  From there the solver steps in mpf.  Each step builds
-A(t) once and eliminates I - A(t) once: the pivot test decides which end
-of the bracket moves, and the product of the pivots, det(I - A(t)),
-proposes the next t by the Illinois rule (a modified regula falsi), which
-needs one step from the float start to 1e-12, and about ten from [0, 1].
-The two ends of the final bracket are then proven by the same elimination
-in mpmath interval arithmetic with outward rounding, so a returned
-bracket holds s for certain.  The Perron root of a single matrix is found
+Each step of the solver builds A(t) once, with entries exp(t log r) from
+logs taken once per solve, and eliminates I - A(t) once: the pivot test
+decides which end of the bracket moves, and the product of the pivots,
+det(I - A(t)), proposes the next t by the Illinois rule (a modified
+regula falsi).  The solver first takes such steps in floats, from [0, 1]
+to 2^-42, about 11 of them.  The float root widened by 2^-40 on each
+side is the start bracket when the pivot test in 40-digit mpf confirms
+that it holds s, and [0, 1] is the start otherwise.  From there the
+solver steps in mpf: one step reaches 1e-12 from the float start, and
+about ten from [0, 1].  The two ends of the final bracket are then
+proven by the same elimination in mpmath interval arithmetic with
+outward rounding, so a returned bracket holds s for certain.  The Perron root of a single matrix is found
 by the same steps on det(lam*I - A).  For the two-vertex double-loop
 family the same s is also the root of the 2x2 characteristic equation
 f(t) = 0, which serves as an independent cross-check; it is solved by the
-same steps on f, started from a float root of f found by the same
-halving.
+same steps on f, started from a float root of f found by halving.
 """
 
 from __future__ import annotations
@@ -101,9 +100,9 @@ def _moran(ifs: GraphIFS):
         return build([mpmath.exp(t * log) for log in logs], mpf(0))
 
     def enclose(*ts: mpf) -> list[MoranMatrix]:
-        logs = [_IV.log(_IV.mpf(e.map.ratio.numerator) / e.map.ratio.denominator)
-                for e in ifs.edges]
-        return [build([_IV.exp(_IV.mpf(t) * log) for log in logs], _IV.mpf(0))
+        iv_logs = [_IV.log(_IV.mpf(e.map.ratio.numerator) / e.map.ratio.denominator)
+                   for e in ifs.edges]
+        return [build([_IV.exp(_IV.mpf(t) * log) for log in iv_logs], _IV.mpf(0))
                 for t in ts]
 
     def estimate() -> float | None:

@@ -37,8 +37,9 @@ def deadline(seconds):
 
 @pytest.fixture
 def bisection_steps_bounded(monkeypatch):
-    """Let every bracketing loop, halving or Illinois, evaluate its
-    predicate at most 1,000 times."""
+    """Let every Illinois loop, the float steps of hausdorff_dimension's
+    estimate as well as the mpf steps, evaluate its predicate at most
+    1,000 times."""
     bracket = dimension._bracket
 
     def bounded(decide, *args):

@@ -1,5 +1,6 @@
 """Moran matrix, spectral radius, dimension solvers."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -44,6 +45,18 @@ class TestMoranMatrix:
         m = moran_matrix(golden_ifs, 2)
         assert m.entries[0][0] == mpmath.mpf(1) / 16
         assert m.entries[1][1] == mpmath.mpf(1) / 4
+
+    def test_t1_non_dyadic_ratios_exact(self):
+        # 3/10 and 7/20 as in gap_spanning: exp(log(7/20)) in working
+        # precision is one unit off 7/20, so A(1) must be built from r^1
+        edges = [Edge(f"e{i}", u, v, Similarity(r, F(0)))
+                 for i, (u, v, r) in enumerate([("u", "u", F(3, 10)),
+                                                ("u", "v", F(7, 20)),
+                                                ("v", "u", F(7, 20)),
+                                                ("v", "v", F(3, 10))])]
+        m = moran_matrix(GraphIFS(("u", "v"), tuple(edges)), 1)
+        r, q = mpmath.mpf(3) / 10, mpmath.mpf(7) / 20
+        assert m.entries == ((r, q), (q, r))
 
     def test_parallel_edges_summed(self, golden_params):
         m = moran_matrix(no_loop_ifs(golden_params), 1)
@@ -170,15 +183,16 @@ class TestHausdorffDimension:
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """The matrices that _at_or_above eliminates, by entry type."""
-    calls = {float: [], mpmath.mpf: []}
-    real = dimension._at_or_above
+    """The matrices that _pivots eliminates, by entry type: float, mpf or
+    interval."""
+    calls = collections.defaultdict(list)
+    real = dimension._pivots
 
     def counted(m, lam):
         calls[type(m.entries[0][0])].append(m)
         return real(m, lam)
 
-    monkeypatch.setattr(dimension, "_at_or_above", counted)
+    monkeypatch.setattr(dimension, "_pivots", counted)
     return calls
 
 
@@ -221,6 +235,21 @@ class TestFloatStart:
         assert hi - lo <= 1e-12
         assert proven(golden_ifs, result.bracket)
         assert max(lo, expected[0]) <= min(hi, expected[1])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_estimate_within_start_bracket(self, n, eliminations):
+        # on generated systems the float estimate lies within 2^-40 of the
+        # proven bracket, and no solve falls back to [0, 1]: the mpf
+        # eliminations are the two start ends and one per Illinois step
+        rng = random.Random(f"estimate-{n}")
+        for _ in range(20):
+            ifs = gen.draw_cssc(rng, n)
+            e = dimension._moran(ifs)[2]()
+            eliminations[mpmath.mpf].clear()
+            result = hausdorff_dimension(ifs)
+            lo, hi = result.bracket
+            assert lo - 2**-40 <= e <= hi + 2**-40
+            assert len(eliminations[mpmath.mpf]) == 2 + result.iterations
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-30])
     def test_near_edge_loop(self, tol):
