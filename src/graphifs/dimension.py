@@ -21,11 +21,12 @@ that it holds s, and [0, 1] is the start otherwise.  From there the
 solver steps in mpf: one step reaches 1e-12 from the float start, and
 about ten from [0, 1].  The two ends of the final bracket are then
 proven by the same elimination in mpmath interval arithmetic with
-outward rounding, so a returned bracket holds s for certain.  The Perron root of a single matrix is found
-by the same steps on det(lam*I - A).  For the two-vertex double-loop
-family the same s is also the root of the 2x2 characteristic equation
-f(t) = 0, which serves as an independent cross-check; it is solved by the
-same steps on f, started from a float root of f found by halving.
+outward rounding, so a returned bracket holds s for certain.  The Perron
+root of a single matrix is found by the same steps on det(lam*I - A).
+For the two-vertex double-loop family the same s is also the root of the
+2x2 characteristic equation f(t) = 0, which serves as an independent
+cross-check; it is solved by the same steps on f, started from a float
+root of f found by halving.
 """
 
 from __future__ import annotations
@@ -294,25 +295,18 @@ def hausdorff_dimension(ifs: GraphIFS, tol: float = 1e-12) -> DimensionResult:
     return DimensionResult((lo + hi) / 2, (lo, hi), iterations)
 
 
-def _float_root(holds) -> float:
-    """The t in [0, 1] where holds(t) turns from true to false, to float
-    precision: halving [0, 1] on holds until the bracket stops
-    shrinking."""
+def _char_root_estimate(a, b, c, d) -> float:
+    """The root of f(t) = (a^t - 1)(c^t - 1) - (bd)^t to float precision,
+    with f written as exp(t log r) and the three logs taken once in mpf:
+    halving [0, 1] on the sign of f until the bracket stops shrinking."""
+    fa, fc, fbd = (float(mpmath.log(r)) for r in (a, c, b * d))
     lo, hi = 0.0, 1.0
     while lo < (t := (lo + hi) / 2) < hi:
-        if holds(t):
+        if math.expm1(t * fa) * math.expm1(t * fc) < math.exp(t * fbd):
             lo = t
         else:
             hi = t
     return t
-
-
-def _char_root_estimate(a, b, c, d) -> float:
-    """The root of f(t) = (a^t - 1)(c^t - 1) - (bd)^t to float precision,
-    with f written as exp(t log r) and the three logs taken once in mpf."""
-    fa, fc, fbd = (float(mpmath.log(r)) for r in (a, c, b * d))
-    return _float_root(
-        lambda t: math.expm1(t * fa) * math.expm1(t * fc) < math.exp(t * fbd))
 
 
 def double_loop_char_root(params: DoubleLoopParams,
