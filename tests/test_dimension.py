@@ -197,9 +197,10 @@ def eliminations(monkeypatch):
 
 
 class TestFloatStart:
-    """The Illinois steps start from the float estimate of s widened by
-    2^-40 on each side, kept only when the mpf pivot test confirms that
-    it holds s, and from [0, 1] otherwise."""
+    """The mpf Illinois steps start from the float estimate of s, itself
+    found by Illinois steps in floats, widened by 2^-40 on each side,
+    kept only when the mpf pivot test confirms that it holds s, and from
+    [0, 1] otherwise."""
 
     def test_golden_builds_three_matrices(self, golden_ifs, eliminations):
         # the two ends of the start bracket and one Illinois step, where a
