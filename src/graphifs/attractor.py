@@ -95,11 +95,13 @@ class LevelLadder:
     an edge map sends an endpoint p over D^(k-1) to (D * coefficient) * p
     + (D * offset) * D^(k-1) over D^k.  Each level is built once from the
     level before it, for all vertices, when first asked for.  Children
-    are laid out in the order of their level-1 hulls, then sorted and
-    merged so that touching or overlapping children become one interval;
-    a level-1 hull outside [0,1] raises ValueError.  Every read is held
-    to the path cap of model._check_path_cap.  The ladder keeps integers
-    only: level_k_set builds Fractions per call.
+    are laid out in the order of their level-1 hulls: where those hulls
+    lie strictly apart (no cssc_check violation) that is the level, and
+    elsewhere they are sorted and merged so that touching or overlapping
+    children become one interval; a level-1 hull outside [0,1] raises
+    ValueError.  Every read is held to the path cap of
+    model._check_path_cap.  The ladder keeps integers only: level_k_set
+    builds Fractions per call.
     """
 
     def __init__(self, ifs: GraphIFS):
@@ -109,10 +111,14 @@ class LevelLadder:
         self.maps = {e.id: (int(e.map.coefficient * scale),
                             int(e.map.offset * scale)) for e in ifs.edges}
         self._children: dict[str, list[tuple[str, int, int, bool]]] = {}
+        self._apart: dict[str, bool] = {}
         for v in ifs.vertices:
             out = sorted(ifs.out_edges(v), key=lambda e: e.map.hull())
-            self._children[v] = [(e.dst, *self.maps[e.id], e.map.reflect)
-                                 for e in out]
+            children = self._children[v] = [
+                (e.dst, *self.maps[e.id], e.map.reflect) for e in out]
+            self._apart[v] = all(
+                max(o, c + o) < min(o2, c2 + o2)
+                for (_, c, o, _), (_, c2, o2, _) in zip(children, children[1:]))
         self._levels: list[dict[str, list[int]]] = [
             {v: [0, 1] for v in ifs.vertices}]
 
@@ -130,7 +136,7 @@ class LevelLadder:
                 if k == 1 and (flat[-2] < 0 or flat[-1] > self.scale):
                     lo, hi = (Fraction(p, self.scale) for p in flat[-2:])
                     raise ValueError(f"interval [{lo}, {hi}] escapes [0,1]")
-            level[v] = _merged(flat)
+            level[v] = flat if self._apart[v] else _merged(flat)
         self._levels.append(level)
 
     def endpoints(self, v: str, k: int) -> list[int]:
