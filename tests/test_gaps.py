@@ -431,15 +431,20 @@ class TestLevelOneGaps:
             gc.enable()
 
     def test_kept_system_holds_only_integer_levels(self, golden_params):
+        # A full collection before each reading empties CPython's free
+        # lists: freed 2-tuples (up to 2,000, about 110 KB) otherwise stay
+        # traced in whichever measurement made pairs last.
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             ints = double_loop_ifs(golden_params)
             ints.ladder.endpoints("u", 14)
+            gc.collect()
             levels = tracemalloc.get_traced_memory()[0] - start
             start = tracemalloc.get_traced_memory()[0]
             kept = double_loop_ifs(golden_params)
             level_k_set(kept, "u", 14)
+            gc.collect()
             held = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()

@@ -47,7 +47,7 @@ from graphifs.attractor import (
     SubsetRefutation,
     endpoint_witnesses,
 )
-from graphifs import render
+from graphifs import attractor, render
 from graphifs.classify import _condition3, standard_ifs_from_maps
 from graphifs.spanning import SpanningParams, SpanningHit
 from conftest import SPEC_DIR, double_loop_params, gen, random_small_graph
@@ -409,7 +409,7 @@ class TestRefutationEquivalence:
 
 class TestLadderEquivalence:
     @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(messy_graphs())
+    @given(st.one_of(messy_graphs(), reflected_double_loops()))
     def test_level_sets_match_fraction_recursion(self, ifs):
         expected = reference_levels(ifs, 6)
         ladder = LevelLadder(ifs)
@@ -426,6 +426,38 @@ class TestLadderEquivalence:
         for u in ifs.vertices:
             assert (endpoint_witnesses(ifs, u, depth)
                     == reference_witnesses(ifs, u, depth))
+
+    @COMMON
+    @given(messy_graphs())
+    def test_apart_flag_is_cssc_at_the_vertex(self, ifs):
+        violating = {v for v, _e1, _e2 in cssc_check(ifs).violations}
+        assert LevelLadder(ifs)._apart == {v: v not in violating
+                                           for v in ifs.vertices}
+
+    @pytest.fixture
+    def merges(self, monkeypatch):
+        """The flat lists passed to attractor._merged, one per call."""
+        calls = []
+        real = attractor._merged
+        monkeypatch.setattr(attractor, "_merged",
+                            lambda flat: calls.append(flat) or real(flat))
+        return calls
+
+    @pytest.mark.parametrize("spec, k", [
+        ("golden_ratio", 12), ("nested_components", 8), ("gap_spanning", 6)])
+    def test_apart_hulls_build_levels_unmerged(self, merges, spec, k):
+        ifs = load_spec((SPEC_DIR / f"{spec}.json").read_text())
+        ifs.ladder.endpoints(ifs.vertices[0], k)
+        assert merges == []
+
+    def test_touching_hulls_still_merge(self, merges):
+        ifs = GraphIFS(("u",), (
+            Edge("e1", "u", "u", Similarity(F(1, 2), F(0))),
+            Edge("e2", "u", "u", Similarity(F(1, 2), F(1, 2)))))
+        levels = [level_k_set(ifs, "u", k) for k in range(5)]
+        assert len(merges) == 4
+        assert levels == [level["u"] for level in reference_levels(ifs, 4)]
+        assert levels[4].intervals == ((F(0), F(1)),)
 
 
 
