@@ -116,12 +116,20 @@ def _cmd_gaps(args) -> int:
     ladder = ifs.ladder
     ladder.endpoints(args.vertex, args.depth)  # the path cap fires before output
     largest = max_gap(ifs, args.vertex)
+    texts: dict[tuple[int, int], str] = {}  # by ends over scale ** depth
     for k in range(1, args.depth + 1):
         den = ladder.scale ** k
-        rendered = ", ".join(
-            f"({_over(lo, den)}, {_over(hi, den)}) len {_over(hi - lo, den)}"
-            for lo, hi in ladder.gaps(args.vertex, k))
-        print(f"level {k}: {rendered}")
+        up = ladder.scale ** (args.depth - k)
+        row = []
+        for lo, hi in ladder.gaps(args.vertex, k):
+            key = lo * up, hi * up
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = (
+                    f"({_over(lo, den)}, {_over(hi, den)}) "
+                    f"len {_over(hi - lo, den)}")
+            row.append(text)
+        print(f"level {k}: {', '.join(row)}")
     print(f"max gap = {format_rational(largest)}")
     return EXIT_OK
 

@@ -4,6 +4,8 @@ One horizontal row per (vertex, level) pair, levels 0..K top to bottom per
 vertex; each level-k interval becomes one rectangle.  All x-coordinates
 are WIDTH*lo and WIDTH*hi rounded half-even to thousandths in integer
 arithmetic, so identical inputs always produce byte-identical output.
+A row is rounded in one pass over the ladder's integer endpoints and
+written from one rect template, each distinct width formatted once.
 """
 
 from __future__ import annotations
@@ -18,19 +20,6 @@ MARGIN = 30
 VERTEX_GAP = 16
 
 
-def _thousandths(p: int, den: int) -> int:
-    """1000 * WIDTH * p / den rounded half-even to an integer."""
-    q, r = divmod(1000 * WIDTH * p, den)
-    if 2 * r > den or (2 * r == den and q % 2):
-        q += 1
-    return q
-
-
-def _fixed3(q: int) -> str:
-    """A nonnegative number of thousandths written as units.thousandths."""
-    return f"{q // 1000}.{q % 1000:03d}"
-
-
 def render_svg(ifs: GraphIFS, levels: int = 5) -> str:
     """Render level-0..levels approximations of every component as SVG 1.1."""
     if levels < 0:
@@ -40,6 +29,7 @@ def render_svg(ifs: GraphIFS, levels: int = 5) -> str:
     total_h = (2 * MARGIN + len(ifs.vertices) * block
                + max(0, len(ifs.vertices) - 1) * VERTEX_GAP)
     total_w = 2 * MARGIN + WIDTH
+    margin = 1000 * MARGIN  # in thousandths
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -56,12 +46,20 @@ def render_svg(ifs: GraphIFS, levels: int = 5) -> str:
                 f'font-size="10" font-family="monospace">'
                 f'{vertex} k={k}</text>')
             den = ifs.ladder.scale ** k
-            xs = [_thousandths(p, den) for p in ifs.ladder.endpoints(vertex, k)]
+            num, twice = 2000 * WIDTH, 2 * den
+            xs = [q - (not r and q & 1)  # half up, exact ties back to even
+                  for q, r in [divmod(num * p + den, twice)
+                               for p in ifs.ladder.endpoints(vertex, k)]]
+            rect = (f'<rect x="%d.%03d" y="{y}" width="%s" '
+                    f'height="{ROW_HEIGHT}" fill="#336699"/>')
+            widths: dict[int, str] = {}
             for x1, x2 in zip(xs[::2], xs[1::2]):
-                lines.append(
-                    f'<rect x="{_fixed3(x1 + 1000 * MARGIN)}" y="{y}" '
-                    f'width="{_fixed3(x2 - x1)}" height="{ROW_HEIGHT}" '
-                    f'fill="#336699"/>')
+                w = x2 - x1
+                width = widths.get(w)
+                if width is None:
+                    width = widths[w] = "%d.%03d" % divmod(w, 1000)
+                x1 += margin
+                lines.append(rect % (x1 // 1000, x1 % 1000, width))
             lines.append('</g>')
     lines.append('</svg>')
     return "\n".join(lines) + "\n"

@@ -1,8 +1,12 @@
 """Randomized invariants, checked with hypothesis on seeded case generators."""
 
+import contextlib
 import functools
+import io
 import itertools
 import math
+import random
+import re
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
@@ -26,6 +30,7 @@ from graphifs import (
     format_rational,
     gap_length_cosets,
     hausdorff_dimension,
+    level_k_gaps,
     level_k_set,
     load_spec,
     max_gap,
@@ -36,6 +41,7 @@ from graphifs import (
     path_similarity,
     paths_from,
     refute_subset,
+    render_svg,
     replay_certificate,
     span_search,
     spectral_radius,
@@ -49,6 +55,7 @@ from graphifs.attractor import (
 )
 from graphifs import attractor, render
 from graphifs.classify import _condition3, standard_ifs_from_maps
+from graphifs.cli import main
 from graphifs.spanning import SpanningParams, SpanningHit
 from conftest import SPEC_DIR, double_loop_params, gen, random_small_graph
 
@@ -137,6 +144,13 @@ def reflected_double_loops(draw):
                                                     reflect=True))
         edges.append(e)
     return GraphIFS(ifs.vertices, tuple(edges))
+
+
+@st.composite
+def cssc_systems(draw):
+    """The benchmark's gen.draw_cssc systems on 2-3 vertices."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return gen.draw_cssc(rng, draw(st.integers(2, 3)))
 
 
 @st.composite
@@ -616,6 +630,34 @@ class TestGapInvariants:
                 assert cosets.contains(x) == (x in expected)
 
 
+    @pytest.mark.parametrize("systems", [
+        double_loop_params().map(double_loop_ifs), reflected_double_loops(),
+        cssc_systems()], ids=["double-loop", "reflected", "cssc"])
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_cli_gaps_text_matches_level_k_gaps(self, tmp_path_factory,
+                                                systems, data):
+        """`graphifs gaps` prints, line by line, what level_k_gaps and
+        format_rational give at every level, whatever texts it shares
+        between levels."""
+        ifs = data.draw(systems)
+        u = data.draw(st.sampled_from(ifs.vertices))
+        depth = data.draw(st.integers(1, 6))
+        spec = tmp_path_factory.mktemp("gaps") / "spec.json"
+        spec.write_text(dump_spec(ifs))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["gaps", str(spec), "--vertex", u,
+                         "--depth", str(depth)]) == 0
+        expected = [f"level {k}: " + ", ".join(
+            f"({format_rational(lo)}, {format_rational(hi)}) "
+            f"len {format_rational(length)}"
+            for (lo, hi), length in level_k_gaps(ifs, u, k))
+            for k in range(1, depth + 1)]
+        expected.append(f"max gap = {format_rational(max_gap(ifs, u))}")
+        assert out.getvalue().splitlines() == expected
+
+
 class TestPathInvariants:
     @COMMON
     @given(small_graphs(), st.integers(1, 5))
@@ -711,19 +753,40 @@ def decimal_coord(x: Fraction, width: int) -> str:
     return str(value.quantize(Decimal("0.001"), rounding=ROUND_HALF_EVEN))
 
 
+def svg_rows(svg: str) -> dict[tuple[str, int], list[tuple[str, str]]]:
+    """The rects of every row of a rendered SVG, keyed by (vertex, level),
+    each as (x - MARGIN, x + width - MARGIN) in the SVG's own decimals."""
+    rows: dict = {}
+    for line in svg.splitlines():
+        row = re.fullmatch(r'<g id="row-(.+)-(\d+)">', line)
+        if row:
+            rects = rows.setdefault((row[1], int(row[2])), [])
+        rect = re.match(r'<rect x="([\d.]+)" y="\d+" width="([\d.]+)"', line)
+        if rect:
+            lo = Decimal(rect[1]) - render.MARGIN
+            rects.append((str(lo), str(lo + Decimal(rect[2]))))
+    return rows
+
+
 class TestRenderInvariants:
     @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(st.one_of(double_loop_params(), double_loop_params(10**5)),
-           st.data())
-    def test_coordinates_match_decimal_reference(self, params, data):
-        ladder = LevelLadder(double_loop_ifs(params))
-        top = max(k for k in range(9) if ladder.scale ** k < 10**20)
-        k = data.draw(st.integers(0, top))
-        den = ladder.scale ** k
-        for v in ("u", "v"):
-            for p in ladder.endpoints(v, k):
-                x = render._thousandths(p, den)
-                expected = decimal_coord(F(p, den), render.WIDTH)
-                assert render._fixed3(x) == expected
-                assert (render._fixed3(x + 1000 * render.MARGIN)
-                        == str(Decimal(expected) + render.MARGIN))
+    @given(st.one_of(
+        st.tuples(st.one_of(double_loop_params(), double_loop_params(10**5))
+                  .map(double_loop_ifs), st.just(8)),
+        st.tuples(messy_graphs(), st.just(5))), st.data())
+    def test_coordinates_match_decimal_reference(self, drawn, data):
+        """Every rect spans the Decimal roundings of its interval's two
+        ladder ends, on double loops and on systems with reflecting maps
+        and touching or overlapping hulls."""
+        ifs, deepest = drawn
+        ladder = ifs.ladder
+        top = max(k for k in range(deepest + 1) if ladder.scale ** k < 10**20)
+        levels = data.draw(st.integers(0, top))
+        rows = svg_rows(render_svg(ifs, levels))
+        assert len(rows) == len(ifs.vertices) * (levels + 1)
+        for v in ifs.vertices:
+            for k in range(levels + 1):
+                den = ladder.scale ** k
+                ends = [decimal_coord(F(p, den), render.WIDTH)
+                        for p in ladder.endpoints(v, k)]
+                assert rows[v, k] == list(zip(ends[::2], ends[1::2]))

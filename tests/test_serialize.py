@@ -249,6 +249,20 @@ class TestRendering:
         assert xs[1:] == ["30.000", "330.000"]  # xs[0] is the text label
         assert widths == ["150.000", "300.000"]
 
+    def test_exact_ties_round_half_even(self):
+        # Level-1 ends at 1, 3, 5 and 7 over 1200000 fall at 0.5, 1.5,
+        # 2.5 and 3.5 thousandths of WIDTH: even n stays, odd n goes up.
+        maps = (("1/600000", "1/1200000"), ("1/600000", "5/1200000"),
+                ("1/2", "1/2"))
+        spec = {"vertices": ["u"], "edges": [
+            {"id": f"e{i}", "from": "u", "to": "u", "ratio": r, "offset": o}
+            for i, (r, o) in enumerate(maps, 1)]}
+        svg = render_svg(load_spec(json.dumps(spec)), 1)
+        row = re.search(r'<g id="row-u-1">(.*?)</g>', svg, re.S).group(1)
+        rects = re.findall(r'<rect x="([\d.]+)" y="\d+" width="([\d.]+)"', row)
+        assert rects == [("30.000", "0.002"), ("30.002", "0.002"),
+                         ("330.000", "300.000")]
+
     def test_is_well_formed_xml(self, golden_ifs):
         import xml.etree.ElementTree as ET
         ET.fromstring(render_svg(golden_ifs, 3))
