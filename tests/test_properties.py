@@ -629,7 +629,6 @@ class TestGapInvariants:
                     assert cosets.enumerate(x) == sorted(expected)
                 assert cosets.contains(x) == (x in expected)
 
-
     @pytest.mark.parametrize("systems", [
         double_loop_params().map(double_loop_ifs), reflected_double_loops(),
         cssc_systems()], ids=["double-loop", "reflected", "cssc"])
