@@ -29,8 +29,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from mpmath import mp, mpf
-
 from .attractor import (
     SubsetRefutation,
     components_equal,
@@ -39,6 +37,7 @@ from .attractor import (
     refute_subset,
     replay_refutation,
 )
+from .dimension import _MP, mpf
 from .errors import GraphStructureError, RewriteError, UnsupportedFeatureError
 from .families import DoubleLoopParams, double_loop_ifs, params_from_ifs
 from .gaps import Condition2Report, condition2_check
@@ -335,7 +334,7 @@ def _unit_measure(ifs: GraphIFS, vprime
 def _num(x) -> str:
     """A measure number as a certificate records it: 30 significant
     digits."""
-    return mp.nstr(mpf(x), 30)
+    return _MP.nstr(mpf(x), 30)
 
 
 def _recorded(m: MeasureResult) -> tuple:

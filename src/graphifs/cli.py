@@ -16,8 +16,6 @@ import math
 import sys
 from fractions import Fraction
 
-from mpmath import mp
-
 from . import __version__
 from .classify import (
     Verdict,
@@ -35,7 +33,7 @@ from .errors import (
 )
 from .families import params_from_ifs
 from .gaps import max_gap
-from .dimension import hausdorff_dimension
+from .dimension import _MP, hausdorff_dimension
 from .measure import component_measures
 from .model import format_rational, parse_rational
 from .render import render_svg
@@ -81,7 +79,7 @@ def _require_vertex(ifs, vertex: str):
 
 
 def _num(x) -> str:
-    return mp.nstr(x, 15)
+    return _MP.nstr(x, 15)
 
 
 def _over(p: int, den: int) -> str:

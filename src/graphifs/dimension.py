@@ -20,9 +20,11 @@ side is the start bracket when the pivot test in 40-digit mpf confirms
 that it holds s, and [0, 1] is the start otherwise.  From there the
 solver steps in mpf: one step reaches 1e-12 from the float start, and
 about ten from [0, 1].  The two ends of the final bracket are then
-proven by the same elimination in mpmath interval arithmetic with
-outward rounding, so a returned bracket holds s for certain.  The Perron
-root of a single matrix is found by the same steps on det(lam*I - A).
+proven by the same elimination in 50-digit mpmath interval arithmetic
+with outward rounding, so a returned bracket holds s for certain.  The
+library's mpf arithmetic all runs in its own 40-digit context, _MP, and
+leaves mpmath.mp alone.  The Perron root of a single matrix is found by
+the same steps on det(lam*I - A).
 For the two-vertex double-loop family the same s is also the root of the
 2x2 characteristic equation f(t) = 0, which serves as an independent
 cross-check; it is solved by the same steps on f, started from a float
@@ -34,19 +36,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
-from mpmath import mp, mpf
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.ctx_mp import MPContext
 
 from .errors import NumericError
 from .families import DoubleLoopParams
 from .model import GraphIFS
 
-mp.dps = 40
+#: The library's working precision: a context of its own, so that results
+#: do not depend on a caller's mpmath.mp.  mpf is its number type.
+_MP = MPContext()
+_MP.dps = 40
+mpf = _MP.mpf
 
-#: The interval arithmetic of the bracket proofs: a context of its own, so
-#: that setting its precision leaves a caller's mpmath.iv alone.
+#: The interval arithmetic of the bracket proofs, 10 digits beyond _MP,
+#: since the ends of a bracket can sit one unit of working precision from s.
 _IV = MPIntervalContext()
+_IV.dps = _MP.dps + 10
 
 
 def _to_mpf(x) -> mpf:
@@ -80,14 +86,14 @@ def _moran(ifs: GraphIFS):
     the vertex index, the edge ratios and their logs in working precision
     made once: at(t) is A(t) in mpf, with entries exp(t log r), or r^t at
     an integer t, so that those stay exact; enclose(*ts) gives A(t) for
-    each t in _IV intervals, at _IV's current precision, that hold the
-    exact entries; and estimate() is where the pivot test of I - A(t) in
-    floats exp(t log r) turns, found by Illinois steps on det(I - A(t)) to
-    2^-42, or None when the float test fails at 0 or holds at 1."""
+    each t in _IV intervals that hold the exact entries; and estimate()
+    is where the pivot test of I - A(t) in floats exp(t log r) turns,
+    found by Illinois steps on det(I - A(t)) to 2^-42, or None when the
+    float test fails at 0 or holds at 1."""
     index = {v: i for i, v in enumerate(ifs.vertices)}
     cells = [(index[e.src], index[e.dst]) for e in ifs.edges]
     ratios = [_to_mpf(e.map.ratio) for e in ifs.edges]
-    logs = [mpmath.log(r) for r in ratios]
+    logs = [_MP.log(r) for r in ratios]
 
     def build(powers, zero) -> MoranMatrix:
         rows = [[zero] * len(index) for _ in index]
@@ -96,9 +102,9 @@ def _moran(ifs: GraphIFS):
         return MoranMatrix(tuple(ifs.vertices), tuple(tuple(r) for r in rows))
 
     def at(t: mpf) -> MoranMatrix:
-        if mpmath.isint(t):
+        if _MP.isint(t):
             return build([r ** t for r in ratios], mpf(0))
-        return build([mpmath.exp(t * log) for log in logs], mpf(0))
+        return build([_MP.exp(t * log) for log in logs], mpf(0))
 
     def enclose(*ts: mpf) -> list[MoranMatrix]:
         iv_logs = [_IV.log(_IV.mpf(e.map.ratio.numerator) / e.map.ratio.denominator)
@@ -215,7 +221,7 @@ def spectral_radius(m: MoranMatrix) -> mpf:
     at_top, f_hi = _at_or_above(m, top)
     if at_top:
         return top
-    tol = mpf(10) ** (-(mp.dps - 5)) * max(1, top)
+    tol = mpf(10) ** (-(_MP.dps - 5)) * max(1, top)
     f_lo = _at_or_above(m, mpf(0))[1]
     return _bracket(lambda lam: _at_or_above(m, lam),
                     mpf(0), top, tol, f_lo, f_hi)[1]
@@ -250,11 +256,9 @@ def _prove(enclose, lo: mpf, hi: mpf, tol: mpf) -> tuple[mpf, mpf]:
     An end within working precision of s, as at a dyadic s that a step
     hits exactly, has a pivot interval that straddles 0; such an end moves
     out by a quarter of the room left under tol and is proven again.
-    Raises NumericError when that fails too.  The intervals carry 10
-    digits beyond mp.dps, since the ends can sit one unit of working
-    precision from s."""
+    Raises NumericError when that fails too.  The intervals carry 50
+    digits, 10 beyond the working precision."""
     pad = (tol - (hi - lo)) / 4
-    _IV.dps = mp.dps + 10
     proofs = [_below(m, 1) for m in enclose(lo, hi)]
     if proofs != [False, True] and pad > 0:
         lo -= 0 if proofs[0] is False else pad
@@ -299,7 +303,7 @@ def _char_root_estimate(a, b, c, d) -> float:
     """The root of f(t) = (a^t - 1)(c^t - 1) - (bd)^t to float precision,
     with f written as exp(t log r) and the three logs taken once in mpf:
     halving [0, 1] on the sign of f until the bracket stops shrinking."""
-    fa, fc, fbd = (float(mpmath.log(r)) for r in (a, c, b * d))
+    fa, fc, fbd = (float(_MP.log(r)) for r in (a, c, b * d))
     lo, hi = 0.0, 1.0
     while lo < (t := (lo + hi) / 2) < hi:
         if math.expm1(t * fa) * math.expm1(t * fc) < math.exp(t * fbd):

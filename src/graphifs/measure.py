@@ -20,10 +20,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath
-from mpmath import mpf
-
-from .dimension import _to_mpf, double_loop_char_root
+from .dimension import _MP, _to_mpf, double_loop_char_root, mpf
 from .families import DoubleLoopParams
 
 
@@ -64,7 +61,7 @@ def _eps(eps) -> mpf:
     eps = _to_mpf(eps)
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if not mpmath.isfinite(eps):
+    if not _MP.isfinite(eps):
         raise ValueError("eps must be finite")
     return eps
 

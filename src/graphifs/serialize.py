@@ -33,10 +33,9 @@ import typing
 from dataclasses import MISSING
 from fractions import Fraction
 
-from mpmath import mpf
-
 from .attractor import SubsetRefutation
 from .classify import Certificate, _num
+from .dimension import mpf
 from .errors import SpecValidationError
 from .model import (
     Edge,

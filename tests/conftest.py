@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import strategies as st
 
@@ -20,6 +21,21 @@ from graphifs import (
 )
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+
+# The library computes in a 40-digit context of its own and leaves
+# mpmath.mp alone; references that the tests compute in mpmath.mp are
+# compared with its results to 1e-25 and finer, so they need the same
+# precision.
+mpmath.mp.dps = 40
+
+
+@pytest.fixture(autouse=True)
+def _restore_mp_dps():
+    """Put mpmath.mp.dps back after every test, so that a test that sets a
+    caller precision does not leak it into the next."""
+    dps = mpmath.mp.dps
+    yield
+    mpmath.mp.dps = dps
 
 
 def _load_gen():

@@ -160,7 +160,7 @@ class TestHausdorffDimension:
             assert result.iterations <= 12
             lo, hi = result.bracket
             assert hi - lo <= 1e-12
-            # re-prove at the precision the solve left the proof context at
+            # re-prove in the proof context, whose precision is fixed
             assert proven(ifs, result.bracket)
 
     @pytest.mark.parametrize("which", [0, -1])
@@ -183,8 +183,8 @@ class TestHausdorffDimension:
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """The matrices that _pivots eliminates, by entry type: float, mpf or
-    interval."""
+    """The matrices that _pivots eliminates, by entry type: float, the
+    library's mpf or interval."""
     calls = collections.defaultdict(list)
     real = dimension._pivots
 
@@ -207,7 +207,7 @@ class TestFloatStart:
         # solve from [0, 1] builds 11; the float estimate takes Illinois
         # steps too, where halving to the last bit took 53
         result = hausdorff_dimension(golden_ifs, 1e-12)
-        assert len(eliminations[mpmath.mpf]) <= 3
+        assert len(eliminations[dimension.mpf]) <= 3
         assert len(eliminations[float]) <= 16
         assert result.iterations == 1
 
@@ -246,11 +246,11 @@ class TestFloatStart:
         for _ in range(20):
             ifs = gen.draw_cssc(rng, n)
             e = dimension._moran(ifs)[2]()
-            eliminations[mpmath.mpf].clear()
+            eliminations[dimension.mpf].clear()
             result = hausdorff_dimension(ifs)
             lo, hi = result.bracket
             assert lo - 2**-40 <= e <= hi + 2**-40
-            assert len(eliminations[mpmath.mpf]) == 2 + result.iterations
+            assert len(eliminations[dimension.mpf]) == 2 + result.iterations
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-30])
     def test_near_edge_loop(self, tol):
@@ -348,15 +348,15 @@ HALF = DoubleLoopParams(F(1, 4), F(1, 2), F(1, 4), F(1, 4), F(1, 2), F(1, 4))
 
 @pytest.fixture
 def powers(monkeypatch):
-    """A list that grows by one at each mpf power: f takes four, and the
-    float estimate of the root takes none."""
-    calls, power = [], mpmath.mpf.__pow__
+    """A list that grows by one at each power of the library's mpf: f
+    takes four, and the float estimate of the root takes none."""
+    calls, power = [], dimension.mpf.__pow__
 
     def counted(x, y):
         calls.append(y)
         return power(x, y)
 
-    monkeypatch.setattr(mpmath.mpf, "__pow__", counted)
+    monkeypatch.setattr(dimension.mpf, "__pow__", counted)
     return calls
 
 
