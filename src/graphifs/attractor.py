@@ -16,7 +16,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Optional
 
-from .errors import GraphStructureError
+from . import model
+from .errors import GraphStructureError, ResourceCapError
 from .families import DoubleLoopParams
 from .model import (
     GraphIFS,
@@ -100,8 +101,9 @@ class LevelLadder:
     elsewhere they are sorted and merged so that touching or overlapping
     children become one interval; a level-1 hull outside [0,1] raises
     ValueError.  Every read is held to the path cap of
-    model._check_path_cap.  The ladder keeps integers only: level_k_set
-    builds Fractions per call.
+    model._check_path_cap, and a level is built only when no vertex would
+    get more than model.DEFAULT_PATH_CAP intervals before merging.  The
+    ladder keeps integers only: level_k_set builds Fractions per call.
     """
 
     def __init__(self, ifs: GraphIFS):
@@ -125,6 +127,12 @@ class LevelLadder:
     def _extend(self) -> None:
         k = len(self._levels)
         prev = self._levels[-1]
+        for v, children in self._children.items():
+            count = sum(len(prev[dst]) for dst, *_ in children) // 2
+            if count > model.DEFAULT_PATH_CAP:
+                raise ResourceCapError(
+                    f"{count} intervals of level {k} at {v!r} exceed cap "
+                    f"{model.DEFAULT_PATH_CAP}", bound=count)
         shift = self.scale ** (k - 1)
         level = {}
         for v, children in self._children.items():

@@ -19,12 +19,11 @@ to 2^-42, about 11 of them.  The float root widened by 2^-40 on each
 side is the start bracket when the pivot test in 40-digit mpf confirms
 that it holds s, and [0, 1] is the start otherwise.  From there the
 solver steps in mpf: one step reaches 1e-12 from the float start, and
-about ten from [0, 1].  The two ends of the final bracket are then
-proven by the same elimination in 50-digit mpmath interval arithmetic
-with outward rounding, so a returned bracket holds s for certain.  The
-library's mpf arithmetic all runs in its own 40-digit context, _MP, and
-leaves mpmath.mp alone.  The Perron root of a single matrix is found by
-the same steps on det(lam*I - A).
+about ten from [0, 1].  Both ends of the final bracket are then proven
+by the pivot test in exact rationals on outward-rounded bounds of their
+entries (rho does not fall when an entry grows; Berman & Plemmons, ch.
+2), so a returned bracket holds s for certain.  The Perron root of a
+single matrix is found by the same steps on det(lam*I - A).
 For the two-vertex double-loop family the same s is also the root of the
 2x2 characteristic equation f(t) = 0, which serves as an independent
 cross-check; it is solved by the same steps on f, started from a float
@@ -35,9 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from mpmath.ctx_iv import MPIntervalContext
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import (dps_to_prec, from_rational, mpf_exp, mpf_log,
+                          mpf_mul, round_ceiling, round_floor, to_rational)
 
 from .errors import NumericError
 from .families import DoubleLoopParams
@@ -49,10 +50,9 @@ _MP = MPContext()
 _MP.dps = 40
 mpf = _MP.mpf
 
-#: The interval arithmetic of the bracket proofs, 10 digits beyond _MP,
+#: The bits of the bounds that prove a bracket, 10 digits beyond _MP,
 #: since the ends of a bracket can sit one unit of working precision from s.
-_IV = MPIntervalContext()
-_IV.dps = _MP.dps + 10
+_PROOF_PREC = dps_to_prec(_MP.dps + 10)
 
 
 def _to_mpf(x) -> mpf:
@@ -85,11 +85,11 @@ def _moran(ifs: GraphIFS):
     """(at, enclose, estimate) for a solve that builds A(t) at many t, with
     the vertex index, the edge ratios and their logs in working precision
     made once: at(t) is A(t) in mpf, with entries exp(t log r), or r^t at
-    an integer t, so that those stay exact; enclose(*ts) gives A(t) for
-    each t in _IV intervals that hold the exact entries; and estimate()
-    is where the pivot test of I - A(t) in floats exp(t log r) turns,
-    found by Illinois steps on det(I - A(t)) to 2^-42, or None when the
-    float test fails at 0 or holds at 1."""
+    an integer t, so that those stay exact; enclose(lo, hi) gives Fraction
+    lower bounds of A(lo) and upper bounds of A(hi); and estimate() is
+    where the pivot test of I - A(t) in floats exp(t log r) turns, found
+    by Illinois steps on det(I - A(t)) to 2^-42, or None when the float
+    test fails at 0 or holds at 1."""
     index = {v: i for i, v in enumerate(ifs.vertices)}
     cells = [(index[e.src], index[e.dst]) for e in ifs.edges]
     ratios = [_to_mpf(e.map.ratio) for e in ifs.edges]
@@ -106,11 +106,19 @@ def _moran(ifs: GraphIFS):
             return build([r ** t for r in ratios], mpf(0))
         return build([_MP.exp(t * log) for log in logs], mpf(0))
 
-    def enclose(*ts: mpf) -> list[MoranMatrix]:
-        iv_logs = [_IV.log(_IV.mpf(e.map.ratio.numerator) / e.map.ratio.denominator)
-                   for e in ifs.edges]
-        return [build([_IV.exp(_IV.mpf(t) * log) for log in iv_logs], _IV.mpf(0))
-                for t in ts]
+    def bound(t: mpf, rnd) -> MoranMatrix:
+        # exp(t log r) at t >= 0, each step rounded to the side of rnd
+        prec = _PROOF_PREC
+
+        def power(e):
+            r = from_rational(*e.map.ratio.as_integer_ratio(), prec, rnd)
+            tlog = mpf_mul(t._mpf_, mpf_log(r, prec, rnd), prec, rnd)
+            return Fraction(*to_rational(mpf_exp(tlog, prec, rnd)))
+        return build([power(e) for e in ifs.edges], Fraction(0))
+
+    def enclose(lo: mpf, hi: mpf) -> tuple[MoranMatrix, MoranMatrix]:
+        # each r^t >= 1 = r^0 at t < 0, so A(0) bounds A(lo) from below there
+        return bound(max(lo, mpf(0)), round_floor), bound(hi, round_ceiling)
 
     def estimate() -> float | None:
         floats = [float(log) for log in logs]
@@ -130,8 +138,8 @@ def _moran(ifs: GraphIFS):
 
 def _pivots(m: MoranMatrix, lam):
     """Yield the pivots of lam*I - m under Gaussian elimination without
-    row exchanges, in floats, mpf or intervals as the entries are.  A reader
-    must stop at a pivot that is or may be 0, which the next step would
+    row exchanges, in floats, mpf or Fractions as the entries are.  A
+    reader must stop at a pivot that is 0, which the next step would
     divide by."""
     rows = [[(lam if i == j else 0) - x for j, x in enumerate(row)]
             for i, row in enumerate(m.entries)]
@@ -142,16 +150,6 @@ def _pivots(m: MoranMatrix, lam):
             factor = row[k] / pivot
             for j in range(k + 1, m.n):
                 row[j] -= factor * pivot_row[j]
-
-
-def _below(m: MoranMatrix, lam):
-    """Whether rho(m) < lam: True when every pivot of lam*I - m is
-    positive, False at the first pivot <= 0.  On interval entries True
-    and False are proofs, and None means a pivot interval straddles 0."""
-    for pivot in _pivots(m, lam):
-        if not pivot > 0:
-            return False if pivot <= 0 else None
-    return True
 
 
 def _at_or_above(m: MoranMatrix, lam):
@@ -251,28 +249,29 @@ def _tol(tol) -> mpf:
 
 def _prove(enclose, lo: mpf, hi: mpf, tol: mpf) -> tuple[mpf, mpf]:
     """[lo, hi], or a wider bracket still at most tol wide, with
-    rho(A(lo)) >= 1 and rho(A(hi)) < 1 proven by interval elimination.
+    rho(A(lo)) >= 1 and rho(A(hi)) < 1 proven by the pivot test in exact
+    rationals: rho of enclose's lower bound of A(lo) is at least 1, and
+    rho of its upper bound of A(hi) is below 1.
 
-    An end within working precision of s, as at a dyadic s that a step
-    hits exactly, has a pivot interval that straddles 0; such an end moves
-    out by a quarter of the room left under tol and is proven again.
-    Raises NumericError when that fails too.  The intervals carry 50
-    digits, 10 beyond the working precision."""
+    An end within rounding of s, as at a dyadic s that a step hits
+    exactly, can fail its proof; such an end moves out by a quarter of the
+    room left under tol and is proven again.  Raises NumericError when
+    that fails too."""
     pad = (tol - (hi - lo)) / 4
-    proofs = [_below(m, 1) for m in enclose(lo, hi)]
-    if proofs != [False, True] and pad > 0:
-        lo -= 0 if proofs[0] is False else pad
-        hi += 0 if proofs[1] is True else pad
-        proofs = [_below(m, 1) for m in enclose(lo, hi)]
-    if proofs != [False, True]:
+    above = [_at_or_above(m, 1)[0] for m in enclose(lo, hi)]
+    if above != [True, False] and pad > 0:
+        lo -= 0 if above[0] else pad
+        hi += pad if above[1] else 0
+        above = [_at_or_above(m, 1)[0] for m in enclose(lo, hi)]
+    if above != [True, False]:
         raise NumericError(f"could not prove that [{lo}, {hi}] brackets s")
     return lo, hi
 
 
 def hausdorff_dimension(ifs: GraphIFS, tol: float = 1e-12) -> DimensionResult:
     """Solve rho(A(t)) = 1 by Illinois steps on det(I - A(t)), each
-    decided by the pivot test, and prove the final bracket by interval
-    elimination; raises NumericError when the proof fails, so a returned
+    decided by the pivot test, and prove the final bracket by that test in
+    exact rationals; raises NumericError when the proof fails, so a returned
     bracket always holds s.  The steps start from the float estimate of s
     widened by 2^-40 on each side when the pivot test in working
     precision confirms that it holds s, and from [0, 1] otherwise."""

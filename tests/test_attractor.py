@@ -135,6 +135,28 @@ class TestLevelSets:
             ladder.endpoints("u", 5)
         assert info.value.bound == 32
 
+    def test_ladder_cap_holds_at_every_vertex_built(self, monkeypatch):
+        # u: a 1/4 loop and a 1/4 edge to w; w: 29 loops of ratio 1/64 and
+        # a 1/64 edge to u.  u has 26,224 paths of length 4, under the cap,
+        # but level 4 is built for w too, with 29 * 25,320 + 904 intervals.
+        edges = [Edge("a", "u", "u", Similarity(F(1, 4), F(0))),
+                 Edge("b", "u", "w", Similarity(F(1, 4), F(1, 2))),
+                 Edge("x", "w", "u", Similarity(F(1, 64), F(58, 64)))]
+        edges += [Edge(f"w{i:02d}", "w", "w",
+                       Similarity(F(1, 64), F(2 * i, 64))) for i in range(29)]
+        ifs = GraphIFS(("u", "w"), tuple(edges))
+        assert cssc_check(ifs).ok
+        monkeypatch.setattr(model, "DEFAULT_PATH_CAP", 30000)
+        ladder = LevelLadder(ifs)
+        assert len(ladder.endpoints("u", 3)) == 2 * 904
+        assert len(ladder.endpoints("w", 3)) == 2 * 25320
+        with pytest.raises(ResourceCapError,
+                           match="735184 intervals of level 4 at 'w' exceed "
+                                 "cap 30000") as info:
+            ladder.endpoints("u", 4)
+        assert info.value.bound == 735184
+        assert len(ladder._levels) == 4  # nothing of level 4 was kept
+
 
 class TestCSSC:
     def test_golden_passes(self, golden_ifs):

@@ -96,6 +96,33 @@ class TestValidate:
         assert err.startswith("error: ") and "JSON" in err
         assert "Traceback" not in err
 
+    _E1 = {"id": "e1", "from": "u", "to": "u", "ratio": "1/4", "offset": "0"}
+    _E2 = {"id": "e2", "from": "u", "to": "u", "ratio": "1/4",
+           "offset": "3/4"}
+
+    @pytest.mark.parametrize("doc, err", [
+        ([], "error: document must be a JSON object"),
+        ({"vertices": [1], "edges": [_E1, _E2]},
+         "error: 'vertices' must be a list of strings"),
+        ({"vertices": ["u"], "edges": {}}, "error: 'edges' must be a list"),
+        ({"vertices": ["u"], "edges": [_E1, "e2"]},
+         "  - edges[1]: not an object"),
+        ({"vertices": ["u"],
+          "edges": [_E1, {k: v for k, v in _E2.items() if k != "offset"}]},
+         "  - edges[1]: missing field 'offset'"),
+        ({"vertices": ["u", "u"], "edges": [_E1, _E2]},
+         "error: duplicate vertex ids"),
+        ({"vertices": ["u"], "edges": [_E1, dict(_E2, to="z")]},
+         "error: edge 'e2' enters undeclared vertex 'z'"),
+    ], ids=["not-object", "vertex-not-string", "edges-not-list",
+            "edge-not-object", "missing-field", "duplicate-vertex",
+            "undeclared-vertex"])
+    def test_malformed_document(self, tmp_path, capsys, doc, err):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["validate", str(spec)]) == 1
+        assert err in capsys.readouterr().err
+
 
 class TestDim:
     def test_golden(self, capsys):
@@ -294,6 +321,12 @@ class TestClassify:
         assert main(["classify", GOLDEN, "--vertex", "u",
                      "--theorem", "p2t", "--assert-minimal-edges"]) == 0
 
+    def test_p2m_outside_family_rejected(self, capsys):
+        assert main(["classify", NESTED, "--vertex", "u",
+                     "--theorem", "p2m"]) == 1
+        assert ("error: p2m applies only to the two-vertex double-loop "
+                "family") in capsys.readouterr().err
+
     def test_bad_theorem_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["classify", GOLDEN, "--vertex", "u", "--theorem", "bogus"])
@@ -348,6 +381,33 @@ class TestVerifyCertificate:
         cert_path.write_text(json.dumps(doc))
         assert main(["verify-certificate", GOLDEN, str(cert_path)]) == 1
         assert err in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("vertex", "zz"),  # not a vertex of the system
+        ("theorem", "p9"),  # no theorem of that name
+    ])
+    def test_forged_claim_fails(self, tmp_path, capsys, key, value):
+        assert main(["classify", GOLDEN, "--vertex", "u"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        doc[key] = value
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(doc))
+        assert main(["verify-certificate", GOLDEN, str(cert_path)]) == 1
+        assert "FAILED to replay" in capsys.readouterr().err
+
+    def test_forged_standard_certificate_fails(self, tmp_path, capsys):
+        # one_loop v's standard rewrite, recorded against golden u, which
+        # has none: the replay's own rewrite raises and is refused
+        assert main(["classify", GOLDEN, "--vertex", "u"]) == 0
+        digest = json.loads(capsys.readouterr().out)["subject_digest"]
+        assert main(["classify", ONE_LOOP, "--vertex", "v"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["theorem"] == "p2nv1"
+        doc.update(subject_digest=digest, vertex="u")
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(doc))
+        assert main(["verify-certificate", GOLDEN, str(cert_path)]) == 1
+        assert "FAILED to replay" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edits", [
         # the minimal-edge-count hypothesis is no longer asserted

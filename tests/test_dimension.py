@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.ctx_iv import MPIntervalContext
 
 from graphifs import (
     DoubleLoopParams,
@@ -95,9 +96,31 @@ class TestSpectralRadius:
 
 
 def proven(ifs, bracket):
-    """Whether interval elimination proves both ends of bracket."""
-    enclose = dimension._moran(ifs)[1]
-    return [dimension._below(m, 1) for m in enclose(*bracket)] == [False, True]
+    """Whether Gaussian elimination of I - A(t) in a private 50-digit
+    interval context, with outward rounding, proves rho(A(lo)) >= 1 (a
+    pivot interval at or below 0) and rho(A(hi)) < 1 (every pivot interval
+    above 0) for bracket (lo, hi)."""
+    iv = MPIntervalContext()
+    iv.dps = 50
+    index = {v: i for i, v in enumerate(ifs.vertices)}
+
+    def below(t):
+        rows = [[iv.mpf(int(i == j)) for j in index] for i in index]
+        for e in ifs.edges:
+            r = iv.mpf(e.map.ratio.numerator) / e.map.ratio.denominator
+            rows[index[e.src]][index[e.dst]] -= iv.exp(iv.mpf(t) * iv.log(r))
+        for k, pivot_row in enumerate(rows):
+            pivot = pivot_row[k]
+            if not pivot > 0:
+                return False if pivot <= 0 else None
+            for row in rows[k + 1:]:
+                factor = row[k] / pivot
+                for j in range(k + 1, len(rows)):
+                    row[j] -= factor * pivot_row[j]
+        return True
+
+    lo, hi = bracket
+    return below(lo) is False and below(hi) is True
 
 
 class TestHausdorffDimension:
@@ -160,23 +183,56 @@ class TestHausdorffDimension:
             assert result.iterations <= 12
             lo, hi = result.bracket
             assert hi - lo <= 1e-12
-            # re-prove in the proof context, whose precision is fixed
+            # re-prove by interval elimination, independent of the library
             assert proven(ifs, result.bracket)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_proof_bounds_hold_the_powers(self, n):
+        # enclose's lower bounds of A(lo) and upper bounds of A(hi) lie on
+        # their sides of the sums of r^t taken at 80 digits; below t = 0
+        # the lower bound is A(0), the edge counts
+        rng = random.Random(f"enclose-{n}")
+        for _ in range(5):
+            ifs = gen.draw_cssc(rng, n)
+            lo, hi = hausdorff_dimension(ifs).bracket
+            enclose = dimension._moran(ifs)[1]
+            low, up = enclose(lo, hi)
+            with mpmath.workdps(80):
+                for bound, t, side in ((low, lo, 1), (up, hi, -1)):
+                    exact = collections.Counter()
+                    for e in ifs.edges:
+                        r = mpmath.mpf(e.map.ratio.numerator)
+                        r /= e.map.ratio.denominator
+                        exact[e.src, e.dst] += r ** mpmath.mpf(t)
+                    for i, u in enumerate(ifs.vertices):
+                        for j, v in enumerate(ifs.vertices):
+                            x = bound.entries[i][j]
+                            x = mpmath.mpf(x.numerator) / x.denominator
+                            assert side * (exact[u, v] - x) >= 0
+                            assert abs(exact[u, v] - x) < 2**-150 * n
+            counts = moran_matrix(ifs, 0).entries
+            assert enclose(-lo, hi)[0].entries == counts
 
     @pytest.mark.parametrize("which", [0, -1])
     def test_unproven_bracket_raises(self, golden_ifs, monkeypatch, which):
-        # An interval elimination whose first or last pivot straddles 0
-        # proves neither end, so no bracket may come back.
-        real_pivots = dimension._pivots
+        # Bounds of A(lo) divided by 4 have rho < 1, and bounds of A(hi)
+        # times 4 have rho > 1: the exact proof of that end fails, before
+        # and after the widening, so no bracket may come back.
+        real_moran = dimension._moran
 
-        def straddling(m, lam):
-            if not isinstance(m.entries[0][0], dimension._IV.mpf):
-                return real_pivots(m, lam)
-            pivots = list(real_pivots(m, lam))
-            pivots[which] = dimension._IV.mpf([-1, 1])
-            return iter(pivots)
+        def weakened(ifs):
+            at, enclose, estimate = real_moran(ifs)
 
-        monkeypatch.setattr(dimension, "_pivots", straddling)
+            def bad_enclose(lo, hi):
+                bounds = list(enclose(lo, hi))
+                m, scale = bounds[which], F(1, 4) if which == 0 else 4
+                bounds[which] = MoranMatrix(m.vertices, tuple(
+                    tuple(x * scale for x in row) for row in m.entries))
+                return bounds
+
+            return at, bad_enclose, estimate
+
+        monkeypatch.setattr(dimension, "_moran", weakened)
         with pytest.raises(NumericError, match="could not prove"):
             hausdorff_dimension(golden_ifs)
 
@@ -184,7 +240,7 @@ class TestHausdorffDimension:
 @pytest.fixture
 def eliminations(monkeypatch):
     """The matrices that _pivots eliminates, by entry type: float, the
-    library's mpf or interval."""
+    library's mpf or Fraction."""
     calls = collections.defaultdict(list)
     real = dimension._pivots
 
