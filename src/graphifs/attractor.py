@@ -10,10 +10,10 @@ F_v.  Such proofs are packaged as replayable SubsetRefutation records.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Optional
 
 from . import model
@@ -27,59 +27,94 @@ from .model import (
     ZERO,
     as_rational,
     _check_path_cap,
-    path_similarity,
 )
 
 
-@dataclass(frozen=True)
 class IntervalSet:
-    """Sorted, pairwise-disjoint closed rational subintervals of [0,1]."""
+    """Sorted, pairwise-disjoint closed rational subintervals of [0,1].
 
-    intervals: tuple[tuple[Fraction, Fraction], ...]
+    The set is a private flat list [lo, hi, lo, hi, ...] of integers over
+    one denominator: level_k_set shares the ladder's own list over D^k,
+    and the constructor scales its intervals to the lcm of their
+    denominators.  Every query works on those integers; `intervals`
+    builds its Fraction pairs on first read."""
 
-    def __post_init__(self):
-        cleaned = sorted(
-            (as_rational(lo), as_rational(hi)) for lo, hi in self.intervals)
+    def __init__(self, intervals):
+        cleaned = sorted((as_rational(lo), as_rational(hi))
+                         for lo, hi in intervals)
         for lo, hi in cleaned:
             if lo > hi:
                 raise ValueError(f"interval [{lo}, {hi}] is reversed")
             if lo < ZERO or hi > ONE:
                 raise ValueError(f"interval [{lo}, {hi}] escapes [0,1]")
-        flat = _merged([p for pair in cleaned for p in pair])
-        object.__setattr__(self, "intervals",
-                           tuple(zip(flat[::2], flat[1::2])))
+        den = math.lcm(*(p.denominator for pair in cleaned for p in pair))
+        self._flat = _merged([p.numerator * (den // p.denominator)
+                              for pair in cleaned for p in pair])
+        self._den = den
 
     @classmethod
-    def _from_merged(cls, intervals) -> "IntervalSet":
-        """Wrap Fraction intervals that are already sorted, pairwise
-        separated and inside [0,1], skipping the cleaning pass."""
+    def _of(cls, flat: list[int], den: int) -> "IntervalSet":
+        """The set of the sorted, separated integer endpoints `flat` over
+        `den`, sharing the list; callers must not change it."""
         iset = object.__new__(cls)
-        object.__setattr__(iset, "intervals", intervals)
+        iset._flat, iset._den = flat, den
         return iset
 
+    @functools.cached_property
+    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        points = [Fraction(p, self._den) for p in self._flat]
+        return tuple(zip(points[::2], points[1::2]))
+
+    def __repr__(self):
+        return f"IntervalSet(intervals={self.intervals!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, IntervalSet):
+            return NotImplemented
+        a, b = self._den, other._den
+        return len(self._flat) == len(other._flat) and all(
+            p * b == q * a for p, q in zip(self._flat, other._flat))
+
+    def __hash__(self):  # over the least common denominator
+        g = math.gcd(self._den, *self._flat)
+        return hash((self._den // g, *(p // g for p in self._flat)))
+
     def __len__(self):
-        return len(self.intervals)
+        return len(self._flat) // 2
 
     @property
     def total_length(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self.intervals), ZERO)
+        flat = self._flat
+        return Fraction(sum(flat[1::2]) - sum(flat[::2]), self._den)
+
+    def _find(self, x) -> int:
+        """The index in the flat list of the low end of the interval that
+        holds x, or -1.  x is in [lo, hi] over den exactly when lo <= x *
+        den <= hi, which bisection decides on q, the integer floor of x *
+        den: an exact q may also be a high end."""
+        x = as_rational(x)
+        q, r = divmod(x.numerator * self._den, x.denominator)
+        flat = self._flat
+        i = bisect.bisect_right(flat, q)
+        if i % 2:  # flat[i - 1] <= q < flat[i], a low and a high end
+            return i - 1
+        return i - 2 if r == 0 < i and flat[i - 1] == q else -1
 
     def interval_containing(self, x) -> Optional[tuple[Fraction, Fraction]]:
         """The interval holding x, found by bisection, or None."""
-        x = as_rational(x)
-        i = bisect.bisect_right(self.intervals, x, key=itemgetter(0)) - 1
-        if i >= 0 and x <= self.intervals[i][1]:
-            return self.intervals[i]
-        return None
+        i = self._find(x)
+        return None if i < 0 else (Fraction(self._flat[i], self._den),
+                                   Fraction(self._flat[i + 1], self._den))
 
     def contains(self, x) -> bool:
-        return self.interval_containing(x) is not None
+        return self._find(x) >= 0
 
     def gaps(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """The maximal open complementary intervals inside [0,1]."""
-        bounds = [ZERO, *(p for pair in self.intervals for p in pair), ONE]
-        return tuple((lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2])
-                     if lo < hi)
+        den = self._den
+        bounds = [0, *self._flat, den]
+        return tuple((Fraction(lo, den), Fraction(hi, den))
+                     for lo, hi in zip(bounds[::2], bounds[1::2]) if lo < hi)
 
     def apply(self, sim: Similarity) -> "IntervalSet":
         return IntervalSet(tuple(sim.map_interval(lo, hi)
@@ -103,7 +138,7 @@ class LevelLadder:
     ValueError.  Every read is held to the path cap of
     model._check_path_cap, and a level is built only when no vertex would
     get more than model.DEFAULT_PATH_CAP intervals before merging.  The
-    ladder keeps integers only: level_k_set builds Fractions per call.
+    ladder keeps integers only, and level_k_set shares its lists.
     """
 
     def __init__(self, ifs: GraphIFS):
@@ -112,15 +147,15 @@ class LevelLadder:
                                         for x in (e.map.ratio, e.map.offset)))
         self.maps = {e.id: (int(e.map.coefficient * scale),
                             int(e.map.offset * scale)) for e in ifs.edges}
-        self._children: dict[str, list[tuple[str, int, int, bool]]] = {}
+        self._children: dict[str, list[tuple[str, int, int]]] = {}
         self._apart: dict[str, bool] = {}
-        for v in ifs.vertices:
-            out = sorted(ifs.out_edges(v), key=lambda e: e.map.hull())
-            children = self._children[v] = [
-                (e.dst, *self.maps[e.id], e.map.reflect) for e in out]
+        for v in ifs.vertices:  # (dst, c, o) by hull (min, max of o, c + o)
+            children = self._children[v] = sorted(
+                ((e.dst, *self.maps[e.id]) for e in ifs.out_edges(v)),
+                key=lambda ch: sorted((ch[2], ch[1] + ch[2])))
             self._apart[v] = all(
                 max(o, c + o) < min(o2, c2 + o2)
-                for (_, c, o, _), (_, c2, o2, _) in zip(children, children[1:]))
+                for (_, c, o), (_, c2, o2) in zip(children, children[1:]))
         self._levels: list[dict[str, list[int]]] = [
             {v: [0, 1] for v in ifs.vertices}]
 
@@ -137,10 +172,10 @@ class LevelLadder:
         level = {}
         for v, children in self._children.items():
             flat: list[int] = []
-            for dst, c, o, reflect in children:
+            for dst, c, o in children:
                 o *= shift
                 child = prev[dst]
-                flat += [c * p + o for p in (reversed(child) if reflect else child)]
+                flat += [c * p + o for p in (reversed(child) if c < 0 else child)]
                 if k == 1 and (flat[-2] < 0 or flat[-1] > self.scale):
                     lo, hi = (Fraction(p, self.scale) for p in flat[-2:])
                     raise ValueError(f"interval [{lo}, {hi}] escapes [0,1]")
@@ -179,12 +214,9 @@ def _merged(flat: list) -> list:
 
 def level_k_set(ifs: GraphIFS, u: str, k: int) -> IntervalSet:
     """The level-k approximation F_u^k = union of S_e(F_{t(e)}^{k-1}) over
-    out-edges of u, read from the system's ladder and wrapped in Fractions
-    on each call."""
+    out-edges of u: the system's ladder's own list over D^k, not copied."""
     flat = ifs.ladder.endpoints(u, k)  # its cap check bounds scale ** k
-    den = ifs.ladder.scale ** k
-    points = [Fraction(p, den) for p in flat]
-    return IntervalSet._from_merged(tuple(zip(points[::2], points[1::2])))
+    return IntervalSet._of(flat, ifs.ladder.scale ** k)
 
 
 @dataclass(frozen=True)
@@ -358,25 +390,34 @@ def refute_subset(ifs: GraphIFS, u: str, v: str, depth: int = 8,
 
 def replay_refutation(ifs: GraphIFS, u: str, v: str,
                       ref: SubsetRefutation) -> bool:
-    """Re-verify a SubsetRefutation from its recorded evidence alone."""
-    try:
-        sim = path_similarity(ifs, ref.witness_path)
-    except (ValueError, GraphStructureError):
+    """Re-verify a SubsetRefutation from its recorded evidence alone.  The
+    witness path is composed one edge at a time on the ladder's integer
+    maps, x -> (A x + B) / D^length, as in endpoint_witnesses."""
+    edges, (j, m) = ref.witness_path.edges, ref.depths
+    if (v not in ifs.vertices or j != len(edges) or m < 1
+            or ref.endpoint not in (ZERO, ONE)):
         return False
-    if (v not in ifs.vertices or ref.depths[0] != len(ref.witness_path)
-            or ref.depths[1] < 1
-            or ifs.edge(ref.witness_path.edges[0]).src != u
-            or ref.endpoint not in (ZERO, ONE)
-            or not ifs.fixed_endpoints[
-                ifs.edge(ref.witness_path.edges[-1]).dst][int(ref.endpoint)]
-            or sim(ref.endpoint) != ref.witness_point
-            or not ref.gap[0] < ref.witness_point < ref.gap[1]):
+    scale, maps = ifs.ladder.scale, ifs.ladder.maps
+    at, a, b = u, 1, 0
+    for eid in edges:
+        try:
+            e = ifs.edge(eid)
+        except GraphStructureError:
+            return False
+        if e.src != at:  # the first edge leaves u, and each the one before
+            return False
+        c, o = maps[eid]
+        at, a, b = e.dst, a * c, a * o + b * scale
+    end = int(ref.endpoint)
+    point = Fraction(a * end + b, scale ** j)
+    if (not ifs.fixed_endpoints[at][end] or point != ref.witness_point
+            or not ref.gap[0] < point < ref.gap[1]):
         return False
     lo, hi = ref.gap
     if ref.reflected:  # the gap of F_v^m that R maps onto this one
         lo, hi = ONE - hi, ONE - lo
-    gaps = ifs.ladder.gaps(v, ref.depths[1])  # its cap check bounds den
-    den = ifs.ladder.scale ** ref.depths[1]
+    gaps = ifs.ladder.gaps(v, m)  # its cap check bounds den
+    den = scale ** m
     return (lo * den, hi * den) in gaps
 
 

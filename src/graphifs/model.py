@@ -168,7 +168,7 @@ class GraphIFS:
 
     def __getstate__(self):  # a copy or unpickled system derives its own
         return {k: v for k, v in vars(self).items()
-                if k not in ("ladder", "fixed_endpoints")}
+                if k not in ("ladder", "fixed_endpoints", "_walk_counts")}
 
     @functools.cached_property
     def ladder(self):
@@ -182,6 +182,13 @@ class GraphIFS:
         """endpoint_fixed_check(self), a fixed fact of the system, run on
         first read; callers must not mutate it."""
         return endpoint_fixed_check(self)
+
+    @functools.cached_property
+    def _walk_counts(self) -> dict[str, tuple[list[int], dict[str, int]]]:
+        """Per vertex u, the path counts |E^0_u|, |E^1_u|, ... read so far
+        and, per vertex, the count of the longest paths that end there;
+        _path_counts grows them on read."""
+        return {}
 
 
 def graph_digest(ifs: GraphIFS) -> str:
@@ -296,18 +303,19 @@ def validate_graph(ifs: GraphIFS) -> ValidationReport:
 
 def _path_counts(ifs: GraphIFS, u: str):
     """|E^0_u|, |E^1_u|, ... without end: the row sums of the powers of
-    the edge-count adjacency matrix."""
+    the edge-count adjacency matrix, each computed once per system."""
     if u not in ifs.vertices:
         raise GraphStructureError(f"unknown vertex {u!r}")
-    n = len(ifs.vertices)
-    index = {v: i for i, v in enumerate(ifs.vertices)}
-    adj = [[0] * n for _ in range(n)]
-    for e in ifs.edges:
-        adj[index[e.src]][index[e.dst]] += 1
-    row = [1 if i == index[u] else 0 for i in range(n)]
-    while True:
-        yield sum(row)
-        row = [sum(row[i] * adj[i][j] for i in range(n)) for j in range(n)]
+    counts, ends = ifs._walk_counts.setdefault(
+        u, ([1], {v: int(v == u) for v in ifs.vertices}))
+    for j in itertools.count():
+        if j == len(counts):
+            longer = dict.fromkeys(ifs.vertices, 0)
+            for e in ifs.edges:
+                longer[e.dst] += ends[e.src]
+            ends.update(longer)
+            counts.append(sum(longer.values()))
+        yield counts[j]
 
 
 def path_count(ifs: GraphIFS, u: str, k: int) -> int:

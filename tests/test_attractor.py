@@ -1,5 +1,6 @@
 """Level-k sets, separation check, and containment refutation."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from graphifs import (
     Edge,
     GraphIFS,
     GraphStructureError,
+    Path,
     ResourceCapError,
     Similarity,
     classify_gap_condition,
@@ -21,7 +23,7 @@ from graphifs import (
     replay_refutation,
 )
 from graphifs import attractor, model
-from graphifs.attractor import IntervalSet, LevelLadder
+from graphifs.attractor import IntervalSet, LevelLadder, SubsetRefutation
 
 F = Fraction
 
@@ -48,6 +50,20 @@ class TestIntervalSet:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             IntervalSet(((F(-1, 4), F(1, 2)),))
+
+    def test_equal_and_hashed_across_denominators(self):
+        # maps x/2 and x/4 from 0: F^k = [0, 1/2^k], over 4^k on the ladder
+        ifs = GraphIFS(("u",), (
+            Edge("e1", "u", "u", Similarity(F(1, 2), F(0))),
+            Edge("e2", "u", "u", Similarity(F(1, 4), F(0))),
+        ))
+        for k, plain in ((1, IntervalSet(((0, F(1, 2)),))),
+                         (2, IntervalSet(((0, F(1, 4)),)))):
+            level = level_k_set(ifs, "u", k)
+            assert level._den == 4 ** k and plain._den == 2 ** k
+            assert level == plain and hash(level) == hash(plain)
+        assert level_k_set(ifs, "u", 1) != level_k_set(ifs, "u", 2)
+        assert IntervalSet(()) == IntervalSet([]) != IntervalSet(((0, 1),))
 
 
 class TestLevelSets:
@@ -126,6 +142,16 @@ class TestLevelSets:
         den = ladder.scale ** 5
         assert [p for pair in iset.intervals for p in pair] == [
             F(p, den) for p in first]
+
+    def test_level_set_shares_the_ladder_list(self, golden_ifs):
+        iset = level_k_set(golden_ifs, "u", 12)
+        assert iset._flat is golden_ifs.ladder.endpoints("u", 12)
+        # every vertex keeps 3/4 of each interval, in 2 ** 12 intervals
+        assert len(iset) == 2 ** 12 and iset.total_length == F(3, 4) ** 12
+        assert iset.contains(F(0)) and not iset.contains(F(3, 8))
+        assert "intervals" not in vars(iset)  # no Fraction pair built
+        assert iset.intervals[0] == (F(0), F(1, 4) ** 12)  # S_e1^12
+        assert "intervals" in vars(iset)
 
     def test_ladder_cap_holds_at_every_level(self, golden_ifs, monkeypatch):
         monkeypatch.setattr(model, "DEFAULT_PATH_CAP", 16)
@@ -301,6 +327,37 @@ class TestRefuteSubset:
                            match=f"{bound} paths of {where}") as info:
             call(golden_ifs, nested_ifs)
         assert info.value.bound == bound
+
+
+class TestReplayRefutation:
+    """Each forgery below keeps every other check of golden's depth-3
+    refutation of F_u in F_v: S_e2 S_e3 S_e3(1) = 5/8 lies in the gap
+    (1/2, 3/4) of F_v^1.  Replay turns each down without raising."""
+
+    @pytest.fixture
+    def valid(self, golden_ifs):
+        r = refute_subset(golden_ifs, "u", "v", depth=3)
+        assert r == SubsetRefutation(F(5, 8), Path(("e2", "e3", "e3")), F(1),
+                                     (F(1, 2), F(3, 4)), (3, 1))
+        assert replay_refutation(golden_ifs, "u", "v", r)
+        return r
+
+    @pytest.mark.parametrize("u, changes", [
+        # S_e2 S_e1 S_e3(1) = 9/16, but e1 leaves u, not v
+        ("u", dict(witness_point=F(9, 16),
+                   witness_path=Path(("e2", "e1", "e3")))),
+        ("u", dict(witness_path=Path(("e2", "e9", "e3")))),
+        ("v", {}),  # the path's first edge leaves u, not the source v
+        ("u", dict(endpoint=F(3, 2))),  # int(3/2) = 1 would match
+        ("u", dict(witness_point=F(5, 8) + F(1, 10**9))),
+        ("u", dict(gap=(F(1, 2), F(11, 16)))),  # inside the gap, not one
+        ("u", dict(depths=(3, 0))),
+    ], ids=["non-consecutive", "unknown-edge", "first-edge-not-from-u",
+            "endpoint-not-0-or-1", "moved-point", "not-a-ladder-gap",
+            "target-level-0"])
+    def test_forgery_fails_replay(self, golden_ifs, valid, u, changes):
+        forged = dataclasses.replace(valid, **changes)
+        assert not replay_refutation(golden_ifs, u, "v", forged)
 
 
 class TestComponentsEqual:

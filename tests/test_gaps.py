@@ -443,13 +443,13 @@ class TestLevelOneGaps:
             levels = tracemalloc.get_traced_memory()[0] - start
             start = tracemalloc.get_traced_memory()[0]
             kept = double_loop_ifs(golden_params)
-            level_k_set(kept, "u", 14)
+            kept_set = level_k_set(kept, "u", 14)  # shares the ladder's list
             gc.collect()
             held = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
         assert held <= levels + 64 * 1024
-        assert level_k_set(kept, "u", 14) == level_k_set(kept, "u", 14)
+        assert kept_set == level_k_set(kept, "u", 14)
 
     def test_copies_build_their_own_ladder(self, golden_params):
         ifs = double_loop_ifs(golden_params)

@@ -1,6 +1,7 @@
 """Randomized invariants, checked with hypothesis on seeded case generators."""
 
 import contextlib
+import dataclasses
 import functools
 import io
 import itertools
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphifs import (
     GraphIFS,
+    GraphStructureError,
     Edge,
     Path,
     Similarity,
@@ -43,6 +45,7 @@ from graphifs import (
     refute_subset,
     render_svg,
     replay_certificate,
+    replay_refutation,
     span_search,
     spectral_radius,
     validate_graph,
@@ -151,6 +154,13 @@ def cssc_systems(draw):
     """The benchmark's gen.draw_cssc systems on 2-3 vertices."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     return gen.draw_cssc(rng, draw(st.integers(2, 3)))
+
+
+# Points n/24, so that interval ends coincide, touch and overlap.
+unit_points = st.integers(0, 24).map(lambda n: F(n, 24))
+interval_lists = st.lists(
+    st.tuples(unit_points, unit_points).map(lambda pair: tuple(sorted(pair))),
+    max_size=6)
 
 
 @st.composite
@@ -287,6 +297,40 @@ def reference_refute(ifs, u, v, depth, reflected):
                     return SubsetRefutation(point, path, endpoint, (lo, hi),
                                             (len(path), m), reflected)
     return None
+
+
+def reference_union(pairs):
+    """Sorted, merged Fraction intervals of `pairs`, touching ones joined."""
+    merged = []
+    for lo, hi in sorted(pairs):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
+def reference_replay(ifs, u, v, ref):
+    """replay_refutation as it ran before the integer maps: the witness
+    path composed by the Fraction path_similarity, and the gap looked up
+    among the Fraction gaps of F_v^m."""
+    try:
+        sim = path_similarity(ifs, ref.witness_path)
+    except (ValueError, GraphStructureError):
+        return False
+    if (v not in ifs.vertices or ref.depths[0] != len(ref.witness_path)
+            or ref.depths[1] < 1
+            or ifs.edge(ref.witness_path.edges[0]).src != u
+            or ref.endpoint not in (0, 1)
+            or not ifs.fixed_endpoints[
+                ifs.edge(ref.witness_path.edges[-1]).dst][int(ref.endpoint)]
+            or sim(ref.endpoint) != ref.witness_point
+            or not ref.gap[0] < ref.witness_point < ref.gap[1]):
+        return False
+    lo, hi = ref.gap
+    if ref.reflected:
+        lo, hi = 1 - hi, 1 - lo
+    return (lo, hi) in level_k_set(ifs, v, ref.depths[1]).gaps()
 
 
 def reference_condition3(ifs, u, vprime, depth, reflected):
@@ -573,6 +617,52 @@ class TestAttractorInvariants:
             assert hi1 <= lo2
 
 
+class TestIntervalSetInvariants:
+    """IntervalSet works on integers over one denominator; a plain Fraction
+    union of the same intervals is the reference."""
+
+    @COMMON
+    @given(interval_lists, st.lists(unit_points, max_size=4),
+           st.integers(1, 23).map(lambda n: F(n, 24)),
+           unit_points, st.booleans())
+    def test_queries_match_fraction_reference(self, pairs, extra, ratio,
+                                              place, reflect):
+        iset = IntervalSet(pairs)
+        ref = reference_union(pairs)
+        assert len(iset) == len(ref)
+        assert iset.total_length == sum((hi - lo for lo, hi in ref), F(0))
+        bounds = [F(0), *(p for pair in ref for p in pair), F(1)]
+        ref_gaps = tuple((lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2])
+                         if lo < hi)
+        assert iset.gaps() == ref_gaps
+        assert "intervals" not in vars(iset)
+        probes = {F(0), F(1), F(-1, 3), F(4, 3), F(1, 7), F(5, 7), *extra,
+                  *bounds, *((lo + hi) / 2 for lo, hi in ref + ref_gaps)}
+        for x in probes:
+            holder = next(((lo, hi) for lo, hi in ref if lo <= x <= hi), None)
+            assert iset.interval_containing(x) == holder
+            assert iset.contains(x) == (holder is not None)
+        assert "intervals" not in vars(iset)
+        assert iset.intervals == ref
+        low = (1 - ratio) * place  # the hull [low, low + ratio]
+        sim = Similarity(ratio, low + ratio if reflect else low, reflect)
+        assert iset.apply(sim).intervals == reference_union(
+            sim.map_interval(lo, hi) for lo, hi in ref)
+
+    @COMMON
+    @given(interval_lists, interval_lists, st.integers(1, 30))
+    def test_equality_and_hash_ignore_the_denominator(self, pairs, others,
+                                                      scale):
+        iset = IntervalSet(pairs)
+        rescaled = IntervalSet._of([p * scale for p in iset._flat],
+                                   iset._den * scale)
+        assert rescaled == iset and hash(rescaled) == hash(iset)
+        assert rescaled.intervals == iset.intervals
+        other = IntervalSet(others)
+        assert (other == iset) == (reference_union(others)
+                                   == reference_union(pairs))
+
+
 class TestGapInvariants:
     @COMMON
     @given(double_loop_params())
@@ -728,6 +818,38 @@ class TestCertificateInvariants:
         ifs = double_loop_ifs(params)
         cert = classify_gap_condition(ifs, ifs.vertices[0], depth=4)
         assert replay_certificate(ifs, cert)
+
+
+    def test_replay_matches_path_similarity_reference(self):
+        """Every refutation of seeded certificates on gen's double loops
+        and CSSC systems, plain and reflected, and forgeries of each."""
+        replayed = reflected = 0
+        for seed in range(8):
+            rng = random.Random(seed)
+            for ifs in (double_loop_ifs(gen.draw_double_loop(rng)),
+                        gen.draw_cssc(rng, 2), gen.draw_cssc(rng, 3)):
+                for u, refl in itertools.product(ifs.vertices, (False, True)):
+                    cert = classify_gap_condition(ifs, u, 6, refl)
+                    for v, ref in cert.refutations:
+                        assert replay_refutation(ifs, u, v, ref)
+                        replayed += 1
+                        reflected += ref.reflected
+                        j, m = ref.depths
+                        for args in (
+                                (ifs, u, v, ref), (ifs, v, u, ref),
+                                (ifs, u, u, ref),
+                                (ifs, u, v, dataclasses.replace(
+                                    ref, reflected=not ref.reflected)),
+                                (ifs, u, v, dataclasses.replace(
+                                    ref, endpoint=1 - ref.endpoint)),
+                                (ifs, u, v, dataclasses.replace(
+                                    ref, depths=(j, m + 1))),
+                                (ifs, u, v, dataclasses.replace(
+                                    ref, witness_point=ref.witness_point
+                                    + F(1, 10**9)))):
+                            assert (replay_refutation(*args)
+                                    == reference_replay(*args))
+        assert replayed >= 100 and reflected >= 30
 
 
 class TestSerializationInvariants:
