@@ -597,15 +597,10 @@ class TestAttractorInvariants:
     def test_level_set_matches_path_images(self, ifs):
         k = 3
         for u in ifs.vertices:
-            from_paths = sorted(
+            from_paths = (
                 path_similarity(ifs, p).hull() for p in paths_from(ifs, u, k))
-            merged = []
-            for lo, hi in from_paths:
-                if merged and lo <= merged[-1][1]:
-                    merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-                else:
-                    merged.append((lo, hi))
-            assert level_k_set(ifs, u, k).intervals == tuple(merged)
+            assert level_k_set(ifs, u, k).intervals == reference_union(
+                from_paths)
 
     @COMMON
     @given(small_graphs())
@@ -818,7 +813,6 @@ class TestCertificateInvariants:
         ifs = double_loop_ifs(params)
         cert = classify_gap_condition(ifs, ifs.vertices[0], depth=4)
         assert replay_certificate(ifs, cert)
-
 
     def test_replay_matches_path_similarity_reference(self):
         """Every refutation of seeded certificates on gen's double loops
