@@ -10,6 +10,7 @@ finite union of multiplicative-semigroup cosets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -29,10 +30,8 @@ from .model import (
     as_rational,
 )
 
-GapList = list[tuple[tuple[Fraction, Fraction], Fraction]]
-
-
-def level_k_gaps(ifs: GraphIFS, u: str, k: int) -> GapList:
+def level_k_gaps(ifs: GraphIFS, u: str,
+                 k: int) -> list[tuple[tuple[Fraction, Fraction], Fraction]]:
     """Complementary open intervals of the level-k approximation at u,
     sorted by position, each with its exact length."""
     if k < 1:
@@ -45,8 +44,8 @@ def level_k_gaps(ifs: GraphIFS, u: str, k: int) -> GapList:
 
 def _level1_gap_lengths(ifs: GraphIFS) -> dict[str, list[Fraction]]:
     """Gap lengths of F_v^1 for every vertex v."""
-    return {v: [length for _gap, length in level_k_gaps(ifs, v, 1)]
-            for v in ifs.vertices}
+    return {v: [Fraction(hi - lo, ifs.ladder.scale)
+                for lo, hi in ifs.ladder.gaps(v, 1)] for v in ifs.vertices}
 
 
 def max_gap(ifs: GraphIFS, u: str) -> Fraction:
@@ -87,8 +86,7 @@ def _max_gaps(ifs: GraphIFS) -> tuple[dict[str, list[Fraction]],
     level1 = _level1_gap_lengths(ifs)
     m = {v: max(level1[v]) for v in ifs.vertices}
     for _ in range(len(ifs.vertices) - 1):
-        m = {v: max(max(level1[v]),
-                    max(e.map.ratio * m[e.dst] for e in ifs.out_edges(v)))
+        m = {v: max(level1[v] + [e.map.ratio * m[e.dst] for e in ifs.out_edges(v)])
              for v in ifs.vertices}
     return level1, m
 
@@ -98,9 +96,9 @@ class GapCosets:
     """A finite union of cosets coeff * <generators> of multiplicative
     semigroups (the empty product 1 is always included, not stored).
 
-    The members at or above the lowest threshold walked so far are kept
-    outside the fields (==, hash and repr ignore them), and every
-    `enumerate` or `contains` at or above it reads them."""
+    The members at or above the lowest threshold walked so far are kept,
+    as reduced integer pairs, outside the fields (==, hash and repr ignore
+    them), and every `enumerate` or `contains` at or above it reads them."""
 
     cosets: tuple[tuple[Fraction, tuple[Fraction, ...]], ...]
 
@@ -110,49 +108,50 @@ class GapCosets:
             coeff = as_rational(coeff)
             if coeff <= ZERO:
                 raise ValueError("coset coefficient must be positive")
-            uniq: list[Fraction] = []
-            for g in gens:
-                g = as_rational(g)
-                if not (ZERO < g < ONE):
-                    raise ValueError("generators must lie in (0,1)")
-                if g not in uniq:
-                    uniq.append(g)
-            normalized.append((coeff, tuple(uniq)))
+            gens = tuple(dict.fromkeys(map(as_rational, gens)))  # first of each
+            if not all(ZERO < g < ONE for g in gens):
+                raise ValueError("generators must lie in (0,1)")
+            normalized.append((coeff, gens))
         object.__setattr__(self, "cosets", tuple(normalized))
 
-    def _walk(self, threshold: Fraction) -> set[Fraction]:
-        """Every member >= threshold: each coset's products are walked
-        down from coeff, one generator at a time, and a walk stops below
-        the threshold (finite since every generator is < 1).  More than
-        DEFAULT_PATH_CAP products in all raise ResourceCapError."""
-        members: set[Fraction] = set()
+    def _walk(self, threshold: Fraction) -> set[tuple[int, int]]:
+        """Every member >= threshold, as a reduced integer pair: each
+        coset's products are walked down from coeff, one generator at a
+        time, and a walk stops below the threshold (finite since every
+        generator is < 1).  More than DEFAULT_PATH_CAP products in all
+        raise ResourceCapError."""
+        tn, td = threshold.as_integer_ratio()
+        members: set[tuple[int, int]] = set()
         walked = 0
         for coeff, gens in self.cosets:
-            stack = [coeff] if coeff >= threshold else []
+            gens = [g.as_integer_ratio() for g in gens]
+            stack = [coeff.as_integer_ratio()] if coeff >= threshold else []
             seen = set(stack)
             while stack:
                 walked += 1
                 if walked > DEFAULT_PATH_CAP:
                     raise ResourceCapError(
-                        "coset membership enumeration too large",
-                        bound=walked)
-                x = stack.pop()
-                for g in gens:
-                    y = x * g
-                    if y >= threshold and y not in seen:
-                        seen.add(y)
-                        stack.append(y)
+                        "coset membership enumeration too large", bound=walked)
+                xn, xd = stack.pop()
+                for gn, gd in gens:
+                    yn, yd = xn * gn, xd * gd
+                    if yn * td >= tn * yd:
+                        c = math.gcd(yn, yd)
+                        if (y := (yn // c, yd // c)) not in seen:
+                            seen.add(y)
+                            stack.append(y)
             members |= seen
         return members
 
-    def _members(self, threshold: Fraction) -> set[Fraction]:
+    def _members(self, threshold: Fraction) -> set[tuple[int, int]]:
         """The kept members, which hold every member >= threshold; a
         threshold below the kept one walks anew and replaces them, and a
         walk that hits the cap keeps nothing."""
-        floor, members = vars(self).get("_kept", (None, None))
-        if floor is None or threshold < floor:
+        n, d = threshold.as_integer_ratio()
+        fn, fd, members = vars(self).get("_kept", (1, 0, None))  # floor 1/0
+        if n * fd < fn * d:
             members = self._walk(threshold)
-            object.__setattr__(self, "_kept", (threshold, members))
+            object.__setattr__(self, "_kept", (n, d, members))
         return members
 
     def enumerate(self, threshold) -> list[Fraction]:
@@ -160,16 +159,19 @@ class GapCosets:
         threshold = as_rational(threshold)
         if threshold <= ZERO:
             raise ValueError("threshold must be positive")
-        return sorted(x for x in self._members(threshold) if x >= threshold)
+        n, d = threshold.as_integer_ratio()
+        kept = [x for x in self._members(threshold) if x[0] * d >= n * x[1]]
+        lcm = math.lcm(*(xd for _xn, xd in kept))  # an exact integer key
+        kept.sort(key=lambda x: x[0] * (lcm // x[1]))
+        return [Fraction(xn, xd) for xn, xd in kept]
 
     def contains(self, x) -> bool:
         """Exact membership test: every member >= x is reached by walking
         the products down from coeff, so x is a member exactly when it is
-        among the members >= x.  Those are read from the kept members, so
-        only a query below every earlier threshold walks, and it walks
-        every product >= x, a member or not."""
+        among the kept members >= x; only a query below every earlier
+        threshold walks, and it walks every product >= x, a member or not."""
         x = as_rational(x)
-        return x > ZERO and x in self._members(x)
+        return x.numerator > 0 and x.as_integer_ratio() in self._members(x)
 
 
 def gap_length_cosets(params: DoubleLoopParams) -> tuple[GapCosets, GapCosets]:
@@ -227,9 +229,7 @@ def condition2_check(ifs: GraphIFS, u: str, vset) -> Condition2Report:
         raise ValueError("vset must contain the queried vertex")
     level1, m = _max_gaps(ifs)
     m_u = m[u]
-    comparisons = tuple(
-        (v, min(level1[v]), m_u <= min(level1[v])) for v in vset)
-    uniform = None
-    if all(ok for _v, _m, ok in comparisons):
-        uniform = len(set(level1[u])) == 1
+    comparisons = tuple((v, min(level1[v]), m_u <= min(level1[v])) for v in vset)
+    uniform = (len(set(level1[u])) == 1
+               if all(ok for _v, _m, ok in comparisons) else None)
     return Condition2Report(u, m_u, comparisons, uniform)
