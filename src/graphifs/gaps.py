@@ -108,7 +108,7 @@ class GapCosets:
             coeff = as_rational(coeff)
             if coeff <= ZERO:
                 raise ValueError("coset coefficient must be positive")
-            gens = tuple(dict.fromkeys(map(as_rational, gens)))  # first of each
+            gens = tuple(dict.fromkeys(map(as_rational, gens)))  # drop repeats
             if not all(ZERO < g < ONE for g in gens):
                 raise ValueError("generators must lie in (0,1)")
             normalized.append((coeff, gens))

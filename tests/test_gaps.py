@@ -217,6 +217,30 @@ class TestGapCosets:
         assert not g_u.contains(F(3, 32))
         assert not g_u.contains(F(1, 3))
 
+    def test_enumerate_orders_members_a_double_cannot_tell_apart(self):
+        near = F(1, 3) + F(1, 10**30)
+        assert float(near) == float(F(1, 3))
+        cosets = GapCosets(((F(1, 3), (F(1, 2),)), (near, (F(1, 2),))))
+        assert cosets.enumerate(F(1, 12)) == [
+            F(1, 12), near / 4, F(1, 6), near / 2, F(1, 3), near]
+
+    def test_enumerate_lists_a_member_of_two_cosets_once(self):
+        # 1/4, 1/8 and 1/16 are reached from both cosets
+        cosets = GapCosets(((F(1, 2), (F(1, 2),)), (F(1, 4), (F(1, 2),))))
+        assert cosets.enumerate(F(1, 16)) == [F(1, 16), F(1, 8), F(1, 4),
+                                              F(1, 2)]
+
+    def test_contains_answers_every_form_of_a_value_alike(self, walks):
+        cosets = GapCosets(((2, (F(1, 2),)),))
+        assert not any(cosets.contains(x)
+                       for x in (0, "0", F(0), -1, "-1/2", F(-1, 4)))
+        assert walks == []
+        for value, member in ((1, True), (3, False), (F(1, 4), True),
+                              (F(3, 8), False)):
+            forms = (value, f"{value.numerator}/{value.denominator}",
+                     F(value))
+            assert [cosets.contains(x) for x in forms] == [member] * 3
+
     def test_extracted_lengths_are_members(self, golden_params, golden_ifs):
         g_u, g_v = gap_length_cosets(golden_params)
         by_vertex = {"u": g_u, "v": g_v}
