@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,15 +131,17 @@ class LevelLadder:
     vertex is a flat list [lo, hi, lo, hi, ...] of integers over D^k, so
     an edge map sends an endpoint p over D^(k-1) to (D * coefficient) * p
     + (D * offset) * D^(k-1) over D^k.  Each level is built once from the
-    level before it, for all vertices, when first asked for.  Children
-    are laid out in the order of their level-1 hulls: where those hulls
-    lie strictly apart (no cssc_check violation) that is the level, and
-    elsewhere they are sorted and merged so that touching or overlapping
-    children become one interval; a level-1 hull outside [0,1] raises
-    ValueError.  Every read is held to the path cap of
-    model._check_path_cap, and a level is built only when no vertex would
-    get more than model.DEFAULT_PATH_CAP intervals before merging.  The
-    ladder keeps integers only, and level_k_set shares its lists.
+    level before it, for all vertices, when first asked for.
+    `violations`, which cssc_check reports, holds each (vertex, edge id,
+    edge id) whose closed level-1 hulls (min, max of o, c + o) meet, pairs
+    in out-edge order.  Children are laid out in hull order: at a vertex
+    with no violation that is the level, and elsewhere they are sorted
+    and merged so that touching or overlapping children become one
+    interval; a level-1 hull outside [0,1] raises ValueError.  Every read
+    is held to the path cap of model._check_path_cap, and a level is
+    built only when no vertex would get more than model.DEFAULT_PATH_CAP
+    intervals before merging.  The ladder keeps integers only, and
+    level_k_set shares its lists.
     """
 
     def __init__(self, ifs: GraphIFS):
@@ -147,15 +150,16 @@ class LevelLadder:
                                         for x in (e.map.ratio, e.map.offset)))
         self.maps = {e.id: (int(e.map.coefficient * scale),
                             int(e.map.offset * scale)) for e in ifs.edges}
-        self._children: dict[str, list[tuple[str, int, int]]] = {}
-        self._apart: dict[str, bool] = {}
-        for v in ifs.vertices:  # (dst, c, o) by hull (min, max of o, c + o)
-            children = self._children[v] = sorted(
-                ((e.dst, *self.maps[e.id]) for e in ifs.out_edges(v)),
-                key=lambda ch: sorted((ch[2], ch[1] + ch[2])))
-            self._apart[v] = all(
-                max(o, c + o) < min(o2, c2 + o2)
-                for (_, c, o), (_, c2, o2) in zip(children, children[1:]))
+        hull = {eid: sorted((o, c + o)) for eid, (c, o) in self.maps.items()}
+        self.violations = tuple(
+            (v, e1.id, e2.id) for v in ifs.vertices
+            for e1, e2 in itertools.combinations(ifs.out_edges(v), 2)
+            if max(hull[e1.id][0], hull[e2.id][0])
+            <= min(hull[e1.id][1], hull[e2.id][1]))
+        touching = {v for v, _e1, _e2 in self.violations}
+        self._apart = {v: v not in touching for v in ifs.vertices}
+        self._children = {v: [(e.dst, *self.maps[e.id]) for e in sorted(
+            ifs.out_edges(v), key=lambda e: hull[e.id])] for v in ifs.vertices}
         self._levels: list[dict[str, list[int]]] = [
             {v: [0, 1] for v in ifs.vertices}]
 
@@ -233,17 +237,9 @@ class CSSCReport:
 def cssc_check(ifs: GraphIFS) -> CSSCReport:
     """Verify that at every vertex the closed level-1 hulls of distinct
     out-edges are pairwise disjoint (which also yields the open set
-    condition and per-vertex level-1 total length < 1)."""
-    violations = []
-    for v in ifs.vertices:
-        out = ifs.out_edges(v)
-        hulls = [(e, e.map.hull()) for e in out]
-        for i in range(len(hulls)):
-            for j in range(i + 1, len(hulls)):
-                (e1, (lo1, hi1)), (e2, (lo2, hi2)) = hulls[i], hulls[j]
-                if max(lo1, lo2) <= min(hi1, hi2):
-                    violations.append((v, e1.id, e2.id))
-    return CSSCReport(tuple(violations))
+    condition and per-vertex level-1 total length < 1): the violations
+    the system's ladder found once, on its integer hulls."""
+    return CSSCReport(ifs.ladder.violations)
 
 
 def endpoint_points(ifs: GraphIFS, u: str, depth: int) -> list[Fraction]:

@@ -25,7 +25,6 @@ Unknown is always a possible outcome and never a proof of anything.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -169,7 +168,7 @@ def rewrite_to_standard(ifs: GraphIFS, u: str) -> tuple[Similarity, ...]:
     F_u plus the leftover edge images), and expanded one level otherwise.
     The process either empties out in at most |V|+1 rounds or is reported
     as non-terminating.  Redundant maps (exact compositions of two other
-    returned maps) are absorbed."""
+    returned maps) are absorbed by _absorbed, in term order."""
     terms: list[tuple[Similarity, str]] = [
         (e.map, e.dst) for e in ifs.out_edges(u)]
     rounds = 0
@@ -192,21 +191,21 @@ def rewrite_to_standard(ifs: GraphIFS, u: str) -> tuple[Similarity, ...]:
                 nxt.append((sim, u))
             nxt.extend((sim.compose(f.map), f.dst) for f in left)
         terms = nxt
-    maps: list[Similarity] = []
-    for sim, _w in terms:
-        if sim not in maps:
-            maps.append(sim)
-    changed = True
-    while changed:
-        changed = False
-        for m in maps:
-            if any(p.compose(q) == m
-                   for p, q in itertools.product(maps, maps)
-                   if p != m and q != m):
-                maps.remove(m)
-                changed = True
-                break
+    maps = _absorbed(list(dict.fromkeys(sim for sim, _w in terms)))
     return tuple(sorted(maps, key=lambda s: (s.hull()[0], s.ratio, s.offset)))
+
+
+def _absorbed(maps: list[Similarity]) -> list[Similarity]:
+    """`maps` less each exact composition p∘q of two maps still kept,
+    removed one at a time, first in list order, against one set of
+    compositions per removal.  Every ratio is below 1, so p∘q is neither
+    p nor q."""
+    while True:
+        made = {p.compose(q) for p in maps for q in maps}
+        absorbed = next((m for m in maps if m in made), None)
+        if absorbed is None:
+            return maps
+        maps.remove(absorbed)
 
 
 def standard_ifs_from_maps(maps) -> GraphIFS:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import weakref
 from dataclasses import dataclass, field
@@ -168,7 +167,7 @@ class GraphIFS:
 
     def __getstate__(self):  # a copy or unpickled system derives its own
         return {k: v for k, v in vars(self).items()
-                if k not in ("ladder", "fixed_endpoints", "_walk_counts")}
+                if k not in ("ladder", "fixed_endpoints", "_path_counts")}
 
     @functools.cached_property
     def ladder(self):
@@ -184,11 +183,10 @@ class GraphIFS:
         return endpoint_fixed_check(self)
 
     @functools.cached_property
-    def _walk_counts(self) -> dict[str, tuple[list[int], dict[str, int]]]:
-        """Per vertex u, the path counts |E^0_u|, |E^1_u|, ... read so far
-        and, per vertex, the count of the longest paths that end there;
-        _path_counts grows them on read."""
-        return {}
+    def _path_counts(self) -> list[dict[str, int]]:
+        """Entry j maps each vertex v to |E^j_v|, for the lengths read so
+        far; path_count grows it on read."""
+        return [dict.fromkeys(self.vertices, 1)]
 
 
 def graph_digest(ifs: GraphIFS) -> str:
@@ -301,32 +299,28 @@ def validate_graph(ifs: GraphIFS) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _path_counts(ifs: GraphIFS, u: str):
-    """|E^0_u|, |E^1_u|, ... without end: the row sums of the powers of
-    the edge-count adjacency matrix, each computed once per system."""
+def path_count(ifs: GraphIFS, u: str, k: int) -> int:
+    """|E^k_u|, read from the system's one table of path counts: the
+    counts of every vertex at length j come from those at j - 1 by one
+    pass over the edges, once per system."""
+    if k < 0:
+        raise ValueError("path length k must be >= 0")
     if u not in ifs.vertices:
         raise GraphStructureError(f"unknown vertex {u!r}")
-    counts, ends = ifs._walk_counts.setdefault(
-        u, ([1], {v: int(v == u) for v in ifs.vertices}))
-    for j in itertools.count():
-        if j == len(counts):
-            longer = dict.fromkeys(ifs.vertices, 0)
-            for e in ifs.edges:
-                longer[e.dst] += ends[e.src]
-            ends.update(longer)
-            counts.append(sum(longer.values()))
-        yield counts[j]
-
-
-def path_count(ifs: GraphIFS, u: str, k: int) -> int:
-    """|E^k_u| via the k-th power of the edge-count adjacency matrix."""
-    return next(itertools.islice(_path_counts(ifs, u), k, None))
+    counts = ifs._path_counts
+    while len(counts) <= k:
+        longer = dict.fromkeys(ifs.vertices, 0)
+        for e in ifs.edges:
+            longer[e.src] += counts[-1][e.dst]
+        counts.append(longer)
+    return counts[k][u]
 
 
 def _check_path_cap(ifs: GraphIFS, u: str, k: int) -> None:
     """Raise unless u is a vertex with at most DEFAULT_PATH_CAP paths of
     every length 1..k, stopping at the first length over the cap."""
-    for j, total in enumerate(itertools.islice(_path_counts(ifs, u), k + 1)):
+    for j in range(k + 1):
+        total = path_count(ifs, u, j)
         if total > DEFAULT_PATH_CAP:
             raise ResourceCapError(
                 f"{total} paths of length {j} from {u!r} exceed cap "

@@ -132,6 +132,25 @@ def test_every_private_name_is_used():
     assert unused == [], f"private names nothing uses: {unused}"
 
 
+def test_every_import_is_read():
+    """Every module-level import of a package module other than
+    `__init__`, `from __future__` left out, is read in that module."""
+    unread = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = [node for node in tree.body
+                   if isinstance(node, ast.Import)
+                   or isinstance(node, ast.ImportFrom)
+                   and node.module != "__future__"]
+        read = _names(tree, skip=set(imports))
+        unread += [f"{path.stem}: {alias.asname or alias.name.split('.')[0]}"
+                   for node in imports for alias in node.names
+                   if (alias.asname or alias.name.split(".")[0]) not in read]
+    assert unread == [], f"imports nothing reads: {unread}"
+
+
 def test_every_benchmark_traced_function_is_public():
     """Each per-layer metric `<layer>.<func>.calls` of BENCHMARK.json names
     a public function defined in graphifs.<layer> (for `GapCosets.<name>`,

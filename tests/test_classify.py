@@ -2,6 +2,8 @@
 
 import dataclasses
 import heapq
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,6 +37,7 @@ from graphifs.attractor import SubsetRefutation, replay_refutation
 from graphifs.classify import Certificate, standard_ifs_from_maps
 from graphifs.gaps import Condition2Report
 from graphifs.model import Path
+from conftest import gen
 
 F = Fraction
 
@@ -377,6 +380,63 @@ class TestFirstFitRewrite:
                         Similarity(F(1, 16), F(3, 4)),
                         Similarity(F(1, 32), F(31, 32)))
         assert maps == reference_rewrite_outcome(duplicated_edge_system(6), "u")
+
+
+def reference_absorbed(maps):
+    """The absorption classify._absorbed replaced: for each candidate m,
+    every pair of the other maps recomposed, and a restart after each
+    removal, O(m^3) compositions a pass."""
+    changed = True
+    while changed:
+        changed = False
+        for m in maps:
+            if any(p.compose(q) == m
+                   for p, q in itertools.product(maps, maps)
+                   if p != m and q != m):
+                maps.remove(m)
+                changed = True
+                break
+    return maps
+
+
+def reference_absorbed_outcome(ifs, u):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "_absorbed", reference_absorbed)
+        return rewrite_outcome(ifs, u)
+
+
+class TestAbsorption:
+    """One set of compositions per removal takes the place of recomposing
+    every pair for each candidate: the same maps or the same RewriteError."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(repeated_edge_systems())
+    def test_matches_pairwise_recomposition(self, ifs):
+        for u in ifs.vertices:
+            assert (rewrite_outcome(ifs, u)
+                    == reference_absorbed_outcome(ifs, u))
+
+    def test_generated_systems_match_pairwise_recomposition(self):
+        rng = random.Random(5)
+        for _ in range(150):
+            ifs = gen.draw_cssc(rng, 3, max_degree=2)
+            assert (rewrite_outcome(ifs, "v0")
+                    == reference_absorbed_outcome(ifs, "v0"))
+
+    @pytest.mark.parametrize("ids, kept", [
+        (("a", "b", "c"), (F(1, 8), F(1, 2))),
+        (("a", "c", "b"), (F(1, 2),)),
+    ], ids=["x/4-first", "x/8-first"])
+    def test_removal_order_decides(self, ids, kept):
+        # loops x/2, x/4 and x/8 in edge-id order: x/4 = x/2 ∘ x/2 goes
+        # first and leaves x/8; x/8 = x/2 ∘ x/4 going first leaves x/4
+        # to x/2 ∘ x/2 in turn
+        ifs = GraphIFS(("u",), tuple(
+            Edge(eid, "u", "u", Similarity(ratio, F(0)))
+            for eid, ratio in zip(ids, (F(1, 2), F(1, 4), F(1, 8)))))
+        maps = rewrite_to_standard(ifs, "u")
+        assert maps == tuple(Similarity(r, F(0)) for r in kept)
+        assert maps == reference_absorbed_outcome(ifs, "u")
 
 
 class TestReplayRejectsTampering:

@@ -399,10 +399,17 @@ class TestEndpointCheckOnce:
         assert checks == [fresh]
 
     def test_copies_check_anew(self, golden_params, checks):
+        # neither the endpoint check nor the path-count table is copied
         ifs = double_loop_ifs(golden_params)
         expected = ifs.fixed_endpoints
+        counts = [model.path_count(ifs, "u", k) for k in range(6)]
         for other in (copy.copy(ifs), pickle.loads(pickle.dumps(ifs))):
+            assert "_path_counts" not in vars(other)
             assert other.fixed_endpoints == expected
+            assert [model.path_count(other, "u", k)
+                    for k in range(6)] == counts
+            assert len(other._path_counts) == 6
+            assert other._path_counts is not ifs._path_counts
         assert len(checks) == 3
 
     def test_condition2_reads_level1_once(self, golden_ifs, monkeypatch):

@@ -136,6 +136,10 @@ class TestPaths:
             assert path_count(golden_ifs, "u", k) == len(
                 paths_from(golden_ifs, "u", k))
 
+    def test_negative_count_length_rejected(self, golden_ifs):
+        with pytest.raises(ValueError, match=r"^path length k must be >= 0$"):
+            path_count(golden_ifs, "u", -1)
+
     def test_path_similarity_composition(self, golden_ifs):
         # e2 then e3: x/2 + 1/2 after x/2 gives x/4 + 1/2.
         sim = path_similarity(golden_ifs, Path(("e2", "e3")))

@@ -194,6 +194,20 @@ def reference_levels(ifs, k):
     return levels
 
 
+def reference_cssc(ifs):
+    """cssc_check's violations by the all-pairs loop on Fraction hulls
+    that the ladder's integer hulls replaced."""
+    violations = []
+    for v in ifs.vertices:
+        hulls = [(e, e.map.hull()) for e in ifs.out_edges(v)]
+        for i in range(len(hulls)):
+            for j in range(i + 1, len(hulls)):
+                (e1, (lo1, hi1)), (e2, (lo2, hi2)) = hulls[i], hulls[j]
+                if max(lo1, lo2) <= min(hi1, hi2):
+                    violations.append((v, e1.id, e2.id))
+    return tuple(violations)
+
+
 def reference_members(ifs):
     """Whether 0 and 1 lie in each component, by path enumeration: with
     every hull inside [0,1], p is in F_v iff some path of length 2|V|
@@ -484,6 +498,18 @@ class TestLadderEquivalence:
         for u in ifs.vertices:
             assert (endpoint_witnesses(ifs, u, depth)
                     == reference_witnesses(ifs, u, depth))
+
+    @COMMON
+    @given(messy_graphs(), st.lists(st.sampled_from((F(-1, 2), F(0), F(1, 3))),
+                                    min_size=9, max_size=9))
+    def test_cssc_matches_fraction_pairs(self, ifs, shifts):
+        # shifting the offsets moves some hulls out of [0,1]
+        moved = GraphIFS(ifs.vertices, tuple(
+            dataclasses.replace(e, map=dataclasses.replace(
+                e.map, offset=e.map.offset + shift))
+            for e, shift in zip(ifs.edges, shifts)))
+        for system in (ifs, moved):
+            assert cssc_check(system).violations == reference_cssc(system)
 
     @COMMON
     @given(messy_graphs())
