@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import model
-from .errors import GraphStructureError, ResourceCapError
+from .errors import ResourceCapError
 from .families import DoubleLoopParams
 from .model import (
     GraphIFS,
@@ -127,10 +127,11 @@ class LevelLadder:
     which owns it as `GraphIFS.ladder` and frees it with itself.
 
     `scale` is D, the lcm of every ratio and offset denominator, and
-    `maps[edge id]` is (D * coefficient, D * offset).  Level k of a
-    vertex is a flat list [lo, hi, lo, hi, ...] of integers over D^k, so
-    an edge map sends an endpoint p over D^(k-1) to (D * coefficient) * p
-    + (D * offset) * D^(k-1) over D^k.  Each level is built once from the
+    `out[v]` lists the edges leaving v in edge-id order as (edge id,
+    target, D * coefficient, D * offset).  Level k of a vertex is a flat
+    list [lo, hi, lo, hi, ...] of integers over D^k, so an edge map sends
+    an endpoint p over D^(k-1) to (D * coefficient) * p + (D * offset) *
+    D^(k-1) over D^k.  Each level is built once from the
     level before it, for all vertices, when first asked for.
     `violations`, which cssc_check reports, holds each (vertex, edge id,
     edge id) whose closed level-1 hulls (min, max of o, c + o) meet, pairs
@@ -148,9 +149,11 @@ class LevelLadder:
         self.ifs = ifs
         scale = self.scale = math.lcm(*(x.denominator for e in ifs.edges
                                         for x in (e.map.ratio, e.map.offset)))
-        self.maps = {e.id: (int(e.map.coefficient * scale),
-                            int(e.map.offset * scale)) for e in ifs.edges}
-        hull = {eid: sorted((o, c + o)) for eid, (c, o) in self.maps.items()}
+        maps = {e.id: (int(e.map.coefficient * scale),
+                       int(e.map.offset * scale)) for e in ifs.edges}
+        self.out = {v: [(e.id, e.dst, *maps[e.id]) for e in ifs.out_edges(v)]
+                    for v in ifs.vertices}
+        hull = {eid: sorted((o, c + o)) for eid, (c, o) in maps.items()}
         self.violations = tuple(
             (v, e1.id, e2.id) for v in ifs.vertices
             for e1, e2 in itertools.combinations(ifs.out_edges(v), 2)
@@ -158,8 +161,8 @@ class LevelLadder:
             <= min(hull[e1.id][1], hull[e2.id][1]))
         touching = {v for v, _e1, _e2 in self.violations}
         self._apart = {v: v not in touching for v in ifs.vertices}
-        self._children = {v: [(e.dst, *self.maps[e.id]) for e in sorted(
-            ifs.out_edges(v), key=lambda e: hull[e.id])] for v in ifs.vertices}
+        self._children = {v: sorted(out, key=lambda x: hull[x[0]])
+                          for v, out in self.out.items()}
         self._levels: list[dict[str, list[int]]] = [
             {v: [0, 1] for v in ifs.vertices}]
 
@@ -167,7 +170,7 @@ class LevelLadder:
         k = len(self._levels)
         prev = self._levels[-1]
         for v, children in self._children.items():
-            count = sum(len(prev[dst]) for dst, *_ in children) // 2
+            count = sum(len(prev[dst]) for _eid, dst, *_ in children) // 2
             if count > model.DEFAULT_PATH_CAP:
                 raise ResourceCapError(
                     f"{count} intervals of level {k} at {v!r} exceed cap "
@@ -176,7 +179,7 @@ class LevelLadder:
         level = {}
         for v, children in self._children.items():
             flat: list[int] = []
-            for dst, c, o in children:
+            for _eid, dst, c, o in children:
                 o *= shift
                 child = prev[dst]
                 flat += [c * p + o for p in (reversed(child) if c < 0 else child)]
@@ -266,7 +269,7 @@ def endpoint_witnesses(ifs: GraphIFS, u: str, depth: int
     if depth < 0:
         raise ValueError("depth must be >= 0")
     _check_path_cap(ifs, u, depth)
-    scale, maps = ifs.ladder.scale, ifs.ladder.maps
+    scale, out = ifs.ladder.scale, ifs.ladder.out
     members = ifs.fixed_endpoints
     best: dict[int, tuple[Path, Fraction]] = {}  # point * D^depth -> witness
     level = [(u, (), 1, 0)]
@@ -274,17 +277,16 @@ def endpoint_witnesses(ifs: GraphIFS, u: str, depth: int
         lift = scale ** (depth - j)
         nodes = []
         for at, edges, a, b in level:
-            for e in ifs.out_edges(at):
-                c, o = maps[e.id]
+            for eid, dst, c, o in out[at]:
                 ca, cb = a * c, a * o + b * scale
-                path = edges + (e.id,)
+                path = edges + (eid,)
                 for endpoint, member, point in zip(
-                        (ZERO, ONE), members[e.dst],
+                        (ZERO, ONE), members[dst],
                         (cb * lift, (ca + cb) * lift)):
                     if member and point not in best:
                         best[point] = (Path(path), endpoint)
                 if j < depth:
-                    nodes.append((e.dst, path, ca, cb))
+                    nodes.append((dst, path, ca, cb))
         level = nodes
     top = scale ** depth
     return [(Fraction(point, top), *best[point]) for point in sorted(best)]
@@ -337,9 +339,7 @@ def refute_subset(ifs: GraphIFS, u: str, v: str, depth: int = 8,
     scale = ladder.scale
     top = scale ** depth
     lift = [scale ** (depth - j) for j in range(depth + 1)]
-    members = ifs.fixed_endpoints
-    out = {w: [(e.id, e.dst, *ladder.maps[e.id]) for e in ifs.out_edges(w)]
-           for w in ifs.vertices}
+    members, out = ifs.fixed_endpoints, ladder.out
     for m in range(1, depth + 1):
         gaps = [(lo * lift[m], hi * lift[m]) for lo, hi in ladder.gaps(v, m)]
         if reflected:
@@ -351,14 +351,12 @@ def refute_subset(ifs: GraphIFS, u: str, v: str, depth: int = 8,
         best = (top,)
         # (hull low end, length, edge ids, vertex, A, B)
         heap = [(0, 0, (), u, 1, 0)]
-        while heap and (heap[0][0] < best[0] or heap[0][0] == best[0]
-                        and heap[0][1:3] < best[1:3]):
+        while heap and heap[0][:3] < best[:3]:
             _lo, j, edges, at, a, b = heappop(heap)
             if j:
                 ends = (b * lift[j], (a + b) * lift[j])
                 for end, member, point in zip((ZERO, ONE), members[at], ends):
-                    if member and (point < best[0] or point == best[0]
-                                   and (j, edges, end) < best[1:]):
+                    if member and (point, j, edges, end) < best:
                         i = bisect.bisect_right(los, point) - 1
                         if i >= 0 and los[i] < point < his[i]:
                             best = (point, j, edges, end)
@@ -370,9 +368,8 @@ def refute_subset(ifs: GraphIFS, u: str, v: str, depth: int = 8,
                     if ca < 0:
                         lo, hi = hi, lo
                     i = bisect.bisect_right(his, lo)  # first gap past lo
-                    if i < len(gaps) and los[i] < hi and (
-                            lo < best[0] or lo == best[0]
-                            and (j, edges + (eid,)) < best[1:3]):
+                    if (i < len(gaps) and los[i] < hi
+                            and (lo, j, edges + (eid,)) < best[:3]):
                         heappush(heap, (lo, j, edges + (eid,), dst, ca, cb))
         if best[0] < top:
             point, j, edges, end = best
@@ -387,23 +384,20 @@ def refute_subset(ifs: GraphIFS, u: str, v: str, depth: int = 8,
 def replay_refutation(ifs: GraphIFS, u: str, v: str,
                       ref: SubsetRefutation) -> bool:
     """Re-verify a SubsetRefutation from its recorded evidence alone.  The
-    witness path is composed one edge at a time on the ladder's integer
-    maps, x -> (A x + B) / D^length, as in endpoint_witnesses."""
+    witness path is composed one edge at a time on the ladder's out-edge
+    table, x -> (A x + B) / D^length, as in endpoint_witnesses."""
     edges, (j, m) = ref.witness_path.edges, ref.depths
     if (v not in ifs.vertices or j != len(edges) or m < 1
             or ref.endpoint not in (ZERO, ONE)):
         return False
-    scale, maps = ifs.ladder.scale, ifs.ladder.maps
+    scale, out = ifs.ladder.scale, ifs.ladder.out
     at, a, b = u, 1, 0
-    for eid in edges:
-        try:
-            e = ifs.edge(eid)
-        except GraphStructureError:
+    for eid in edges:  # the first edge leaves u, and each the one before
+        step = next((x for x in out.get(at, ()) if x[0] == eid), None)
+        if step is None:
             return False
-        if e.src != at:  # the first edge leaves u, and each the one before
-            return False
-        c, o = maps[eid]
-        at, a, b = e.dst, a * c, a * o + b * scale
+        _eid, at, c, o = step
+        a, b = a * c, a * o + b * scale
     end = int(ref.endpoint)
     point = Fraction(a * end + b, scale ** j)
     if (not ifs.fixed_endpoints[at][end] or point != ref.witness_point

@@ -295,6 +295,8 @@ def classify_gap_condition(ifs: GraphIFS, u: str, depth: int = 8,
     (2) max G_u must not exceed any involved vertex's smallest level-1 gap;
     (3) containment of F_u in every other involved component (and in its
     reflection, when requested) must be exactly refuted."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
 
     def condition2(witness):
         try:
@@ -348,6 +350,8 @@ def classify_measure_condition(ifs: GraphIFS, u: str, depth: int = 8,
                                reflected: bool = False) -> Certificate:
     """Decide standardness of F_u via the unit-measure criterion (double-
     loop family only; minimal edge count is an asserted hypothesis)."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     if not minimal_edges_asserted:
         return Certificate(
             graph_digest(ifs), u, Verdict.UNKNOWN, "p2t", reflected=reflected,

@@ -156,6 +156,8 @@ def _cmd_measure(args) -> int:
 def _cmd_classify(args) -> int:
     ifs = _load(args.spec)
     _require_vertex(ifs, args.vertex)
+    if args.depth < 0:
+        raise ValueError("depth must be >= 0")
     if args.theorem == "p2m":
         params = params_from_ifs(ifs)
         if params is None:

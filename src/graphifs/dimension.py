@@ -127,11 +127,8 @@ def _moran(ifs: GraphIFS):
             return _at_or_above(
                 build([math.exp(t * log) for log in floats], 0.0), 1.0)
 
-        (above_lo, f_lo), (above_hi, f_hi) = decide(0.0), decide(1.0)
-        if not above_lo or above_hi:
-            return None
-        lo, hi, _ = _bracket(decide, 0.0, 1.0, 2**-42, f_lo, f_hi)
-        return (lo + hi) / 2
+        steps = _bracket(decide, 0.0, 1.0, 2**-42)
+        return None if steps is None else (steps[0] + steps[1]) / 2
 
     return at, enclose, estimate
 
@@ -167,13 +164,14 @@ def _at_or_above(m: MoranMatrix, lam):
     return not below, det
 
 
-def _bracket(decide, lo, hi, tol, f_lo, f_hi):
+def _bracket(decide, lo, hi, tol):
     """Shrink [lo, hi] until it is at most tol wide, keeping the
     predicate of decide true at lo and false at hi; returns (lo, hi,
-    iterations).  decide(x) returns (predicate at x, f(x)) for an f that
-    is negative at lo and positive at hi near the root, or None in place
-    of f(x); f_lo and f_hi are f at the starting ends, or None.  A step
-    with f(x) = 0 ends the solve with lo = hi = x.
+    iterations), or None, after deciding both ends, when the predicate
+    fails at lo or holds at hi.  decide(x) returns (predicate at x, f(x))
+    for an f that is negative at lo and positive at hi near the root, or
+    None in place of f(x).  A step with f(x) = 0 ends the solve with lo =
+    hi = x.
 
     When f(lo) < 0 < f(hi), a step tries the Illinois point: the root of
     the chord through both ends, where each step that keeps the same end
@@ -183,6 +181,9 @@ def _bracket(decide, lo, hi, tol, f_lo, f_hi):
     predicate alone decides which end moves.  Raises ValueError when a
     step cannot shrink the bracket, which happens once it is one unit of
     working precision wide and still wider than tol."""
+    (holds_lo, f_lo), (holds_hi, f_hi) = decide(lo), decide(hi)
+    if not holds_lo or holds_hi:
+        return None
     iterations, kept = 0, None
     while hi - lo > tol:
         mid = (lo + hi) / 2
@@ -213,16 +214,13 @@ def spectral_radius(m: MoranMatrix) -> mpf:
     """Perron root of a nonnegative matrix: Illinois steps on
     det(lam*I - m) over [0, largest row sum], each decided by the pivot
     test for rho(m) >= lam.  rho(m) never exceeds the largest row sum, so
-    it is that sum when the test holds there; otherwise the upper end of
-    the final bracket is returned, so an exact root stays exact."""
+    it is that sum when the test holds there, and _bracket returns None;
+    otherwise the upper end of the final bracket is returned, so an exact
+    root stays exact."""
     top = max(sum(row) for row in m.entries)
-    at_top, f_hi = _at_or_above(m, top)
-    if at_top:
-        return top
     tol = mpf(10) ** (-(_MP.dps - 5)) * max(1, top)
-    f_lo = _at_or_above(m, mpf(0))[1]
-    return _bracket(lambda lam: _at_or_above(m, lam),
-                    mpf(0), top, tol, f_lo, f_hi)[1]
+    steps = _bracket(lambda lam: _at_or_above(m, lam), mpf(0), top, tol)
+    return top if steps is None else steps[1]
 
 
 @dataclass(frozen=True)
@@ -282,20 +280,15 @@ def hausdorff_dimension(ifs: GraphIFS, tol: float = 1e-12) -> DimensionResult:
         return _at_or_above(at(t), 1)
 
     e = estimate()
-    if e is not None:
-        lo, hi = mpf(max(e - 2**-40, 0)), mpf(min(e + 2**-40, 1))
-        (above_lo, f_lo), (above_hi, f_hi) = decide(lo), decide(hi)
-    if e is None or not above_lo or above_hi:
-        lo, hi = mpf(0), mpf(1)
-        (above_lo, f_lo), (above_hi, f_hi) = decide(lo), decide(hi)
-        if not above_lo:
+    steps = None if e is None else _bracket(
+        decide, mpf(max(e - 2**-40, 0)), mpf(min(e + 2**-40, 1)), tol)
+    steps = steps or _bracket(decide, mpf(0), mpf(1), tol)
+    if steps is None:
+        if not decide(mpf(0))[0]:
             raise NumericError("rho(A(0)) < 1: graph violates out-degree >= 2")
-        if above_hi:
-            raise NumericError(
-                "rho(A(1)) >= 1: level-1 intervals overfill [0,1]")
-    lo, hi, iterations = _bracket(decide, lo, hi, tol, f_lo, f_hi)
-    lo, hi = _prove(enclose, lo, hi, tol)
-    return DimensionResult((lo + hi) / 2, (lo, hi), iterations)
+        raise NumericError("rho(A(1)) >= 1: level-1 intervals overfill [0,1]")
+    lo, hi = _prove(enclose, *steps[:2], tol)
+    return DimensionResult((lo + hi) / 2, (lo, hi), steps[2])
 
 
 def _char_root_estimate(a, b, c, d) -> float:
@@ -334,11 +327,9 @@ def double_loop_char_root(params: DoubleLoopParams,
         return value < 0, value
 
     estimate = _char_root_estimate(a, b, c, d)
-    lo, hi = mpf(max(estimate - 2**-40, 0)), mpf(min(estimate + 2**-40, 1))
-    f_lo, f_hi = f(lo), f(hi)
-    if not f_lo < 0 < f_hi:
-        lo, hi, f_lo, f_hi = mpf(0), mpf(1), f(0), f(1)
-        if not f_lo < 0 < f_hi:
-            raise NumericError("characteristic equation lost its sign change")
-    lo, hi, _ = _bracket(decide, lo, hi, tol, f_lo, f_hi)
-    return (lo + hi) / 2
+    steps = (_bracket(decide, mpf(max(estimate - 2**-40, 0)),
+                      mpf(min(estimate + 2**-40, 1)), tol)
+             or _bracket(decide, mpf(0), mpf(1), tol))
+    if steps is None:
+        raise NumericError("characteristic equation lost its sign change")
+    return (steps[0] + steps[1]) / 2

@@ -348,13 +348,14 @@ class TestReplayRefutation:
                    witness_path=Path(("e2", "e1", "e3")))),
         ("u", dict(witness_path=Path(("e2", "e9", "e3")))),
         ("v", {}),  # the path's first edge leaves u, not the source v
+        ("z", {}),  # no vertex z, so no edge leaves it
         ("u", dict(endpoint=F(3, 2))),  # int(3/2) = 1 would match
         ("u", dict(witness_point=F(5, 8) + F(1, 10**9))),
         ("u", dict(gap=(F(1, 2), F(11, 16)))),  # inside the gap, not one
         ("u", dict(depths=(3, 0))),
     ], ids=["non-consecutive", "unknown-edge", "first-edge-not-from-u",
-            "endpoint-not-0-or-1", "moved-point", "not-a-ladder-gap",
-            "target-level-0"])
+            "unknown-source", "endpoint-not-0-or-1", "moved-point",
+            "not-a-ladder-gap", "target-level-0"])
     def test_forgery_fails_replay(self, golden_ifs, valid, u, changes):
         forged = dataclasses.replace(valid, **changes)
         assert not replay_refutation(golden_ifs, u, "v", forged)

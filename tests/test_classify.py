@@ -173,6 +173,19 @@ class TestMeasureCondition:
         assert "double-loop" in cert.unknown_reason
 
 
+@pytest.mark.parametrize("decide", [
+    classify_gap_condition,
+    classify_measure_condition,
+    lambda ifs, u, depth: classify_measure_condition(
+        ifs, u, depth, minimal_edges_asserted=True),
+], ids=["p2q", "p2t", "p2t-asserted"])
+@pytest.mark.parametrize("system", ["golden_ifs", "nested_ifs"])
+def test_negative_depth_rejected(request, decide, system):
+    ifs = request.getfixturevalue(system)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        decide(ifs, "u", -1)
+
+
 class TestRewrite:
     def test_no_loop_variant_is_level2(self, golden_params):
         ifs = no_loop_ifs(golden_params)

@@ -332,6 +332,19 @@ class TestClassify:
             main(["classify", GOLDEN, "--vertex", "u", "--theorem", "bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("spec", [GOLDEN, NESTED, ONE_LOOP, SPANNING],
+                             ids=["golden", "nested", "one-loop", "spanning"])
+    @pytest.mark.parametrize("theorem", [
+        ["--theorem", "p2q"], ["--theorem", "p2t"],
+        ["--theorem", "p2t", "--assert-minimal-edges"], ["--theorem", "p2m"],
+    ], ids=["p2q", "p2t", "p2t-asserted", "p2m"])
+    def test_negative_depth_is_usage_error(self, capsys, spec, theorem):
+        assert main(["classify", spec, "--vertex", "u", "--depth", "-1",
+                     *theorem]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "depth must be >= 0" in err
+
 
 class TestVerifyCertificate:
     def test_round_trip(self, tmp_path, capsys):

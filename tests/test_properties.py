@@ -512,6 +512,20 @@ class TestLadderEquivalence:
             assert cssc_check(system).violations == reference_cssc(system)
 
     @COMMON
+    @given(st.one_of(messy_graphs(), cssc_systems()))
+    def test_out_table_is_scaled_out_edges(self, ifs):
+        ladder = LevelLadder(ifs)
+        scale = ladder.scale
+        for v in ifs.vertices:
+            edges = sorted((e for e in ifs.edges if e.src == v),
+                           key=lambda e: e.id)
+            assert ladder.out[v] == [
+                (e.id, e.dst, e.map.coefficient * scale, e.map.offset * scale)
+                for e in edges]
+            assert all(type(x) is int for *_, c, o in ladder.out[v]
+                       for x in (c, o))
+
+    @COMMON
     @given(messy_graphs())
     def test_apart_flag_is_cssc_at_the_vertex(self, ifs):
         violating = {v for v, _e1, _e2 in cssc_check(ifs).violations}
