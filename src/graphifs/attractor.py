@@ -385,11 +385,13 @@ def replay_refutation(ifs: GraphIFS, u: str, v: str,
                       ref: SubsetRefutation) -> bool:
     """Re-verify a SubsetRefutation from its recorded evidence alone.  The
     witness path is composed one edge at a time on the ladder's out-edge
-    table, x -> (A x + B) / D^length, as in endpoint_witnesses."""
+    table, x -> (A x + B) / D^length, as in endpoint_witnesses.  A path
+    over the path cap raises ResourceCapError: refute_subset records none."""
     edges, (j, m) = ref.witness_path.edges, ref.depths
-    if (v not in ifs.vertices or j != len(edges) or m < 1
-            or ref.endpoint not in (ZERO, ONE)):
+    if (u not in ifs.vertices or v not in ifs.vertices or j != len(edges)
+            or m < 1 or ref.endpoint not in (ZERO, ONE)):
         return False
+    _check_path_cap(ifs, u, j)
     scale, out = ifs.ladder.scale, ifs.ladder.out
     at, a, b = u, 1, 0
     for eid in edges:  # the first edge leaves u, and each the one before

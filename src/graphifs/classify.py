@@ -46,6 +46,7 @@ from .model import (
     GraphIFS,
     Path,
     Similarity,
+    _check_cap,
     graph_digest,
     path_vertices,
     simple_cycles,
@@ -124,19 +125,16 @@ def classify_distinct_components(params: DoubleLoopParams
     components differ, neither is a standard IFS attractor."""
     ifs = double_loop_ifs(params)
     digest = graph_digest(ifs)
-    u, v = ifs.vertices
-    if components_equal(params):
-        note = ("components coincide (a=c and b=d): the system reduces to "
-                "a standard IFS and this criterion does not apply",)
-        return tuple(
-            Certificate(digest, x, Verdict.UNKNOWN, "p2m",
-                        unknown_reason="components coincide", notes=note)
-            for x in (u, v))
-    note = ("components differ (a=c and b=d fails), so neither component "
-            "is the attractor of any standard IFS",)
-    return tuple(
-        Certificate(digest, x, Verdict.NOT_STANDARD, "p2m", notes=note)
-        for x in (u, v))
+    verdict, reason, note = (
+        (Verdict.UNKNOWN, "components coincide",
+         "components coincide (a=c and b=d): the system reduces to a "
+         "standard IFS and this criterion does not apply")
+        if components_equal(params) else
+        (Verdict.NOT_STANDARD, None,
+         "components differ (a=c and b=d fails), so neither component is "
+         "the attractor of any standard IFS"))
+    return tuple(Certificate(digest, x, verdict, "p2m", unknown_reason=reason,
+                             notes=(note,)) for x in ifs.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +166,8 @@ def rewrite_to_standard(ifs: GraphIFS, u: str) -> tuple[Similarity, ...]:
     F_u plus the leftover edge images), and expanded one level otherwise.
     The process either empties out in at most |V|+1 rounds or is reported
     as non-terminating.  Redundant maps (exact compositions of two other
-    returned maps) are absorbed by _absorbed, in term order."""
+    returned maps) are absorbed by _absorbed, in term order.  A round of
+    more than model.DEFAULT_PATH_CAP terms raises ResourceCapError."""
     terms: list[tuple[Similarity, str]] = [
         (e.map, e.dst) for e in ifs.out_edges(u)]
     rounds = 0
@@ -190,6 +189,7 @@ def rewrite_to_standard(ifs: GraphIFS, u: str) -> tuple[Similarity, ...]:
             else:
                 nxt.append((sim, u))
             nxt.extend((sim.compose(f.map), f.dst) for f in left)
+            _check_cap(len(nxt), "rewrite terms")
         terms = nxt
     maps = _absorbed(list(dict.fromkeys(sim for sim, _w in terms)))
     return tuple(sorted(maps, key=lambda s: (s.hull()[0], s.ratio, s.offset)))
@@ -199,8 +199,12 @@ def _absorbed(maps: list[Similarity]) -> list[Similarity]:
     """`maps` less each exact composition p∘q of two maps still kept,
     removed one at a time, first in list order, against one set of
     compositions per removal.  Every ratio is below 1, so p∘q is neither
-    p nor q."""
+    p nor q.  More than model.DEFAULT_PATH_CAP compositions in all raise
+    ResourceCapError."""
+    made_in_all = 0
     while True:
+        made_in_all += len(maps) ** 2
+        _check_cap(made_in_all, "map compositions")
         made = {p.compose(q) for p in maps for q in maps}
         absorbed = next((m for m in maps if m in made), None)
         if absorbed is None:
@@ -253,27 +257,23 @@ def _condition3(ifs: GraphIFS, u: str, vprime, depth: int, reflected: bool):
 
 
 def _decide(ifs: GraphIFS, u: str, depth: int, reflected: bool, theorem: str,
-            condition2, minimal_edges_asserted: Optional[bool] = None
-            ) -> Certificate:
+            minimal_edges_asserted: Optional[bool] = None) -> Certificate:
     """The skeleton both deciders share: condition (1) or, failing it, the
-    explicit rewrite; then the theorem's own condition (2), a callable
-    taking the cycle witness and returning (evidence fields, unmet-reason
-    or None); then condition (3)."""
+    explicit rewrite; then the theorem's condition (2) from _CONDITION2;
+    then condition (3).  The rewrite cannot fail: find_detached_cycle
+    returns None only when no simple cycle that avoids u is reachable from
+    u, and after round r every non-final term ends a walk u -> w1 -> ...
+    -> w_(r+1) with no w_i = u, in which a repeated w_i would close such a
+    cycle; so r + 1 <= |V| - 1, below the rewrite's cap of |V| + 1."""
     digest = graph_digest(ifs)
     witness = find_detached_cycle(ifs, u)
     if witness is None:
-        try:
-            maps = rewrite_to_standard(ifs, u)
-        except RewriteError as exc:
-            return Certificate(
-                digest, u, Verdict.UNKNOWN, theorem, reflected=reflected,
-                minimal_edges_asserted=minimal_edges_asserted,
-                unknown_reason=f"condition (1) unmet and rewrite failed: {exc}")
-        return Certificate(digest, u, Verdict.STANDARD, "p2nv1", maps=maps,
+        return Certificate(digest, u, Verdict.STANDARD, "p2nv1",
+                           maps=rewrite_to_standard(ifs, u),
                            minimal_edges_asserted=minimal_edges_asserted,
                            notes=("every simple cycle returns to the queried "
                                   "vertex; explicit standard IFS attached",))
-    evidence, unmet = condition2(witness)
+    evidence, unmet = _CONDITION2[theorem](ifs, u, witness.vprime)
     refs: list[tuple[str, SubsetRefutation]] = []
     if unmet is None:
         refs, missing = _condition3(ifs, u, witness.vprime, depth, reflected)
@@ -297,39 +297,47 @@ def classify_gap_condition(ifs: GraphIFS, u: str, depth: int = 8,
     reflection, when requested) must be exactly refuted."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-
-    def condition2(witness):
-        try:
-            report = condition2_check(ifs, u, witness.vprime)
-        except UnsupportedFeatureError as exc:
-            return {}, f"condition (2): {exc}"
-        unmet = None if report.ok else (
-            f"condition (2): max gap at {u!r} exceeds a level-1 gap in the "
-            "involved set")
-        return {"condition2": report}, unmet
-
-    return _decide(ifs, u, depth, reflected, "p2q", condition2)
+    return _decide(ifs, u, depth, reflected, "p2q")
 
 
-def _unit_measure(ifs: GraphIFS, vprime
-                  ) -> tuple[Optional[MeasureResult], Optional[str]]:
+def _gap_condition2(ifs: GraphIFS, u: str, vprime):
+    """The gap criterion's condition (2): max G_u at most the smallest
+    level-1 gap of every vertex of vprime.  Returns the evidence fields
+    and the unmet requirement, or None when it holds."""
+    try:
+        report = condition2_check(ifs, u, vprime)
+    except UnsupportedFeatureError as exc:
+        return {}, f"condition (2): {exc}"
+    unmet = None if report.ok else (
+        f"condition (2): max gap at {u!r} exceeds a level-1 gap in the "
+        "involved set")
+    return {"condition2": report}, unmet
+
+
+def _unit_measure(ifs: GraphIFS, u: str, vprime):
     """The measure criterion's condition (2): unit Hausdorff measure at
-    every vertex of vprime.  Returns the measure (None off the double-loop
-    family) and the unmet requirement, or None when it holds."""
+    every vertex of vprime.  Returns the evidence fields, whose measure is
+    None off the double-loop family, and the unmet requirement, or None
+    when it holds."""
     params = params_from_ifs(ifs)
     if params is None:
-        return None, ("Hausdorff measure only computable for the "
-                      "two-vertex double-loop family")
+        return {"measure": None}, ("Hausdorff measure only computable for "
+                                   "the two-vertex double-loop family")
     result = component_measures(params)
     if result.h_u is None:
-        return result, "measure-formula conditions fail"
+        return {"measure": result}, "measure-formula conditions fail"
     h_by_vertex = dict(zip(ifs.vertices, (result.h_u, result.h_v)))
     off_unit = [v for v in vprime
                 if abs(h_by_vertex[v] - 1) > MEASURE_UNIT_TOL]
     if off_unit:
-        return result, ("unit measure required at every involved vertex; "
-                        f"violated at {off_unit}")
-    return result, None
+        return {"measure": result}, (
+            "unit measure required at every involved vertex; violated at "
+            f"{off_unit}")
+    return {"measure": result}, None
+
+
+#: Each theorem's condition (2), which its decider and replay both run.
+_CONDITION2 = {"p2q": _gap_condition2, "p2t": _unit_measure}
 
 
 def _num(x) -> str:
@@ -338,8 +346,11 @@ def _num(x) -> str:
     return _MP.nstr(mpf(x), 30)
 
 
-def _recorded(m: MeasureResult) -> tuple:
-    """What a certificate records of a measure result."""
+def _recorded(m):
+    """What a certificate records of an evidence field: a measure result
+    by its statuses, warnings and 30-digit numbers, anything else as is."""
+    if not isinstance(m, MeasureResult):
+        return m
     return (m.cond1.status, m.cond1.warning, m.cond2.status, m.cond2.warning,
             *(x if x is None else _num(x)
               for x in (m.s, m.cond1.value, m.cond2.value, m.h_u, m.h_v)))
@@ -357,12 +368,7 @@ def classify_measure_condition(ifs: GraphIFS, u: str, depth: int = 8,
             graph_digest(ifs), u, Verdict.UNKNOWN, "p2t", reflected=reflected,
             minimal_edges_asserted=False,
             unknown_reason="minimal edge count not asserted by the caller")
-
-    def condition2(witness):
-        measure, unmet = _unit_measure(ifs, witness.vprime)
-        return {"measure": measure}, unmet
-
-    return _decide(ifs, u, depth, reflected, "p2t", condition2,
+    return _decide(ifs, u, depth, reflected, "p2t",
                    minimal_edges_asserted=True)
 
 
@@ -395,7 +401,7 @@ def replay_certificate(ifs: GraphIFS, cert: Certificate) -> bool:
     if cert.verdict is Verdict.UNKNOWN:
         return True
     if cert.verdict is Verdict.STANDARD:
-        try:
+        try:  # a forged certificate may name a vertex that does not rewrite
             return cert.maps == rewrite_to_standard(ifs, cert.vertex)
         except RewriteError:
             return False
@@ -406,22 +412,13 @@ def replay_certificate(ifs: GraphIFS, cert: Certificate) -> bool:
     w = cert.cycle_witness
     if w is None or not _replay_witness(ifs, cert.vertex, w):
         return False
-    if cert.theorem == "p2q":
-        if cert.condition2 is None:
-            return False
-        try:
-            fresh = condition2_check(ifs, cert.vertex, w.vprime)
-        except UnsupportedFeatureError:
-            return False
-        if fresh != cert.condition2 or not fresh.ok:
-            return False
-    elif cert.theorem == "p2t":
-        fresh, unmet = _unit_measure(ifs, w.vprime)
-        if (cert.minimal_edges_asserted is not True or unmet is not None
-                or cert.measure is None
-                or _recorded(cert.measure) != _recorded(fresh)):
-            return False
-    else:
+    check = _CONDITION2.get(cert.theorem)
+    if check is None or (cert.theorem == "p2t"
+                         and cert.minimal_edges_asserted is not True):
+        return False
+    evidence, unmet = check(ifs, cert.vertex, w.vprime)
+    if unmet is not None or any(_recorded(getattr(cert, name)) != _recorded(x)
+                                for name, x in evidence.items()):
         return False
     needed = {(v, refl)
               for v in w.vprime if v != cert.vertex

@@ -133,34 +133,26 @@ def _moran(ifs: GraphIFS):
     return at, enclose, estimate
 
 
-def _pivots(m: MoranMatrix, lam):
-    """Yield the pivots of lam*I - m under Gaussian elimination without
-    row exchanges, in floats, mpf or Fractions as the entries are.  A
-    reader must stop at a pivot that is 0, which the next step would
-    divide by."""
+def _at_or_above(m: MoranMatrix, lam):
+    """(rho(m) >= lam, det(lam*I - m)) from one Gaussian elimination of
+    lam*I - m without row exchanges, in floats, mpf or Fractions as the
+    entries are: the pivot test and the product of the pivots.  det is 0
+    when the last pivot is 0 and every other one positive, so that
+    lam*I - m is a singular M-matrix and rho(m) = lam; it is None at any
+    other pivot 0, where the elimination cannot go on."""
     rows = [[(lam if i == j else 0) - x for j, x in enumerate(row)]
             for i, row in enumerate(m.entries)]
+    below, det = True, 1
     for k, pivot_row in enumerate(rows):
         pivot = pivot_row[k]
-        yield pivot
-        for row in rows[k + 1:]:
-            factor = row[k] / pivot
-            for j in range(k + 1, m.n):
-                row[j] -= factor * pivot_row[j]
-
-
-def _at_or_above(m: MoranMatrix, lam):
-    """(rho(m) >= lam, det(lam*I - m)) from one elimination: the pivot
-    test and the product of the pivots.  det is 0 when the last pivot is 0
-    and every other one positive, so that lam*I - m is a singular M-matrix
-    and rho(m) = lam; it is None at any other pivot 0, where the
-    elimination cannot go on."""
-    below, det = True, 1
-    for k, pivot in enumerate(_pivots(m, lam)):
         if not pivot:
             return True, (mpf(0) if below and k == m.n - 1 else None)
         below = below and pivot > 0
         det *= pivot
+        for row in rows[k + 1:]:
+            factor = row[k] / pivot
+            for j in range(k + 1, m.n):
+                row[j] -= factor * pivot_row[j]
     return not below, det
 
 

@@ -316,6 +316,13 @@ def path_count(ifs: GraphIFS, u: str, k: int) -> int:
     return counts[k][u]
 
 
+def _check_cap(count: int, what: str) -> None:
+    """Raise ResourceCapError when count is over DEFAULT_PATH_CAP."""
+    if count > DEFAULT_PATH_CAP:
+        raise ResourceCapError(
+            f"{count} {what} exceed cap {DEFAULT_PATH_CAP}", bound=count)
+
+
 def _check_path_cap(ifs: GraphIFS, u: str, k: int) -> None:
     """Raise unless u is a vertex with at most DEFAULT_PATH_CAP paths of
     every length 1..k, stopping at the first length over the cap."""

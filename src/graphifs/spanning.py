@@ -116,8 +116,6 @@ class SurdRoot:
 
 
 def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
-        return None
     rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
     if rn * rn == x.numerator and rd * rd == x.denominator:
         return Fraction(rn, rd)

@@ -23,7 +23,12 @@ from graphifs import (
     replay_refutation,
 )
 from graphifs import attractor, model
-from graphifs.attractor import IntervalSet, LevelLadder, SubsetRefutation
+from graphifs.attractor import (
+    IntervalSet,
+    LevelLadder,
+    SubsetRefutation,
+    endpoint_witnesses,
+)
 
 F = Fraction
 
@@ -46,6 +51,11 @@ class TestIntervalSet:
         assert s.contains(F(1, 4))
         assert s.contains(F(1, 2))
         assert not s.contains(F(3, 8))
+
+    def test_reversed_interval_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"interval \[1/2, 1/4\] is reversed"):
+            IntervalSet([(F(1, 2), F(1, 4))])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -121,10 +131,22 @@ class TestLevelSets:
         lambda ifs: refute_subset(ifs, "u", "z"),
         lambda ifs: refute_subset(ifs, "u", "z", 0),
         lambda ifs: model.path_count(ifs, "z", 3),
-    ], ids=["level0", "level2", "refute", "refute-depth0", "path_count"])
+        lambda ifs: ifs.out_edges("z"),
+        lambda ifs: model.simple_path(ifs, "z", "u"),
+    ], ids=["level0", "level2", "refute", "refute-depth0", "path_count",
+            "out_edges", "simple_path"])
     def test_unknown_vertex_rejected(self, golden_ifs, call):
         with pytest.raises(GraphStructureError,
                            match="unknown vertex 'z'"):
+            call(golden_ifs)
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda ifs: ifs.ladder.endpoints("u", -1), "level k must be >= 0"),
+        (lambda ifs: endpoint_witnesses(ifs, "u", -1), "depth must be >= 0"),
+        (lambda ifs: refute_subset(ifs, "u", "v", -1), "depth must be >= 0"),
+    ], ids=["ladder-level", "witness-depth", "refute-depth"])
+    def test_negative_level_or_depth_rejected(self, golden_ifs, call, match):
+        with pytest.raises(ValueError, match=match):
             call(golden_ifs)
 
     def test_ladder_makes_each_level_set_once(self, golden_ifs,
@@ -359,6 +381,17 @@ class TestReplayRefutation:
     def test_forgery_fails_replay(self, golden_ifs, valid, u, changes):
         forged = dataclasses.replace(valid, **changes)
         assert not replay_refutation(golden_ifs, u, "v", forged)
+
+    def test_witness_path_over_the_cap_raises(self, golden_ifs, valid,
+                                              monkeypatch):
+        # u has 2^3 paths of length 3, so a cap of 7 refuses the path
+        # before replay composes it, as it would refuse to search it
+        monkeypatch.setattr(model, "DEFAULT_PATH_CAP", 7)
+        with pytest.raises(ResourceCapError,
+                           match="8 paths of length 3 from 'u' exceed cap 7"):
+            replay_refutation(golden_ifs, "u", "v", valid)
+        with pytest.raises(ResourceCapError):
+            refute_subset(golden_ifs, "u", "v", depth=3)
 
 
 class TestComponentsEqual:

@@ -13,6 +13,7 @@ from graphifs import (
     DoubleLoopParams,
     Edge,
     GraphIFS,
+    ResourceCapError,
     RewriteError,
     Similarity,
     Verdict,
@@ -32,7 +33,7 @@ from graphifs import (
     single_loop_ifs,
     validate_graph,
 )
-from graphifs import classify
+from graphifs import classify, model
 from graphifs.attractor import SubsetRefutation, replay_refutation
 from graphifs.classify import Certificate, standard_ifs_from_maps
 from graphifs.gaps import Condition2Report
@@ -76,6 +77,19 @@ class TestDetachedCycle:
         # the loop at v avoids u
         w = find_detached_cycle(nested_ifs, "u")
         assert w is not None and w.cycle.edges == ("e5",)
+
+    def test_cycle_out_of_reach_is_skipped(self):
+        # the loop e3 at v avoids u, but no path leads from u to v; so F_u
+        # is the attractor of u's own two loops
+        quarter, last = Similarity(F(1, 4), F(0)), Similarity(F(1, 4), F(3, 4))
+        ifs = GraphIFS(("u", "v"), (
+            Edge("e1", "u", "u", quarter), Edge("e2", "u", "u", last),
+            Edge("e3", "v", "v", quarter), Edge("e4", "v", "u", last)))
+        assert find_detached_cycle(ifs, "u") is None
+        cert = classify_gap_condition(ifs, "u")
+        assert cert.verdict is Verdict.STANDARD
+        assert cert.maps == (quarter, last)
+        assert find_detached_cycle(ifs, "v").cycle.edges == ("e1",)
 
 
 class TestDistinctComponents:
@@ -164,6 +178,22 @@ class TestMeasureCondition:
         cert = classify_measure_condition(golden_ifs, "u")
         assert cert.verdict is Verdict.UNKNOWN
         assert "minimal" in cert.unknown_reason
+
+    def test_three_vertices_unknown(self):
+        # u -> v -> w -> u with a loop at each vertex: the loop at v avoids
+        # u, and no three-vertex system is of the double-loop family
+        quarter, last = Similarity(F(1, 4), F(0)), Similarity(F(1, 4), F(3, 4))
+        ifs = GraphIFS(("u", "v", "w"), (
+            Edge("a1", "u", "u", quarter), Edge("b1", "u", "v", last),
+            Edge("a2", "v", "v", quarter), Edge("b2", "v", "w", last),
+            Edge("a3", "w", "w", quarter), Edge("b3", "w", "u", last)))
+        cert = classify_measure_condition(ifs, "u",
+                                          minimal_edges_asserted=True)
+        assert cert.verdict is Verdict.UNKNOWN and cert.measure is None
+        assert cert.unknown_reason == (
+            "Hausdorff measure only computable for the two-vertex "
+            "double-loop family")
+        assert replay_certificate(ifs, cert)
 
     def test_non_family_unknown(self, spanning_pair):
         ifs, _s = spanning_pair
@@ -315,6 +345,57 @@ def reference_unmatched(ifs, u, w):
     if phi is None:
         return None
     return [f for f in ifs.out_edges(w) if f.id not in phi.values()]
+
+
+def cantor_chain_ifs(n):
+    """u -> v1 -> ... -> vn -> u, two edges a step with maps x/3 and
+    x/3 + 2/3.  Every cycle passes through u, and the rewrite writes F_u,
+    the middle-thirds Cantor set, with the 2^(n+1) maps of level n + 1."""
+    names = ["u"] + [f"v{i}" for i in range(1, n + 1)]
+    return GraphIFS(tuple(names), tuple(
+        Edge(f"{x}{side}", x, names[(i + 1) % len(names)],
+             Similarity(F(1, 3), offset))
+        for i, x in enumerate(names)
+        for side, offset in (("a", F(0)), ("b", F(2, 3)))))
+
+
+class TestRewriteCap:
+    """The rewrite holds each round's terms and the compositions that
+    _absorbed makes, summed over its removals, to model.DEFAULT_PATH_CAP.
+    On cantor_chain_ifs(2), the last round ends with 8 terms, and 8 maps
+    make 8^2 compositions."""
+
+    @pytest.mark.parametrize("cap, message", [
+        (7, "8 rewrite terms exceed cap 7"),
+        (63, "64 map compositions exceed cap 63"),
+    ], ids=["terms", "compositions"])
+    def test_over_the_cap_raises(self, monkeypatch, cap, message):
+        ifs = cantor_chain_ifs(2)
+        monkeypatch.setattr(model, "DEFAULT_PATH_CAP", cap)
+        for call in (rewrite_to_standard, classify_gap_condition):
+            with pytest.raises(ResourceCapError, match=message) as info:
+                call(ifs, "u")
+            assert info.value.bound == cap + 1
+
+    def test_at_the_cap_rewrites(self, monkeypatch):
+        ifs = cantor_chain_ifs(2)
+        monkeypatch.setattr(model, "DEFAULT_PATH_CAP", 64)
+        maps = rewrite_to_standard(ifs, "u")
+        assert maps == tuple(Similarity(F(1, 27), F(k, 27))
+                             for k in (0, 2, 6, 8, 18, 20, 24, 26))
+
+    def test_every_removal_counts(self, monkeypatch):
+        # loops x/2, x/4 and x/8: 3^2 compositions remove x/4, then 2^2
+        # more find nothing, 13 in all
+        ifs = GraphIFS(("u",), tuple(
+            Edge(eid, "u", "u", Similarity(ratio, F(0)))
+            for eid, ratio in zip("abc", (F(1, 2), F(1, 4), F(1, 8)))))
+        monkeypatch.setattr(model, "DEFAULT_PATH_CAP", 12)
+        with pytest.raises(ResourceCapError,
+                           match="13 map compositions exceed cap 12"):
+            rewrite_to_standard(ifs, "u")
+        monkeypatch.setattr(model, "DEFAULT_PATH_CAP", 13)
+        assert len(rewrite_to_standard(ifs, "u")) == 2
 
 
 def rewrite_outcome(ifs, u):

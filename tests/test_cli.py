@@ -458,8 +458,43 @@ class TestVerifyCertificate:
         assert ("1048576 paths of length 20 from 'v' exceed cap 1000000"
                 in capsys.readouterr().err)
 
+    def test_long_witness_path_hits_the_cap_at_once(self, tmp_path, capsys):
+        # e2 then e3 400,000 times less one is a path of golden; replay
+        # refuses it at length 20, before composing any of it
+        assert main(["classify", GOLDEN, "--vertex", "u"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        doc["refutations"][0]["witness_path"] = ["e2"] + ["e3"] * 399_999
+        doc["refutations"][0]["depths"][0] = 400_000
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(doc))
+        with deadline(10):
+            assert main(["verify-certificate", GOLDEN, str(cert_path)]) == 4
+        assert ("1048576 paths of length 20 from 'u' exceed cap 1000000"
+                in capsys.readouterr().err)
+
 
 class TestRewrite:
+    @pytest.mark.parametrize("command", ["classify", "rewrite"])
+    def test_rewrite_over_the_cap(self, tmp_path, capsys, command):
+        # u -> v1 -> ... -> v9 -> u, maps x/3 and x/3 + 2/3 on every step:
+        # no detached cycle, and the rewrite ends with 2^10 maps, whose
+        # 2^20 compositions are over the cap
+        names = ["u"] + [f"v{i}" for i in range(1, 10)]
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps({
+            "vertices": names,
+            "edges": [{"id": f"{x}{side}", "from": x,
+                       "to": names[(i + 1) % len(names)],
+                       "ratio": "1/3", "offset": offset}
+                      for i, x in enumerate(names)
+                      for side, offset in (("a", "0"), ("b", "2/3"))],
+        }))
+        with deadline(10):
+            assert main([command, str(chain), "--vertex", "u"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "1048576 map compositions exceed cap 1000000" in err
+
     def test_nested_u(self, capsys):
         assert main(["rewrite", NESTED, "--vertex", "u"]) == 0
         out = capsys.readouterr().out.splitlines()

@@ -248,16 +248,16 @@ class TestHausdorffDimension:
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """The matrices that _pivots eliminates, by entry type: float, the
-    library's mpf or Fraction."""
+    """The matrices that _at_or_above eliminates, by entry type: float,
+    the library's mpf or Fraction."""
     calls = collections.defaultdict(list)
-    real = dimension._pivots
+    real = dimension._at_or_above
 
     def counted(m, lam):
         calls[type(m.entries[0][0])].append(m)
         return real(m, lam)
 
-    monkeypatch.setattr(dimension, "_pivots", counted)
+    monkeypatch.setattr(dimension, "_at_or_above", counted)
     return calls
 
 

@@ -58,6 +58,11 @@ class TestLevelKGaps:
         assert positions == sorted(positions)
 
 
+    def test_level_below_one_rejected(self, golden_ifs):
+        with pytest.raises(ValueError, match="level k must be >= 1"):
+            level_k_gaps(golden_ifs, "u", 0)
+
+
 class TestMaxGap:
     def test_golden(self, golden_ifs):
         assert max_gap(golden_ifs, "u") == F(1, 4)
@@ -319,6 +324,12 @@ class TestGapCosets:
         assert walked == unwalked
         assert hash(walked) == hash(unwalked)
         assert repr(walked) == repr(unwalked) == text
+
+    @pytest.mark.parametrize("coeff", [F(0), F(-1, 2)])
+    def test_non_positive_coefficient_rejected(self, coeff):
+        with pytest.raises(ValueError,
+                           match="coset coefficient must be positive"):
+            GapCosets(((coeff, (F(1, 2),)),))
 
     def test_bad_generator_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from graphifs import (
+    DoubleLoopParams,
     Edge,
     GraphIFS,
     GraphStructureError,
@@ -16,6 +17,8 @@ from graphifs import (
     endpoint_fixed_check,
     graph_digest,
     is_unit_interval,
+    nested_pair_ifs,
+    params_from_ifs,
     parse_rational,
     format_rational,
     path_similarity,
@@ -112,6 +115,75 @@ class TestValidation:
         e = Edge("e1", "u", "u", Similarity(F(1, 4), F(0)))
         with pytest.raises(GraphStructureError):
             GraphIFS(("u",), (e, e))
+
+
+class TestRejections:
+    """Each reject branch of the model on one input."""
+
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda ifs: Path(()), ValueError,
+         "a path must contain at least one edge"),
+        (lambda ifs: GraphIFS(("u",), (
+            Edge("e1", "w", "u", Similarity(F(1, 2), F(0))),)),
+         GraphStructureError, "edge 'e1' leaves undeclared vertex 'w'"),
+        (lambda ifs: paths_from(ifs, "u", 0), ValueError,
+         "path length k must be >= 1"),
+    ], ids=["empty-path", "undeclared-source", "paths-of-length-0"])
+    def test_rejected(self, golden_ifs, call, error, match):
+        with pytest.raises(error, match=match):
+            call(golden_ifs)
+
+    def test_no_vertices_invalid(self):
+        ifs = GraphIFS((), ())
+        assert validate_graph(ifs).issues == ("graph has no vertices",)
+        assert not is_unit_interval(ifs)
+
+    def test_vertex_unreachable_from_the_root(self):
+        # v -> u only, loop pair at u: v cannot be reached from the root u,
+        # although 0 and 1 lie in both components
+        quarter, last = Similarity(F(1, 4), F(0)), Similarity(F(1, 4), F(3, 4))
+        ifs = GraphIFS(("u", "v"), (
+            Edge("e1", "u", "u", quarter), Edge("e2", "u", "u", last),
+            Edge("e3", "v", "u", quarter), Edge("e4", "v", "u", last)))
+        assert validate_graph(ifs).issues == (
+            "not strongly connected: unreachable from 'u': ['v']",)
+        assert simple_path(ifs, "u", "v") is None
+        assert all(all(ends) for ends in endpoint_fixed_check(ifs).values())
+        assert not is_unit_interval(ifs)
+
+
+class TestFamilies:
+    @pytest.mark.parametrize("args, match", [
+        ((F(0), F(1, 2), F(1, 2), F(1, 4), F(1, 4), F(1, 2)),
+         "parameter a must be positive"),
+        ((F(1, 4), F(1, 4), F(1, 4), F(1, 4), F(1, 4), F(1, 2)),
+         r"a \+ g_u \+ b must equal 1"),
+        ((F(1, 4), F(1, 4), F(1, 2), F(1, 4), F(1, 4), F(1, 4)),
+         r"c \+ g_v \+ d must equal 1"),
+    ], ids=["non-positive", "u-row-sum", "v-row-sum"])
+    def test_double_loop_params_rejected(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            DoubleLoopParams(*args)
+
+    def test_nested_pair_needs_a_middle_copy(self):
+        # d = g_u - 2 g_v = 0 leaves no middle copy
+        with pytest.raises(ValueError, match="g_v < g_u/2"):
+            nested_pair_ifs(F(1, 4), F(1, 2), F(1, 4))
+
+    def test_params_from_other_shapes(self, golden_params, nested_ifs):
+        half = Similarity(F(1, 2), F(0))
+        one_vertex = GraphIFS(("u",), (Edge("e1", "u", "u", half),))
+        assert params_from_ifs(double_loop_ifs(golden_params)) == golden_params
+        assert params_from_ifs(one_vertex) is None  # not two vertices
+        assert params_from_ifs(nested_ifs) is None  # three edges leave v
+        # two edges at each vertex, but no loop at u
+        assert params_from_ifs(no_loop_ifs(golden_params)) is None
+        # the loop and cross edge at u touch at 1/2: g_u would be 0
+        touching = GraphIFS(("u", "v"), (
+            Edge("e1", "u", "u", half),
+            Edge("e2", "u", "v", Similarity(F(1, 2), F(1, 2))),
+            *double_loop_ifs(golden_params).edges[2:]))
+        assert params_from_ifs(touching) is None
 
 
 class TestPaths:

@@ -21,6 +21,7 @@ from graphifs import (
     Edge,
     Path,
     Similarity,
+    Verdict,
     build_spanning_system,
     example_params,
     classify_gap_condition,
@@ -29,6 +30,7 @@ from graphifs import (
     double_loop_char_root,
     double_loop_ifs,
     dump_spec,
+    find_detached_cycle,
     format_rational,
     gap_length_cosets,
     hausdorff_dimension,
@@ -46,6 +48,7 @@ from graphifs import (
     render_svg,
     replay_certificate,
     replay_refutation,
+    rewrite_to_standard,
     span_search,
     spectral_radius,
     validate_graph,
@@ -111,6 +114,23 @@ def messy_graphs(draw):
             edges.append(Edge(f"e{len(edges) + 1}", u,
                               vertices[draw(st.integers(0, n - 1))],
                               Similarity(ratio, offset, reflect)))
+    return GraphIFS(vertices, tuple(edges))
+
+
+@st.composite
+def raw_graphs(draw):
+    """Systems on 1-5 vertices with 0-3 out-edges each, to any target: not
+    necessarily strongly connected, with maps that may reflect and hulls
+    that may leave [0,1].  Few maps, so that equal edges are common."""
+    vertices = tuple(f"v{i}" for i in range(draw(st.integers(1, 5))))
+    edges = []
+    for u in vertices:
+        for _ in range(draw(st.integers(0, 3))):
+            ratio = F(1, draw(st.integers(2, 3)))
+            offset = F(draw(st.integers(0, 2)), 2)
+            edges.append(Edge(f"e{len(edges) + 1}", u,
+                              draw(st.sampled_from(vertices)),
+                              Similarity(ratio, offset, draw(st.booleans()))))
     return GraphIFS(vertices, tuple(edges))
 
 
@@ -884,6 +904,21 @@ class TestCertificateInvariants:
                             assert (replay_refutation(*args)
                                     == reference_replay(*args))
         assert replayed >= 100 and reflected >= 30
+
+
+class TestRewriteInvariants:
+    @COMMON
+    @given(raw_graphs())
+    def test_no_detached_cycle_means_the_rewrite_ends(self, ifs):
+        """When no simple cycle that avoids u is reachable from u, every
+        rewrite term that is not final ends a walk from u that repeats no
+        vertex and avoids u after its start, so the rewrite of F_u ends
+        within |V| - 1 rounds and the decider needs no fallback."""
+        for u in ifs.vertices:
+            if find_detached_cycle(ifs, u) is None:
+                maps = rewrite_to_standard(ifs, u)
+                cert = classify_gap_condition(ifs, u)
+                assert cert.verdict is Verdict.STANDARD and cert.maps == maps
 
 
 class TestSerializationInvariants:

@@ -231,6 +231,10 @@ class TestRendering:
                     rf'<g id="row-{vertex}-{k}">(.*?)</g>', svg, re.S)
                 assert block.group(1).count("<rect") == expected
 
+    def test_negative_levels_rejected(self, golden_ifs):
+        with pytest.raises(ValueError, match="levels must be >= 0"):
+            render_svg(golden_ifs, -1)
+
     def test_level0_single_rect(self, nested_ifs):
         svg = render_svg(nested_ifs, 0)
         assert svg.count("<rect") == len(nested_ifs.vertices)

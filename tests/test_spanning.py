@@ -1,10 +1,13 @@
 """Gap-spanning construction kit and conjecture-shaped search."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from graphifs import (
+    Edge,
+    GraphIFS,
     Similarity,
     SurdRoot,
     build_spanning_system,
@@ -34,6 +37,11 @@ class TestSolveRatios:
     def test_infeasible_when_gaps_overfill(self):
         assert solve_spanning_ratios(F(1, 2), F(1, 2), F(1, 2), F(1, 2)) is None
 
+    def test_nonzero_residual_infeasible(self):
+        # every ratio is 1/5, inside (0,1), but the u row sums to 6/5
+        assert solve_spanning_ratios(F(1, 20), F(1, 4), F(1, 20),
+                                     F(1, 20)) is None
+
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             solve_spanning_ratios(F(0), F(1, 2), F(1, 20), F(1, 20))
@@ -42,6 +50,10 @@ class TestSolveRatios:
 class TestQuadratic:
     def test_rational_roots(self):
         assert gap_quadratic_roots(F(1, 20)) == [F(2, 5), F(1, 2)]
+
+    def test_nonpositive_alpha_rejected(self):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            gap_quadratic_roots(F(0))
 
     def test_no_real_roots(self):
         assert gap_quadratic_roots(F(1, 10)) == []
@@ -75,6 +87,10 @@ class TestBuildSystem:
         ifs, _s = spanning_pair
         assert validate_graph(ifs).ok
         assert cssc_check(ifs).ok
+
+    def test_nonpositive_parameter_rejected(self):
+        with pytest.raises(ValueError, match="parameter g1 must be positive"):
+            dataclasses.replace(example_params(), g1=F(0))
 
     def test_row_sum_enforced(self):
         with pytest.raises(ValueError):
@@ -140,6 +156,24 @@ class TestSpanSearch:
             for dst in golden_ifs.vertices:
                 assert span_search(golden_ifs, src, dst,
                                    max_j=4, max_k=4, verify_depth=2) == []
+
+    def test_candidate_fails_verification(self):
+        # S(x) = 2x/3 + 1/3 sends F_v1^1 = [0, 1/4] + [7/8, 1] onto the
+        # level-1 intervals [1/3, 1/2] and [11/12, 1] of F_v0 and spans
+        # the gap (1/2, 11/12), but S(F_v1^2) leaves F_v0^2
+        ifs = GraphIFS(("v0", "v1"), (
+            Edge("e1", "v0", "v1", Similarity(F(1, 12), F(0))),
+            Edge("e2", "v0", "v1", Similarity(F(1, 6), F(1, 3))),
+            Edge("e3", "v0", "v1", Similarity(F(1, 12), F(11, 12))),
+            Edge("e4", "v1", "v0", Similarity(F(1, 4), F(0))),
+            Edge("e5", "v1", "v0", Similarity(F(1, 8), F(7, 8)))))
+        assert validate_graph(ifs).ok and cssc_check(ifs).ok
+        (hit,) = span_search(ifs, "v1", "v0", max_j=1, max_k=2,
+                             verify_depth=0)
+        assert hit.s_map == Similarity(F(2, 3), F(1, 3))
+        assert hit.spanned_gap == (F(1, 2), F(11, 12))
+        assert span_search(ifs, "v1", "v0", max_j=1, max_k=2,
+                           verify_depth=1) == []
 
     def test_bad_bounds_rejected(self, golden_ifs):
         with pytest.raises(ValueError):
