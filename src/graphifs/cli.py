@@ -282,39 +282,32 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _add_validate(sub):
-    p = sub.add_parser("validate", help="validate a system document")
+def _add_validate(p):
     p.add_argument("spec")
     p.set_defaults(func=_cmd_validate)
 
 
-def _add_dim(sub):
-    p = sub.add_parser("dim", help="Hausdorff dimension via the Moran matrix")
+def _add_dim(p):
     p.add_argument("spec")
     p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=_cmd_dim)
 
 
-def _add_gaps(sub):
-    p = sub.add_parser("gaps", help="gap intervals and maximum gap length")
+def _add_gaps(p):
     p.add_argument("spec")
     p.add_argument("--vertex", required=True)
     p.add_argument("--depth", type=int, default=3)
     p.set_defaults(func=_cmd_gaps)
 
 
-def _add_measure(sub):
-    p = sub.add_parser("measure",
-                       help="Hausdorff measure (double-loop family only)")
+def _add_measure(p):
     p.add_argument("spec")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--eps", type=float, default=1e-9)
     p.set_defaults(func=_cmd_measure)
 
 
-def _add_classify(sub):
-    p = sub.add_parser("classify",
-                       help="standardness certificate for one component")
+def _add_classify(p):
     p.add_argument("spec")
     p.add_argument("--vertex", required=True)
     p.add_argument("--depth", type=int, default=8)
@@ -324,25 +317,20 @@ def _add_classify(sub):
     p.set_defaults(func=_cmd_classify)
 
 
-def _add_rewrite(sub):
-    p = sub.add_parser("rewrite",
-                       help="explicit standard IFS for one component")
+def _add_rewrite(p):
     p.add_argument("spec")
     p.add_argument("--vertex", required=True)
     p.set_defaults(func=_cmd_rewrite)
 
 
-def _add_render(sub):
-    p = sub.add_parser("render", help="SVG diagram of level-k intervals")
+def _add_render(p):
     p.add_argument("spec")
     p.add_argument("--levels", type=int, default=5)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_render)
 
 
-def _add_counterexample(sub):
-    p = sub.add_parser("counterexample",
-                       help="gap-spanning construction kit")
+def _add_counterexample(p):
     p.set_defaults(func=_cmd_counterexample)
     csub = p.add_subparsers(dest="action", required=True)
     c = csub.add_parser("solve", help="solve the spanning ratio system")
@@ -355,9 +343,7 @@ def _add_counterexample(sub):
     csub.add_parser("verify", help="check the four spanning map identities")
 
 
-def _add_span_search(sub):
-    p = sub.add_parser("span-search",
-                       help="bounded search for gap-spanning similarities")
+def _add_span_search(p):
     p.add_argument("spec")
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", required=True)
@@ -367,21 +353,26 @@ def _add_span_search(sub):
     p.set_defaults(func=_cmd_span_search)
 
 
-def _add_verify_certificate(sub):
-    p = sub.add_parser("verify-certificate",
-                       help="replay a certificate against its system")
+def _add_verify_certificate(p):
     p.add_argument("spec")
     p.add_argument("certificate")
     p.set_defaults(func=_cmd_verify_certificate)
 
 
-# command name -> the function that adds its subparser, in --help order
+# command name -> (help, the function that fills its parser), in --help order
 _COMMANDS = {
-    "validate": _add_validate, "dim": _add_dim, "gaps": _add_gaps,
-    "measure": _add_measure, "classify": _add_classify,
-    "rewrite": _add_rewrite, "render": _add_render,
-    "counterexample": _add_counterexample, "span-search": _add_span_search,
-    "verify-certificate": _add_verify_certificate,
+    "validate": ("validate a system document", _add_validate),
+    "dim": ("Hausdorff dimension via the Moran matrix", _add_dim),
+    "gaps": ("gap intervals and maximum gap length", _add_gaps),
+    "measure": ("Hausdorff measure (double-loop family only)", _add_measure),
+    "classify": ("standardness certificate for one component", _add_classify),
+    "rewrite": ("explicit standard IFS for one component", _add_rewrite),
+    "render": ("SVG diagram of level-k intervals", _add_render),
+    "counterexample": ("gap-spanning construction kit", _add_counterexample),
+    "span-search": ("bounded search for gap-spanning similarities",
+                    _add_span_search),
+    "verify-certificate": ("replay a certificate against its system",
+                           _add_verify_certificate),
 }
 
 
@@ -396,7 +387,8 @@ def _parser(names) -> argparse.ArgumentParser:
         dest="command", required=True,
         metavar=None if names is _COMMANDS else "{%s}" % ",".join(_COMMANDS))
     for name in names:
-        _COMMANDS[name](sub)
+        text, fill = _COMMANDS[name]
+        fill(sub.add_parser(name, help=text))
     return parser
 
 
@@ -406,10 +398,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # only the named command's subparser; top-level help and errors list all
-    parser = (_parser(argv[:1]) if argv and argv[0] in _COMMANDS
-              else build_parser())
-    args = parser.parse_args(argv)
+    if argv and argv[0] in _COMMANDS:
+        # the named command's parser alone, as add_parser would build it;
+        # the top level only ever adds "unrecognized arguments"
+        parser = argparse.ArgumentParser(prog=f"graphifs {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if extra:
+            _parser(argv[:1]).error(
+                f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ResourceCapError as exc:

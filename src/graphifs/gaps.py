@@ -38,7 +38,8 @@ def level_k_gaps(ifs: GraphIFS, u: str,
         raise ValueError("level k must be >= 1")
     gaps = ifs.ladder.gaps(u, k)  # its cap check bounds scale ** k
     den = ifs.ladder.scale ** k
-    return [((Fraction(lo, den), Fraction(hi, den)), Fraction(hi - lo, den))
+    lengths = {n: Fraction(n, den) for n in {hi - lo for lo, hi in gaps}}
+    return [((Fraction(lo, den), Fraction(hi, den)), lengths[hi - lo])
             for lo, hi in gaps]
 
 

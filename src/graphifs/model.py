@@ -81,7 +81,8 @@ class Similarity:
 
     def hull(self) -> tuple[Fraction, Fraction]:
         """Image of the unit interval."""
-        return self.map_interval(ZERO, ONE)
+        o, r = self.offset, self.ratio
+        return (o - r, o) if self.reflect else (o, o + r)
 
     def compose(self, other: "Similarity") -> "Similarity":
         """self after other: (self.compose(other))(x) == self(other(x))."""
@@ -244,11 +245,12 @@ def path_similarity(ifs: GraphIFS, path: Path) -> Similarity:
 # ---------------------------------------------------------------------------
 # validation
 
-def _reachable(ifs: GraphIFS, start: str, edges: Iterable[Edge]) -> set[str]:
-    """Vertices reachable from start along `edges`."""
+def _unreached(ifs: GraphIFS, start: str, arcs: Iterable) -> list[str]:
+    """Vertices not reachable from start along the (src, dst) pairs
+    `arcs`, sorted."""
     out = {v: [] for v in ifs.vertices}
-    for e in edges:
-        out[e.src].append(e.dst)
+    for src, dst in arcs:
+        out[src].append(dst)
     stack = [start]
     seen = {start}
     while stack:
@@ -257,7 +259,7 @@ def _reachable(ifs: GraphIFS, start: str, edges: Iterable[Edge]) -> set[str]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return seen
+    return sorted(set(ifs.vertices) - seen)
 
 
 def validate_graph(ifs: GraphIFS) -> ValidationReport:
@@ -268,10 +270,9 @@ def validate_graph(ifs: GraphIFS) -> ValidationReport:
     raise GraphStructureError at construction, and a ratio outside (0, 1)
     a ValueError in Similarity.
     """
-    issues = []
     if not ifs.vertices:
-        issues.append("graph has no vertices")
-        return ValidationReport(tuple(issues))
+        return ValidationReport(("graph has no vertices",))
+    issues = []
     for v in ifs.vertices:
         deg = len(ifs.out_edges(v))
         if deg < 2:
@@ -282,17 +283,11 @@ def validate_graph(ifs: GraphIFS) -> ValidationReport:
             issues.append(
                 f"edge {e.id!r} level-1 hull [{lo}, {hi}] escapes [0,1]")
     root = ifs.vertices[0]
-    fwd = _reachable(ifs, root, ifs.edges)
-    if fwd != set(ifs.vertices):
-        missing = sorted(set(ifs.vertices) - fwd)
+    if missing := _unreached(ifs, root, ((e.src, e.dst) for e in ifs.edges)):
         issues.append(f"not strongly connected: unreachable from {root!r}: {missing}")
-    else:
-        reversed_edges = [Edge(e.id, e.dst, e.src, e.map) for e in ifs.edges]
-        bwd = _reachable(ifs, root, reversed_edges)
-        if bwd != set(ifs.vertices):
-            missing = sorted(set(ifs.vertices) - bwd)
-            issues.append(
-                f"not strongly connected: cannot reach {root!r} from {missing}")
+    elif missing := _unreached(ifs, root, ((e.dst, e.src) for e in ifs.edges)):
+        issues.append(
+            f"not strongly connected: cannot reach {root!r} from {missing}")
     return ValidationReport(tuple(issues))
 
 

@@ -37,14 +37,18 @@ def render_svg(ifs: GraphIFS, levels: int = 5) -> str:
         f'viewBox="0 0 {total_w} {total_h}">',
     ]
     for vi, vertex in enumerate(ifs.vertices):
+        # escaped for the row id and the label; xml.sax.saxutils would pull
+        # urllib.request into every `import graphifs`
+        name = (vertex.replace("&", "&amp;").replace("<", "&lt;")
+                .replace(">", "&gt;").replace('"', "&quot;"))
         block_y = MARGIN + vi * (block + VERTEX_GAP)
         for k in range(levels + 1):
             y = block_y + k * row_stride
-            lines.append(f'<g id="row-{vertex}-{k}">')
+            lines.append(f'<g id="row-{name}-{k}">')
             lines.append(
                 f'<text x="4" y="{y + ROW_HEIGHT - 3}" '
                 f'font-size="10" font-family="monospace">'
-                f'{vertex} k={k}</text>')
+                f'{name} k={k}</text>')
             den = ifs.ladder.scale ** k
             num, twice = 2000 * WIDTH, 2 * den
             xs = [q - (not r and q & 1)  # half up, exact ties back to even

@@ -3,6 +3,7 @@
 import argparse
 import itertools
 import json
+import os
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -588,6 +589,7 @@ class TestSpanSearch:
 
 COMMANDS = ("validate", "dim", "gaps", "measure", "classify", "rewrite",
             "render", "counterexample", "span-search", "verify-certificate")
+COUNTEREXAMPLE_ACTIONS = ("solve", "quadratic", "build", "verify")
 TOP_USAGE = """\
 usage: graphifs [-h] [--version]
                 {validate,dim,gaps,measure,classify,rewrite,render,counterexample,span-search,verify-certificate}
@@ -616,6 +618,12 @@ options:
 """
 
 
+def argv_id(argv):
+    """A test id for argv, each spec path cut to its file name."""
+    return " ".join(os.path.basename(a) if a.endswith(".json") else a
+                    for a in argv)
+
+
 def run_exit(capsys, argv):
     """(exit code, stdout, stderr) of a `main` call that exits."""
     with pytest.raises(SystemExit) as exc:
@@ -628,6 +636,19 @@ def run_exit(capsys, argv):
 def columns_80(monkeypatch):
     """Fix the width argparse wraps help and usage text to."""
     monkeypatch.setenv("COLUMNS", "80")
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The prog of every ArgumentParser built from here on, in order."""
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return progs
 
 
 @pytest.mark.usefixtures("columns_80")
@@ -679,16 +700,87 @@ class TestUsage:
         assert full.out.startswith(f"usage: graphifs {' '.join(argv)} ")
         assert run_exit(capsys, [*argv, "--help"]) == (0, full.out, full.err)
 
-    def test_builds_only_the_named_subparser(self, monkeypatch, capsys):
-        built = []
-        init = argparse.ArgumentParser.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            init(self, *args, **kwargs)
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    def test_builds_only_the_named_subparser(self, built, capsys):
         assert main(["validate", GOLDEN]) == 0
-        assert built == ["graphifs", "graphifs validate"]
+        assert built == ["graphifs validate"]
+        built.clear()
+        # left-over arguments are reported by the one-command tree
+        assert run_exit(capsys, ["validate", GOLDEN, "extra"])[0] == 2
+        assert built == ["graphifs validate", "graphifs", "graphifs validate"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["validate", GOLDEN], 0),
+        (["dim", GOLDEN], 0),
+        (["gaps", GOLDEN, "--vertex", "u", "--depth", "1"], 0),
+        (["measure", GOLDEN], 0),
+        (["classify", GOLDEN, "--vertex", "u"], 0),
+        (["rewrite", GOLDEN, "--vertex", "u"], 3),
+        (["render", GOLDEN, "--levels", "1"], 0),
+        (["counterexample", "solve", "--g1", "1/20", "--g2", "10/20",
+          "--g3", "1/20", "--g4", "1/20"], 0),
+        (["counterexample", "quadratic", "--alpha", "1/20"], 0),
+        (["counterexample", "build"], 0),
+        (["counterexample", "verify"], 0),
+        (["span-search", SPANNING, "--from", "u", "--to", "u",
+          "--max-j", "1", "--max-k", "1"], 0),
+        (["verify-certificate", GOLDEN, "CERT"], 0),
+    ], ids=lambda a: argv_id(a[:2]) if isinstance(a, list) else None)
+    def test_one_construction_per_parser(self, built, capsys, tmp_path,
+                                         argv, code):
+        """A call builds its command's parser once and no other, and
+        counterexample its own parser and its four action parsers."""
+        cert = tmp_path / "cert.json"
+        assert main(["classify", GOLDEN, "--vertex", "u"]) == 0
+        cert.write_text(capsys.readouterr().out)
+        built.clear()
+        assert main([str(cert) if a == "CERT" else a for a in argv]) == code
+        command = f"graphifs {argv[0]}"
+        assert built == [command] + (
+            [f"{command} {action}" for action in COUNTEREXAMPLE_ACTIONS]
+            if argv[0] == "counterexample" else [])
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", GOLDEN, "extra"],
+        ["validate", GOLDEN, "extra", "more"],
+        ["validate", "--", GOLDEN],
+        ["validate", "--", GOLDEN, "extra"],
+        ["validate", GOLDEN, "--", "--version"],
+        ["validate", "--version"],
+        ["validate", GOLDEN, "--version"],
+        ["dim", GOLDEN, "--vers"],
+        ["classify", "--help=1"],
+        ["classify", GOLDEN, "--vertex", "u", "--frobnicate"],
+        ["classify", GOLDEN, "--frobnicate", "x", "--vertex", "u"],
+        ["classify", GOLDEN, "--vertex", "u", "--theorem", "p9"],
+        ["gaps", GOLDEN, "--vert", "u", "--depth", "1"],
+        ["gaps", GOLDEN, "--vertex"],
+        ["gaps", GOLDEN, "--vertex", "u", "--depth", "x"],
+        ["rewrite", "-x"],
+        ["render", GOLDEN, "-o"],
+        ["measure", GOLDEN, "--tol"],
+        ["span-search", GOLDEN, "--from", "u"],
+        ["verify-certificate", GOLDEN],
+        ["counterexample"],
+        ["counterexample", "build", "extra"],
+        ["counterexample", "frob"],
+        ["counterexample", "solve", "--g1", "1/0"],
+        ["validate", "-h", "extra"],
+    ], ids=argv_id)
+    def test_same_outcome_as_full_tree(self, capsys, argv):
+        """main gives the exit code, stdout and stderr that parsing with
+        the full tree and then running the command gives (each command's
+        --help is compared in test_subcommand_help_matches_full_tree)."""
+        def full_tree(argv):
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+
+        def outcome(call):
+            try:
+                code = call(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+        assert outcome(main) == outcome(full_tree)
 
     @pytest.mark.parametrize("argv, message", [
         (["validate", "DIR"], "Is a directory"),

@@ -802,6 +802,17 @@ class TestGapInvariants:
         assert out.getvalue().splitlines() == expected
 
 
+class TestSimilarityInvariants:
+    @COMMON
+    @given(st.fractions(0, 1, max_denominator=10**6)
+           .filter(lambda r: 0 < r < 1),
+           st.fractions(-2, 2, max_denominator=10**6), st.booleans())
+    def test_hull_is_the_image_of_the_unit_interval(self, ratio, offset,
+                                                    reflect):
+        sim = Similarity(ratio, offset, reflect)
+        assert sim.hull() == sim.map_interval(0, 1)
+
+
 class TestPathInvariants:
     @COMMON
     @given(small_graphs(), st.integers(1, 5))

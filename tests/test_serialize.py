@@ -3,6 +3,7 @@
 import json
 import re
 from fractions import Fraction
+from xml.dom import minidom
 
 import pytest
 
@@ -243,6 +244,17 @@ class TestRendering:
         a = render_svg(golden_ifs, 4)
         b = render_svg(golden_ifs, 4)
         assert a == b
+
+    def test_vertex_names_are_escaped(self):
+        """A name with XML's special characters still gives well-formed
+        SVG, and reads back unchanged from the label and the row id."""
+        name = 'a<b&"c'
+        text = (SPEC_DIR / "golden_ratio.json").read_text()
+        ifs = load_spec(text.replace('"u"', json.dumps(name)))
+        svg = minidom.parseString(render_svg(ifs, 1))
+        label = svg.getElementsByTagName("text")[0]
+        assert label.firstChild.data == f"{name} k=0"
+        assert label.parentNode.getAttribute("id") == f"row-{name}-0"
 
     def test_level1_coordinates(self, golden_ifs):
         svg = render_svg(golden_ifs, 1)
